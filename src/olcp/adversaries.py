@@ -128,10 +128,13 @@ class RainbowChains:
         union = {x for pts in self.chains.values() for x in pts}
         if not part.is_rainbow(union):
             problems.append("chain union repeats a color")
-        for c in union:
-            for x in self.universe:
-                if x not in union and p.less(x, c):
-                    problems.append(f"union not downward closed: {x} < {c}")
+        outside = self.universe - union
+        if outside:
+            for c in union:
+                gap = outside & p.below(c)
+                if gap:
+                    problems += [f"union not downward closed: {x} < {c}"
+                                 for x in self.universe if x in gap]
         return problems
 
 
@@ -346,10 +349,16 @@ class SzemerediStrategy(Strategy):
 
 class _GameLevel:
     """One width level of a staged game: forcing stage, mirrored stage,
-    separator choice, then hand-off to the next level down."""
+    separator choice, then hand-off to the next level down.
 
-    def __init__(self, owner: Strategy, width: int):
-        self.owner = owner
+    A level holds the owning strategy's poset and color record, never the
+    strategy itself, so a finished game is freed without the cycle
+    collector.
+    """
+
+    def __init__(self, poset: Poset, colors: dict[int, int], width: int):
+        self.poset = poset
+        self.colors = colors
         self.width = width
         self.stage = 1
         self.s1_points: list[int] = []
@@ -428,7 +437,7 @@ class _GameLevel:
             raise StrategyInvariantError("observation after the level finished")
 
     def _extract(self, bank: _Bank, dual: bool) -> dict[int, list[int]]:
-        p = self.owner.poset
+        p = self.poset
         out = {}
         for inst in bank.instances():
             reach = p.up_set(inst.terminal) if dual else p.down_set(inst.terminal)
@@ -436,7 +445,7 @@ class _GameLevel:
         return out
 
     def _choose_separator(self) -> None:
-        colors = self.owner.colors
+        colors = self.colors
         lo, hi = self._t_range()
         top_dual = set(self.dual_chains[self.width])
         best_t, best = lo, -1
@@ -445,9 +454,7 @@ class _GameLevel:
             if n > best:
                 best_t, best = t, n
         self.t = best_t
-        self.separator = _chain_sorted(
-            self.owner.poset, set(self.chains[best_t]) | top_dual
-        )
+        self.separator = _chain_sorted(self.poset, set(self.chains[best_t]) | top_dual)
         self.separator_colors = best
         threshold = self._threshold()
         ok = best > threshold if self._strict_threshold else best >= threshold
@@ -475,9 +482,9 @@ class _HiddenLevel(_GameLevel):
     """Level with its own fresh hidden hosts; cross-level relations are
     carried by the accumulated wrap sets."""
 
-    def __init__(self, owner: Strategy, width: int,
+    def __init__(self, poset: Poset, colors: dict[int, int], width: int,
                  extra_below: frozenset[int], extra_above: frozenset[int]):
-        super().__init__(owner, width)
+        super().__init__(poset, colors, width)
         self.extra_below = extra_below
         self.extra_above = extra_above
         self.scan_hosts = [LinearOrder() for _ in range(width)]
@@ -521,7 +528,8 @@ class _HiddenLevel(_GameLevel):
             return None
         below = self.extra_below | (set(self.s2_points) - set(self.dual_chains[self.width]))
         above = self.extra_above | (set(self.s1_points) - set(self.chains[self.t]))
-        return _HiddenLevel(self.owner, self.width - 1, frozenset(below), frozenset(above))
+        return _HiddenLevel(self.poset, self.colors, self.width - 1,
+                            frozenset(below), frozenset(above))
 
     def realizer_pair(self) -> tuple[list[int], list[int]]:
         """Assemble the two hidden orders realizing everything from this
@@ -557,7 +565,7 @@ class HiddenRealizerStrategy(Strategy):
 
     def __init__(self, w: int):
         super().__init__(w)
-        self._root = _HiddenLevel(self, w, frozenset(), frozenset())
+        self._root = _HiddenLevel(self.poset, self.colors, w, frozenset(), frozenset())
         self._placed_level: _GameLevel | None = None
 
     def done(self) -> bool:
@@ -603,28 +611,30 @@ class _VisibleLevel(_GameLevel):
     """Level living inside the d global visible orders; cross-level
     relations come from where its window sits in each order."""
 
-    def __init__(self, owner: "PresentedRealizerStrategy", width: int, regions: list[Region]):
-        super().__init__(owner, width)
+    def __init__(self, poset: Poset, colors: dict[int, int], orders: list[LinearOrder],
+                 width: int, regions: list[Region]):
+        super().__init__(poset, colors, width)
+        self.orders = orders
+        self.d = d = len(orders)
         self.regions = regions
-        d = owner.d
         builders = [
-            Builder(BuilderSpec("scan", width - d + 2 + j, width), regions[j], owner.orders[j])
+            Builder(BuilderSpec("scan", width - d + 2 + j, width), regions[j], orders[j])
             for j in range(d - 1)
         ]
         builders.append(
-            Builder(BuilderSpec("stack", width, width), regions[d - 1], owner.orders[d - 1])
+            Builder(BuilderSpec("stack", width, width), regions[d - 1], orders[d - 1])
         )
         self._bank = _Bank(builders)
 
     def _relation_hosts(self):
-        return self.owner.orders
+        return self.orders
 
     def _make_dual_bank(self) -> _Bank:
-        d = self.owner.d
+        d = self.d
         w = self.width
         duals = []
         for j in range(d):
-            order = self.owner.orders[j]
+            order = self.orders[j]
             pos = order.positions()
             lowest = min(self.s1_points, key=pos.__getitem__)
             family = "scan" if j == d - 1 else "stack"
@@ -634,17 +644,18 @@ class _VisibleLevel(_GameLevel):
         return _Bank(duals)
 
     def _t_range(self):
-        return max(1, self.width - self.owner.d + 2), self.width
+        return max(1, self.width - self.d + 2), self.width
 
     def _threshold(self):
-        return theorem2_level_threshold(self.width, self.owner.d)
+        return theorem2_level_threshold(self.width, self.d)
 
     _strict_threshold = False
 
     def _make_child(self):
         if self.width == 1:
             return None
-        return _VisibleLevel(self.owner, self.width - 1, self._child_regions())
+        return _VisibleLevel(self.poset, self.colors, self.orders, self.width - 1,
+                             self._child_regions())
 
     def _child_regions(self) -> list[Region]:
         """Windows for the next level down, one per visible order.
@@ -654,14 +665,14 @@ class _VisibleLevel(_GameLevel):
         order -- except across the separator's home orders, which make the
         separator incomparable to everything deeper.
         """
-        d = self.owner.d
+        d = self.d
         j_t = self.t - (self.width - d + 2)
         c_t = set(self.chains[self.t])
         d_top = set(self.dual_chains[self.width])
         s1, s2 = set(self.s1_points), set(self.s2_points)
         regions = []
         for j in range(d):
-            pos = self.owner.orders[j].positions()
+            pos = self.orders[j].positions()
             if j == j_t:
                 low = max(c_t, key=pos.__getitem__)
                 rest = s1 - c_t
@@ -692,7 +703,8 @@ class PresentedRealizerStrategy(Strategy):
             raise ValueError("need at least two visible orders")
         self.d = d
         self.orders = [LinearOrder() for _ in range(d)]
-        self._root = _VisibleLevel(self, w, [Region(BOTTOM, TOP)] * d)
+        self._root = _VisibleLevel(self.poset, self.colors, self.orders, w,
+                                   [Region(BOTTOM, TOP)] * d)
         self._placed_level: _GameLevel | None = None
 
     def done(self) -> bool:

@@ -257,7 +257,8 @@ def run_game(strategy: Strategy, partitioner, seed: int | None = None,
     """Play one full game and return its transcript and verified report.
 
     ``checks`` is "full" (default) or "lemmas"; the latter skips the
-    quadratic-ish whole-poset width recomputation, for high-volume fuzzing.
+    whole-poset width recomputation (a maximum matching over all
+    comparable pairs), for high-volume fuzzing.
     """
     part = ChainPartition()
     rounds: list[TranscriptRound] = []

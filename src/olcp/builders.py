@@ -151,10 +151,6 @@ class Builder:
             yield b
             b = b.child
 
-    def stage1_terminal(self) -> int | None:
-        """The point whose color ended stage one (absent while it runs)."""
-        return self.terminal
-
     # -- placement ------------------------------------------------------------
 
     def place_next(self, e: int) -> int | None:

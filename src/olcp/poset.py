@@ -2,8 +2,10 @@
 
 Elements are positive integer ids (the round an element entered the game).
 A :class:`Poset` stores the full strict-order relation as below/above sets
-per element, kept transitively closed on every insertion.  Game sizes stay
-in the hundreds, so the dense representation is the simple and fast choice.
+per element, kept transitively closed on every insertion.  Staged games
+reach 770-1300 points and about 256k relations, so the whole-poset checks
+(realizer, extension, width) never loop over pairs of elements in Python:
+they work on Python-int bitmasks, bit ``x`` standing for element ``x``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ class Relation(Enum):
 class Poset:
     """A strict partial order over integer ids, grown one element at a time."""
 
-    __slots__ = ("_below", "_above", "_elements")
+    __slots__ = ("_below", "_above", "_elements", "__weakref__")
 
     def __init__(self) -> None:
         self._below: dict[int, set[int]] = {}
@@ -250,36 +252,50 @@ class Poset:
         return part
 
     def _max_matching(self) -> dict[int, int]:
-        """Maximum matching u -> v over pairs u < v (greedy + Kuhn augmentation).
+        """Maximum matching u -> v over pairs u < v, by augmenting paths.
 
-        Iteration order is ascending ids throughout, so the result is
-        deterministic for a given poset.
+        A greedy pass matches each u to its lowest free v; then each
+        unmatched u starts one depth-first search for an augmenting path
+        over the ``above`` bitmasks, kept on an explicit stack so that no
+        poset is too deep for it.  Every step takes the lowest id first, so
+        the result is deterministic for a given poset.
         """
-        order = sorted(self._elements)
-        adj = {u: sorted(self._above[u]) for u in order}
+        above = {u: _mask(self._above[u]) for u in sorted(self._elements)}
         match_l: dict[int, int] = {}
         match_r: dict[int, int] = {}
-        for u in order:
-            for v in adj[u]:
-                if v not in match_r:
-                    match_l[u] = v
-                    match_r[v] = u
-                    break
-
-        def augment(u: int, seen: set[int]) -> bool:
-            for v in adj[u]:
-                if v in seen:
+        taken = 0  # mask of matched v
+        for u, up in above.items():
+            free = up & ~taken
+            if free:
+                low = free & -free
+                v = low.bit_length() - 1
+                match_l[u] = v
+                match_r[v] = u
+                taken |= low
+        for root in above:
+            if root in match_l:
+                continue
+            seen = 0
+            path = [root]  # path[i + 1] is the current partner of via[i]
+            via: list[int] = []
+            while path:
+                cand = above[path[-1]] & ~seen
+                if not cand:
+                    path.pop()
+                    if via:
+                        via.pop()
                     continue
-                seen.add(v)
-                if v not in match_r or augment(match_r[v], seen):
-                    match_l[u] = v
-                    match_r[v] = u
-                    return True
-            return False
-
-        for u in order:
-            if u not in match_l:
-                augment(u, set())
+                low = cand & -cand
+                seen |= low
+                v = low.bit_length() - 1
+                via.append(v)
+                if not low & taken:
+                    taken |= low
+                    for u, v in zip(path, via):
+                        match_l[u] = v
+                        match_r[v] = u
+                    break
+                path.append(match_r[v])
         return match_l
 
 
@@ -336,9 +352,10 @@ class LinearOrder:
     def is_extension_of(self, p: Poset) -> bool:
         """True when every relation of p appears in this order."""
         pos = self.positions()
-        if set(pos) != set(p.elements):
+        if set(pos) != set(p._elements):
             return False
-        return all(pos[x] < pos[y] for x, y in p.relation_pairs())
+        at = pos.__getitem__
+        return all(max(map(at, below), default=-1) < pos[y] for y, below in p._below.items())
 
     def copy(self) -> "LinearOrder":
         return LinearOrder(self.sequence)
@@ -361,6 +378,35 @@ class LinearOrder:
         return f"LinearOrder({self.sequence})"
 
 
+def _mask(ids: Iterable[int]) -> int:
+    m = 0
+    for x in ids:
+        m |= 1 << x
+    return m
+
+
+def _ids(mask: int) -> set[int]:
+    out = set()
+    while mask:
+        low = mask & -mask
+        out.add(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _common_below(orders: list[LinearOrder]) -> dict[int, int]:
+    """x -> mask of the elements before x in every order (x in orders[0])."""
+    common: dict[int, int] = {}
+    for i, o in enumerate(orders):
+        pos = o.positions()
+        prefix = 0
+        # positions() keeps the last copy of a repeated id, so walk by it.
+        for x in sorted(pos, key=pos.__getitem__):
+            common[x] = prefix if i == 0 else common[x] & prefix
+            prefix |= 1 << x
+    return common
+
+
 def intersect(orders: Iterable[LinearOrder]) -> Poset:
     """The poset x < y iff x precedes y in every given order."""
     orders = list(orders)
@@ -370,16 +416,14 @@ def intersect(orders: Iterable[LinearOrder]) -> Poset:
     for o in orders[1:]:
         if set(o.sequence) != base:
             raise RelationError("orders carry different element sets")
-    maps = [o.positions() for o in orders]
+    below = _common_below(orders)
     p = Poset()
-    for e in sorted(base):
-        below = {
-            u for u in p._elements if all(m[u] < m[e] for m in maps)
-        }
-        above = {
-            u for u in p._elements if all(m[u] > m[e] for m in maps)
-        }
-        p._add_closed(below, above)
+    p._elements = sorted(base)
+    p._below = {e: _ids(below[e]) for e in p._elements}
+    p._above = {e: set() for e in p._elements}
+    for e in p._elements:
+        for u in p._below[e]:
+            p._above[u].add(e)
     return p
 
 
@@ -405,12 +449,18 @@ class Realizer:
 
 
 def verify_realizer(realizer: Realizer, p: Poset) -> bool:
-    """True iff every order extends p and their intersection is exactly p."""
-    if set(realizer.orders[0].sequence) != set(p.elements):
+    """True iff every order extends p and their intersection is exactly p.
+
+    The second half implies the first: a relation of p missing from one
+    order is missing from the intersection too.
+    """
+    elements = set(p._elements)
+    if set(realizer.orders[0].sequence) != elements:
         raise RelationError("realizer and poset carry different element sets")
-    if not all(o.is_extension_of(p) for o in realizer.orders):
+    if any(set(o.sequence) != elements for o in realizer.orders[1:]):
         return False
-    return intersect(realizer.orders) == p
+    common = _common_below(realizer.orders)
+    return all(common[y] == _mask(below) for y, below in p._below.items())
 
 
 class ChainPartition:
@@ -474,11 +524,12 @@ def verify_chain_partition(p: Poset, part: ChainPartition) -> list[str]:
     each chain violation names one incomparable same-color pair.
     """
     problems = []
+    elements = set(p.elements)
     missing = [e for e in p.elements if e not in part.color_of]
     if missing:
         problems.append(f"uncolored elements: {sorted(missing)}")
     for color, members in sorted(part.classes().items()):
-        members = sorted(members & set(p.elements))
+        members = sorted(members & elements)
         for i, x in enumerate(members):
             for y in members[i + 1 :]:
                 if not p.comparable(x, y):

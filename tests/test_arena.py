@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -20,6 +22,7 @@ from olcp import (
     sweep,
     verify_transcript,
 )
+from olcp import arena
 from olcp.arena import TranscriptRound
 
 
@@ -260,6 +263,52 @@ def test_wrong_relations_name_the_round():
     bad = reround(t, 2, below=())
     violations = verify_transcript(bad)
     assert any(v.startswith("round 3: relations below") for v in violations)
+
+
+# ---------------------------------------------------------------------------
+# finished games are freed by reference counting alone
+
+
+@pytest.fixture
+def no_cycle_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name, w, d", [("szemeredi", 3, None), ("theorem1", 3, None),
+                                        ("theorem2", 3, 3)])
+@pytest.mark.usefixtures("no_cycle_collector")
+def test_played_game_is_freed_without_the_cycle_collector(name, w, d):
+    s = make_strategy(name, w, d=d)
+    transcript, report = run_game(s, FirstFit())
+    assert report.ok
+    poset = weakref.ref(s.poset)
+    del s, transcript, report
+    assert poset() is None
+
+
+@pytest.mark.parametrize("name, w, d", [("theorem1", 3, None), ("theorem2", 3, 3)])
+@pytest.mark.usefixtures("no_cycle_collector")
+def test_derailed_replay_is_freed_without_the_cycle_collector(name, w, d, monkeypatch):
+    t, _ = game(name, w, d=d)
+    half = len(t.rounds) // 2
+    rows = t.rounds[:half] + [dataclasses.replace(r, color=1) for r in t.rounds[half:]]
+    tampered = Transcript(t.strategy, t.w, t.d, t.partitioner, t.seed, rows, t.version)
+    posets = []
+
+    def tracked(*args, **kwargs):
+        s = make_strategy(*args, **kwargs)
+        posets.append(weakref.ref(s.poset))
+        return s
+
+    monkeypatch.setattr(arena, "make_strategy", tracked)
+    violations = verify_transcript(tampered)
+    derails = [v for v in violations if "derail" in v]
+    assert derails and int(derails[0].split(":")[0].split()[1]) > half
+    assert len(posets) == 1 and posets[0]() is None
 
 
 # ---------------------------------------------------------------------------
