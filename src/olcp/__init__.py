@@ -55,7 +55,6 @@ from .poset import (
     LinearOrder,
     Poset,
     Realizer,
-    Relation,
     intersect,
     verify_chain_partition,
     verify_realizer,
@@ -85,7 +84,6 @@ __all__ = [
     "RandomValid",
     "Realizer",
     "Region",
-    "Relation",
     "RelationError",
     "STRATEGY_NAMES",
     "Strategy",

@@ -24,7 +24,8 @@ one point per round:
 
 Strategies follow a small protocol: ``done()``, ``next_move() -> Move``,
 ``observe(color)``.  The strategy owns the presented poset; the arena owns
-the coloring.
+the coloring.  ``STRATEGIES`` maps each name to its class, and
+``check_strategy`` alone decides which parameters each one accepts.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from typing import Iterable, Sequence
 from .builders import BOTTOM, TOP, Builder, BuilderSpec, Region
 from .errors import StrategyInvariantError
 from .poset import ChainPartition, LinearOrder, Poset, Realizer
-
-STRATEGY_NAMES = ("szemeredi", "theorem1", "theorem2")
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +65,18 @@ def theorem2_level_threshold(width: int, dim: int) -> float:
 
 def theorem2_total(w: int, dim: int) -> float:
     return sum(theorem2_level_threshold(i, dim) for i in range(1, w + 1))
+
+
+def separator_threshold(width: int, d: int | None) -> tuple[float, bool]:
+    """Colors one level's separator must carry, and whether strictly more.
+
+    ``d`` is the number of visible orders, None in the hidden-realizer
+    game, whose per-level bound is strict; with visible orders the bound
+    may be met with equality.
+    """
+    if d is None:
+        return theorem1_level_threshold(width), True
+    return theorem2_level_threshold(width, d), False
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +257,6 @@ class Strategy:
     name = "?"
 
     def __init__(self, w: int):
-        if w < 1:
-            raise ValueError("width must be at least 1")
         self.w = w
         self.d: int | None = None
         self.poset = Poset()
@@ -306,10 +315,9 @@ class SzemerediStrategy(Strategy):
     name = "szemeredi"
 
     def __init__(self, w: int, k: int | None = None):
+        check_strategy(self.name, w, k=k)
         super().__init__(w)
         self.k = w if k is None else k
-        if not 1 <= self.k <= w:
-            raise ValueError(f"need 1 <= k <= w, got k={self.k}")
         self.scan_host = LinearOrder()
         self.stack_host = LinearOrder()
         self._bank = _Bank([
@@ -356,6 +364,10 @@ class _GameLevel:
     collector.
     """
 
+    d: int | None = None  # visible orders the level lives in; None = hidden hosts
+    extra_below: frozenset[int] = frozenset()  # cross-level relations not in the hosts
+    extra_above: frozenset[int] = frozenset()
+
     def __init__(self, poset: Poset, colors: dict[int, int], width: int):
         self.poset = poset
         self.colors = colors
@@ -377,9 +389,6 @@ class _GameLevel:
     def _relation_hosts(self) -> Sequence[LinearOrder]:
         raise NotImplementedError
 
-    def _extra_relations(self) -> tuple[frozenset[int], frozenset[int]]:
-        return frozenset(), frozenset()
-
     def _make_dual_bank(self) -> _Bank:
         raise NotImplementedError
 
@@ -388,11 +397,6 @@ class _GameLevel:
 
     def _t_range(self) -> tuple[int, int]:
         raise NotImplementedError
-
-    def _threshold(self) -> float:
-        raise NotImplementedError
-
-    _strict_threshold = True
 
     # stage machine -----------------------------------------------------------
 
@@ -407,15 +411,16 @@ class _GameLevel:
             return self.child.active_level()
         return None
 
-    def place(self, e: int) -> tuple[set[int], set[int], int, list[int | None]]:
+    def place(self, e: int) -> tuple[set[int], set[int], int, int, tuple[int | None, ...] | None]:
+        """Place e in this level's hosts: ``Strategy._place``'s move fields."""
         bank = self._bank if self.stage == 1 else self._dual_bank
         assert bank is not None
         anchors = bank.place(e)
         below, above = _intersect_relations(self._relation_hosts(), e)
-        extra_below, extra_above = self._extra_relations()
-        below |= extra_below
-        above |= extra_above
-        return below, above, self.stage, anchors
+        below |= self.extra_below
+        above |= self.extra_above
+        ext = None if self.d is None else tuple(anchors)  # hidden hosts stay hidden
+        return below, above, self.width, self.stage, ext
 
     def observe(self, e: int, color: int) -> None:
         if self.stage == 1:
@@ -456,19 +461,18 @@ class _GameLevel:
         self.t = best_t
         self.separator = _chain_sorted(self.poset, set(self.chains[best_t]) | top_dual)
         self.separator_colors = best
-        threshold = self._threshold()
-        ok = best > threshold if self._strict_threshold else best >= threshold
-        if not ok:
+        threshold, strict = separator_threshold(self.width, self.d)
+        if not (best > threshold if strict else best >= threshold):
             raise StrategyInvariantError(
                 f"separator carries {best} colors at width {self.width}, "
-                f"needs {'above' if self._strict_threshold else 'at least'} {threshold}"
+                f"needs {'above' if strict else 'at least'} {threshold}"
             )
 
     def report(self) -> LevelReport:
         return LevelReport(
             width=self.width,
             t=self.t,
-            threshold=self._threshold(),
+            threshold=separator_threshold(self.width, self.d)[0],
             separator_colors=self.separator_colors,
             separator=list(self.separator),
             s1_points=list(self.s1_points),
@@ -501,9 +505,6 @@ class _HiddenLevel(_GameLevel):
     def _relation_hosts(self):
         return self.scan_hosts + self.stack_hosts
 
-    def _extra_relations(self):
-        return self.extra_below, self.extra_above
-
     def _make_dual_bank(self) -> _Bank:
         w = self.width
         duals = [
@@ -517,11 +518,6 @@ class _HiddenLevel(_GameLevel):
 
     def _t_range(self):
         return 1, self.width
-
-    def _threshold(self):
-        return theorem1_level_threshold(self.width)
-
-    _strict_threshold = True
 
     def _make_child(self):
         if self.width == 1:
@@ -553,34 +549,23 @@ class _HiddenLevel(_GameLevel):
         return rep
 
 
-class HiddenRealizerStrategy(Strategy):
-    """Staged game whose presented poset always has a two-order realizer.
+class _StagedStrategy(Strategy):
+    """Driver of a staged game: the active level places each point and
+    takes its color, from the root level down to width 1."""
 
-    The orders stay hidden during play (the point: even a partitioner that
-    knows the rules cannot exploit them) and can be extracted afterwards
-    for verification.
-    """
-
-    name = "theorem1"
-
-    def __init__(self, w: int):
-        super().__init__(w)
-        self._root = _HiddenLevel(self.poset, self.colors, w, frozenset(), frozenset())
-        self._placed_level: _GameLevel | None = None
+    _root: _GameLevel
+    _placed_level: _GameLevel | None = None
 
     def done(self) -> bool:
         return self._root.complete
-
-    def bound(self) -> float:
-        return theorem1_total(self.w)
 
     def _place(self, e):
         level = self._root.active_level()
         if level is None:
             raise StrategyInvariantError("placement requested after the game ended")
-        below, above, stage, _ = level.place(e)
+        move = level.place(e)
         self._placed_level = level
-        return below, above, level.width, stage, None
+        return move
 
     def _after_color(self, e, color):
         level = self._placed_level
@@ -599,6 +584,28 @@ class HiddenRealizerStrategy(Strategy):
 
     def level_reports(self) -> list[LevelReport]:
         return [lvl.report() for lvl in self.levels()]
+
+
+class HiddenRealizerStrategy(_StagedStrategy):
+    """Staged game whose presented poset always has a two-order realizer.
+
+    The orders stay hidden during play (the point: even a partitioner that
+    knows the rules cannot exploit them) and can be extracted afterwards
+    for verification.
+    """
+
+    name = "theorem1"
+
+    def __init__(self, w: int):
+        check_strategy(self.name, w)
+        super().__init__(w)
+        self._root = _HiddenLevel(self.poset, self.colors, w, frozenset(), frozenset())
+
+    def bound(self) -> float:
+        return theorem1_total(self.w)
+
+    # bench/tracing.py wraps level_reports in each concrete class's own namespace.
+    level_reports = _StagedStrategy.level_reports
 
     def extract_realizer(self) -> Realizer:
         if not self.done():
@@ -646,11 +653,6 @@ class _VisibleLevel(_GameLevel):
     def _t_range(self):
         return max(1, self.width - self.d + 2), self.width
 
-    def _threshold(self):
-        return theorem2_level_threshold(self.width, self.d)
-
-    _strict_threshold = False
-
     def _make_child(self):
         if self.width == 1:
             return None
@@ -688,7 +690,7 @@ class _VisibleLevel(_GameLevel):
         return regions
 
 
-class PresentedRealizerStrategy(Strategy):
+class PresentedRealizerStrategy(_StagedStrategy):
     """Staged game played with d insertion-only grown orders on the table.
 
     The partitioner sees the orders (the presented poset is exactly their
@@ -698,49 +700,21 @@ class PresentedRealizerStrategy(Strategy):
     name = "theorem2"
 
     def __init__(self, w: int, d: int):
+        check_strategy(self.name, w, d=d)
         super().__init__(w)
-        if d < 2:
-            raise ValueError("need at least two visible orders")
         self.d = d
         self.orders = [LinearOrder() for _ in range(d)]
         self._root = _VisibleLevel(self.poset, self.colors, self.orders, w,
                                    [Region(BOTTOM, TOP)] * d)
-        self._placed_level: _GameLevel | None = None
-
-    def done(self) -> bool:
-        return self._root.complete
 
     def bound(self) -> float:
         return theorem2_total(self.w, self.d)
 
-    def _place(self, e):
-        level = self._root.active_level()
-        if level is None:
-            raise StrategyInvariantError("placement requested after the game ended")
-        below, above, stage, anchors = level.place(e)
-        self._placed_level = level
-        return below, above, level.width, stage, tuple(anchors)
-
-    def _after_color(self, e, color):
-        level = self._placed_level
-        self._placed_level = None
-        if level is None:
-            raise StrategyInvariantError("color arrived with no placement outstanding")
-        level.observe(e, color)
-
     def realizer_snapshot(self):
         return tuple(order.copy() for order in self.orders)
 
-    def levels(self) -> list[_GameLevel]:
-        out = []
-        lvl: _GameLevel | None = self._root
-        while lvl is not None:
-            out.append(lvl)
-            lvl = lvl.child
-        return out
-
-    def level_reports(self) -> list[LevelReport]:
-        return [lvl.report() for lvl in self.levels()]
+    # bench/tracing.py wraps level_reports in each concrete class's own namespace.
+    level_reports = _StagedStrategy.level_reports
 
     def extract_realizer(self) -> Realizer:
         if not self.done():
@@ -749,27 +723,41 @@ class PresentedRealizerStrategy(Strategy):
 
 
 # ---------------------------------------------------------------------------
+# the strategy table
+
+STRATEGIES: dict[str, type[Strategy]] = {
+    cls.name: cls for cls in (SzemerediStrategy, HiddenRealizerStrategy, PresentedRealizerStrategy)
+}
+STRATEGY_NAMES = tuple(STRATEGIES)
+
+
+def check_strategy(name: str, w: int, d: int | None = None, k: int | None = None) -> None:
+    """Raise ValueError unless strategy ``name`` plays at width ``w`` with
+    ``d`` visible orders and chain index ``k`` (None: not given).
+
+    Every message but the unknown-name one starts with the parameter at
+    fault, so front ends can name it their own way.
+    """
+    if name not in STRATEGY_NAMES:
+        raise ValueError(f"unknown strategy {name!r}")
+    if w < 1:
+        raise ValueError("w must be at least 1")
+    if name == PresentedRealizerStrategy.name:
+        if type(d) is not int or d < 2:
+            raise ValueError("d must be an integer >= 2 in visible-order games")
+    elif d is not None:
+        raise ValueError("d belongs only to visible-order games")
+    if k is not None and name != SzemerediStrategy.name:
+        raise ValueError("k belongs only to the szemeredi game")
+    if k is not None and not 1 <= k <= w:
+        raise ValueError(f"k must satisfy 1 <= k <= w, got k={k}")
 
 
 def make_strategy(name: str, w: int, k: int | None = None, d: int | None = None) -> Strategy:
-    if name == "szemeredi":
-        return SzemerediStrategy(w, k=k)
-    if name == "theorem1":
-        return HiddenRealizerStrategy(w)
-    if name == "theorem2":
-        if d is None:
-            raise ValueError("the visible-orders strategy needs a dimension")
-        return PresentedRealizerStrategy(w, d)
-    raise ValueError(f"unknown strategy {name!r}")
+    check_strategy(name, w, d=d, k=k)
+    given = {key: value for key, value in (("d", d), ("k", k)) if value is not None}
+    return STRATEGIES[name](w, **given)
 
 
 def bound_for(name: str, w: int, d: int | None = None) -> float:
-    if name == "szemeredi":
-        return float(szemeredi_bound(w))
-    if name == "theorem1":
-        return theorem1_total(w)
-    if name == "theorem2":
-        if d is None:
-            raise ValueError("the visible-orders strategy needs a dimension")
-        return theorem2_total(w, d)
-    raise ValueError(f"unknown strategy {name!r}")
+    return make_strategy(name, w, d=d).bound()

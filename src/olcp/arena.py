@@ -12,6 +12,11 @@ layers every structural check on top: per-round relation equality, chain
 validity, rainbow certificates, separator placement in the keeper orders,
 insertion-only growth of visible orders, thresholds, and realizer
 extraction.
+
+Live games and replays share the verification engine: one report builder,
+and one insertion-only checker (``_ExtensionWatch``) that rebuilds the
+visible orders from the recorded insertion anchors, so ``play`` and
+``verify`` judge a game's ``ext`` records the same way.
 """
 
 from __future__ import annotations
@@ -23,14 +28,14 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .adversaries import (
-    PresentedRealizerStrategy,
     RainbowChains,
     LevelReport,
-    Move,
     Strategy,
     SzemerediStrategy,
     _intersect_relations,
+    check_strategy,
     make_strategy,
+    separator_threshold,
 )
 from .errors import (
     IllegalMoveError,
@@ -47,8 +52,6 @@ from .poset import (
 )
 
 FORMAT_VERSION = 1
-
-STRATEGY_CHOICES = ("szemeredi", "theorem1", "theorem2")
 
 
 # ---------------------------------------------------------------------------
@@ -115,15 +118,12 @@ class Transcript:
         if version != FORMAT_VERSION:
             raise TranscriptError(f"unsupported format version {version}", line=1)
         strategy = header["strategy"]
-        if strategy not in STRATEGY_CHOICES:
-            raise TranscriptError(f"unknown strategy {strategy!r}", line=1)
-        w = _field_int(header, "w", 1, minimum=1)
+        w = _field_int(header, "w", 1)
         d = header["d"]
-        if strategy == "theorem2":
-            if type(d) is not int or d < 2:
-                raise TranscriptError("visible-order games need an integer d >= 2", line=1)
-        elif d is not None:
-            raise TranscriptError("d belongs only to visible-order games", line=1)
+        try:
+            check_strategy(strategy, w, d=d)
+        except ValueError as exc:
+            raise TranscriptError(str(exc), line=1) from exc
         partitioner = header["partitioner"]
         if not isinstance(partitioner, str):
             raise TranscriptError("partitioner name must be a string", line=1)
@@ -152,7 +152,7 @@ class Transcript:
             if stage not in (1, 2):
                 raise TranscriptError(f"stage must be 1 or 2, got {stage}", line=n)
             ext: tuple[int | None, ...] | None = None
-            if strategy == "theorem2":
+            if d is not None:
                 if "ext" not in obj:
                     raise TranscriptError("visible-order rounds need an ext record", line=n)
                 ext = _parse_ext(obj["ext"], d, n)
@@ -279,7 +279,7 @@ def run_game(strategy: Strategy, partitioner, seed: int | None = None,
                 f"color {color} on element {move.element} is not a chain: "
                 f"{pair[0]} and {pair[1]} are incomparable"
             )
-        part.assign(move.element, color, rnd)
+        part.assign(move.element, color)
         strategy.observe(color)
         rounds.append(
             TranscriptRound(
@@ -288,7 +288,15 @@ def run_game(strategy: Strategy, partitioner, seed: int | None = None,
                 color, move.level, move.stage, move.ext,
             )
         )
-        watch.check(move, live)
+        watch.check(rnd, move.element, move.ext, live)
+        if watch.orders is not None:
+            # Round by round this keeps the visible orders a realizer of the
+            # presented poset.  A replay compares relations with its re-run.
+            below, above = _intersect_relations(watch.orders, move.element)
+            if move.below != below or move.above != above:
+                live.append(
+                    f"round {rnd}: presented relations are not the intersection of the visible orders"
+                )
     transcript = Transcript(strategy.name, strategy.w, strategy.d, partitioner.name, seed, rounds)
     report = build_report(strategy, part, checks=checks, extra_violations=live)
     report.partitioner = partitioner.name
@@ -297,37 +305,40 @@ def run_game(strategy: Strategy, partitioner, seed: int | None = None,
 
 
 class _ExtensionWatch:
-    """Round-by-round checks on a strategy that keeps visible orders.
+    """Insertion-only growth of a strategy's visible orders, checked the
+    same way in live games and in transcript replays.
 
-    Confirms each order grew by inserting just the new element (everything
-    already placed keeps its relative position) and that the presented
-    relations are exactly the intersection of the orders — which, round by
-    round, keeps the orders a realizer of the presented poset.
+    One plain-list replica per order grows from the recorded insertion
+    anchors alone (the move's ``ext`` in a live game, the row's ``ext`` in
+    a replay) and must equal the strategy's order after every round: then
+    each order grew by inserting just the new element, directly above its
+    recorded anchor, and everything already placed kept its relative
+    position.  The first break is reported and ends the watch.
     """
 
     def __init__(self, strategy: Strategy):
         self.orders: Sequence[LinearOrder] | None = getattr(strategy, "orders", None)
-        self.prev = [list(o.sequence) for o in self.orders] if self.orders else []
+        self.replicas = None if self.orders is None else [list(o.sequence) for o in self.orders]
 
-    def check(self, move: Move, out: list[str]) -> None:
-        if self.orders is None:
+    def check(self, rnd: int, e: int, ext: tuple[int | None, ...] | None,
+              out: list[str]) -> None:
+        if self.replicas is None or ext is None:
             return
-        e = move.element
+        for j, anchor in enumerate(ext):
+            replica = self.replicas[j]
+            try:
+                replica.insert(0 if anchor is None else replica.index(anchor) + 1, e)
+            except ValueError:
+                out.append(f"round {rnd}: order {j} grew above unknown element {anchor}; "
+                           "insertion-only growth broken")
+                self.replicas = None
+                return
         for j, order in enumerate(self.orders):
-            seq = order.sequence
-            if len(seq) != len(self.prev[j]) + 1 or e not in order or not _subsequence(self.prev[j], seq):
-                out.append(f"round {e}: visible order {j} did not grow by insertion only")
-        below, above = _intersect_relations(self.orders, e)
-        if set(move.below) != below or set(move.above) != above:
-            out.append(
-                f"round {e}: presented relations are not the intersection of the visible orders"
-            )
-        self.prev = [list(o.sequence) for o in self.orders]
-
-
-def _subsequence(small: list[int], big: list[int]) -> bool:
-    it = iter(big)
-    return all(x in it for x in small)
+            if self.replicas[j] != order.sequence:
+                out.append(f"round {rnd}: recorded insertions rebuild a different order {j}; "
+                           "insertion-only growth broken")
+                self.replicas = None
+                return
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +394,6 @@ def _check_levels(strategy: Strategy, part: ChainPartition,
                   reports: list[LevelReport]) -> list[str]:
     v: list[str] = []
     p = strategy.poset
-    visible = isinstance(strategy, PresentedRealizerStrategy)
-    strict = not visible
     sep_colors: list[set[int]] = []
     for i, rep in enumerate(reports):
         tag = f"level {rep.width}"
@@ -408,9 +417,9 @@ def _check_levels(strategy: Strategy, part: ChainPartition,
         n = part.distinct_colors(sep)
         if n != rep.separator_colors:
             v.append(f"{tag}: separator color count recorded as {rep.separator_colors}, recomputed {n}")
-        ok = n > rep.threshold if strict else n >= rep.threshold
-        if not ok:
-            v.append(f"{tag}: separator carries {n} colors, threshold {rep.threshold:g}")
+        threshold, strict = separator_threshold(rep.width, strategy.d)
+        if not (n > threshold if strict else n >= threshold):
+            v.append(f"{tag}: separator carries {n} colors, threshold {threshold:g}")
         sep_colors.append({part.color_of[x] for x in sep})
 
         deeper = [x for r2 in reports[i + 1:] for x in r2.s1_points + r2.s2_points]
@@ -470,22 +479,15 @@ def verify_transcript(t: Transcript) -> list[str]:
 
     Empty list means the transcript is a faithful record of a passing game.
     """
-    if t.strategy == "szemeredi":
-        strategy: Strategy = SzemerediStrategy(t.w)
-        v, part = _replay(strategy, t)
+    strategy = make_strategy(t.strategy, t.w, d=t.d)
+    v, part = _replay(strategy, t)
+    if isinstance(strategy, SzemerediStrategy):
         for k in range(1, t.w):
-            other = SzemerediStrategy(t.w, k=k)
-            vk, _ = _replay(other, t)
+            vk, _ = _replay(make_strategy(t.strategy, t.w, k=k), t)
             for s in vk:
                 if "relations" in s or "element" in s:
                     v.append(f"chain index {k} presents a different game: {s}")
                     break
-    elif t.strategy == "theorem1":
-        strategy = make_strategy("theorem1", t.w)
-        v, part = _replay(strategy, t)
-    else:
-        strategy = make_strategy("theorem2", t.w, d=t.d)
-        v, part = _replay(strategy, t, track_ext=True)
 
     if not strategy.done():
         return v
@@ -497,12 +499,10 @@ def verify_transcript(t: Transcript) -> list[str]:
     return out
 
 
-def _replay(strategy: Strategy, t: Transcript,
-            track_ext: bool = False) -> tuple[list[str], ChainPartition]:
+def _replay(strategy: Strategy, t: Transcript) -> tuple[list[str], ChainPartition]:
     v: list[str] = []
     part = ChainPartition()
-    replicas = [LinearOrder() for _ in range(t.d)] if track_ext else None
-    replicas_ok = track_ext
+    watch = _ExtensionWatch(strategy)
     for row in t.rounds:
         if strategy.done():
             v.append(f"round {row.round}: the game was already over")
@@ -529,34 +529,13 @@ def _replay(strategy: Strategy, t: Transcript,
                 f"round {row.round}: color {row.color} is not a chain: "
                 f"({pair[0]}, {pair[1]}) incomparable"
             )
-        part.assign(move.element, row.color, row.round)
+        part.assign(move.element, row.color)
         try:
             strategy.observe(row.color)
         except StrategyInvariantError as exc:
             v.append(f"round {row.round}: recorded colors derail the strategy: {exc}")
             break
-        if replicas_ok and row.ext is not None:
-            assert replicas is not None
-            for j, anchor in enumerate(row.ext):
-                if anchor is not None and anchor not in replicas[j]:
-                    v.append(
-                        f"round {row.round}: order {j} grew above unknown element {anchor}; "
-                        "insertion-only growth broken"
-                    )
-                    replicas_ok = False
-                    break
-                replicas[j].insert_above(anchor, move.element)
-            if replicas_ok:
-                bad = [
-                    j for j in range(len(replicas))
-                    if replicas[j] != strategy.orders[j]  # type: ignore[attr-defined]
-                ]
-                if bad:
-                    v.append(
-                        f"round {row.round}: recorded insertions rebuild a different order "
-                        f"{bad[0]}; insertion-only growth broken"
-                    )
-                    replicas_ok = False
+        watch.check(row.round, move.element, row.ext, v)
     if not strategy.done():
         v.append("transcript ends before the game is over")
     return v, part

@@ -47,6 +47,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Strategy parameter -> the flag that sets it.
+_FLAGS = {"w": "--width", "d": "--dim", "k": "--k"}
+
+
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -68,22 +72,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_play(args: argparse.Namespace) -> int:
-    if args.width < 1:
-        return _usage_error("--width must be at least 1")
-    if args.strategy == "theorem2":
-        if args.dim is None:
-            return _usage_error("--dim is required with --strategy theorem2")
-        if args.dim < 2:
-            return _usage_error("--dim must be at least 2")
-    elif args.dim is not None:
-        return _usage_error(f"--dim does not apply to --strategy {args.strategy}")
-    if args.k is not None:
-        if args.strategy != "szemeredi":
-            return _usage_error("--k applies only to --strategy szemeredi")
-        if not 1 <= args.k <= args.width:
-            return _usage_error("--k must satisfy 1 <= k <= width")
-
-    strategy = make_strategy(args.strategy, args.width, k=args.k, d=args.dim)
+    try:
+        strategy = make_strategy(args.strategy, args.width, k=args.k, d=args.dim)
+    except ValueError as exc:
+        param, _, rest = str(exc).partition(" ")  # messages open with the parameter
+        return _usage_error(f"{_FLAGS.get(param, param)} {rest}")
     partitioner = make_partitioner(args.partitioner, seed=args.seed)
     try:
         transcript, report = run_game(strategy, partitioner, seed=args.seed)

@@ -10,19 +10,9 @@ they work on Python-int bitmasks, bit ``x`` standing for element ``x``.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import RelationError
-
-
-class Relation(Enum):
-    """How two element sets sit relative to each other, as a whole."""
-
-    BELOW = "U<V"              # every u strictly below every v
-    COMPARABLE = "comparable"  # every cross pair comparable (either way)
-    INCOMPARABLE = "incomparable"
-    MIXED = "mixed"
 
 
 class Poset:
@@ -146,35 +136,6 @@ class Poset:
 
     # -- whole-poset classification ----------------------------------------
 
-    def completely_related(self, U: Iterable[int], V: Iterable[int]) -> Relation:
-        """Classify how the whole of U sits against the whole of V.
-
-        Empty sides classify vacuously as ``BELOW`` (the strongest case);
-        the ``is_completely_*`` helpers answer the individual vacuous
-        questions directly.
-        """
-        U, V = set(U), set(V)
-        if not U or not V:
-            return Relation.BELOW
-        all_below = all_comp = all_incomp = True
-        for u in U:
-            ab = self._above[u]
-            be = self._below[u]
-            for v in V:
-                if v in ab:
-                    all_incomp = False
-                elif v in be:
-                    all_below = all_incomp = False
-                else:
-                    all_below = all_comp = False
-        if all_below:
-            return Relation.BELOW
-        if all_comp:
-            return Relation.COMPARABLE
-        if all_incomp:
-            return Relation.INCOMPARABLE
-        return Relation.MIXED
-
     def is_completely_below(self, U: Iterable[int], V: Iterable[int]) -> bool:
         return all(v in self._above[u] for u in U for v in V)
 
@@ -247,7 +208,7 @@ class Poset:
             color += 1
             x: int | None = e
             while x is not None:
-                part.assign(x, color, x)
+                part.assign(x, color)
                 x = succ.get(x)
         return part
 
@@ -466,20 +427,18 @@ def verify_realizer(realizer: Realizer, p: Poset) -> bool:
 class ChainPartition:
     """An assignment of colors (opaque positive ints) to elements."""
 
-    __slots__ = ("color_of", "round_of", "_classes")
+    __slots__ = ("color_of", "_classes")
 
     def __init__(self) -> None:
         self.color_of: dict[int, int] = {}
-        self.round_of: dict[int, int] = {}
         self._classes: dict[int, set[int]] = {}
 
-    def assign(self, e: int, color: int, rnd: int) -> None:
+    def assign(self, e: int, color: int) -> None:
         if e in self.color_of:
             raise RelationError(f"element {e} already colored")
         if color < 1:
             raise RelationError(f"colors are positive integers, got {color}")
         self.color_of[e] = color
-        self.round_of[e] = rnd
         self._classes.setdefault(color, set()).add(e)
 
     def colors_used(self) -> set[int]:

@@ -164,7 +164,7 @@ def _two_chain_poset() -> Poset:
 def _partition(colors: dict[int, int]) -> ChainPartition:
     part = ChainPartition()
     for rnd, (e, c) in enumerate(sorted(colors.items()), start=1):
-        part.assign(e, c, rnd)
+        part.assign(e, c)
     return part
 
 

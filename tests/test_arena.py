@@ -244,6 +244,26 @@ def test_swapped_extension_anchors_break_insertion_only_growth():
     ]
 
 
+def test_live_and_replayed_games_agree_on_bad_anchors():
+    s = make_strategy("theorem2", 3, d=2)
+    place = s._place
+
+    def swapped(e):
+        below, above, level, stage, ext = place(e)
+        if ext[0] != ext[1]:
+            ext = (ext[1], ext[0])
+        return below, above, level, stage, ext
+
+    s._place = swapped
+    t, report = run_game(s, FirstFit())
+    assert not report.ok
+    live = [v for v in report.violations if "insertion" in v]
+    replayed = [v for v in verify_transcript(t) if "insertion" in v]
+    assert live[0] == replayed[0] == (
+        "round 3: recorded insertions rebuild a different order 0; insertion-only growth broken"
+    )
+
+
 def test_truncated_transcript_is_flagged():
     t, _ = game("szemeredi", 3)
     cut = Transcript(t.strategy, t.w, t.d, t.partitioner, t.seed, t.rounds[:-2], t.version)

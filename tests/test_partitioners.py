@@ -25,7 +25,7 @@ from olcp import (
 def view_for(p: Poset, colors: dict[int, int], e: int, realizer=None) -> PartitionerView:
     part = ChainPartition()
     for rnd, (x, c) in enumerate(sorted(colors.items()), start=1):
-        part.assign(x, c, rnd)
+        part.assign(x, c)
     return PartitionerView(p, part, e, realizer)
 
 

@@ -229,18 +229,18 @@ def test_verify_realizer_spots_a_missing_relation():
 
 def test_assign_rejects_recolor_and_bad_colors():
     part = ChainPartition()
-    part.assign(1, 1, 1)
+    part.assign(1, 1)
     with pytest.raises(RelationError):
-        part.assign(1, 2, 2)
+        part.assign(1, 2)
     with pytest.raises(RelationError):
-        part.assign(2, 0, 2)
+        part.assign(2, 0)
 
 
 def test_legal_names_the_offending_pair():
     p = Poset.from_pairs(3, [(1, 2)])
     part = ChainPartition()
-    part.assign(1, 1, 1)
-    part.assign(2, 1, 2)
+    part.assign(1, 1)
+    part.assign(2, 1)
     ok, pair = part.legal(p, 3, 1)
     assert not ok and pair == (1, 3)
     ok, pair = part.legal(p, 3, 2)
@@ -249,9 +249,9 @@ def test_legal_names_the_offending_pair():
 
 def test_distinct_colors_and_rainbow():
     part = ChainPartition()
-    part.assign(1, 1, 1)
-    part.assign(2, 4, 2)
-    part.assign(3, 4, 3)
+    part.assign(1, 1)
+    part.assign(2, 4)
+    part.assign(3, 4)
     assert part.distinct_colors() == 2
     assert part.distinct_colors([1, 2]) == 2
     assert part.is_rainbow([1, 2])
@@ -261,8 +261,8 @@ def test_distinct_colors_and_rainbow():
 def test_verify_chain_partition_reports_broken_class():
     p = Poset.antichain(2)
     part = ChainPartition()
-    part.assign(1, 3, 1)
-    part.assign(2, 3, 2)
+    part.assign(1, 3)
+    part.assign(2, 3)
     problems = verify_chain_partition(p, part)
     assert len(problems) == 1 and "(1, 2)" in problems[0]
 
@@ -270,7 +270,7 @@ def test_verify_chain_partition_reports_broken_class():
 def test_verify_chain_partition_wants_every_element_colored():
     p = Poset.chain(2)
     part = ChainPartition()
-    part.assign(1, 1, 1)
+    part.assign(1, 1)
     assert any("2" in s for s in verify_chain_partition(p, part))
 
 
@@ -285,6 +285,6 @@ def test_greedy_color_never_beats_width_on_chains():
             color = 1
             while not part.legal(p, e, color)[0]:
                 color += 1
-            part.assign(e, color, rnd)
+            part.assign(e, color)
         assert verify_chain_partition(p, part) == []
         assert part.distinct_colors() >= p.width() // 2  # sanity, loose

@@ -1,0 +1,67 @@
+"""Every entry point takes the same (strategy, w, d, k) combinations.
+
+``make_strategy``, ``bound_for``, ``sweep``, ``Transcript.parse`` and
+``olcp play`` all defer to the strategy table's one validator, so each
+combination is accepted by all of them or rejected by all of them.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from olcp import Transcript, TranscriptError, bound_for, make_strategy, sweep
+from olcp.cli import main
+
+COMBOS = [
+    # name, w, d, k, accepted
+    ("szemeredi", 2, None, None, True),
+    ("szemeredi", 3, None, 2, True),
+    ("szemeredi", 2, None, 3, False),
+    ("szemeredi", 2, 3, None, False),
+    ("theorem1", 2, None, None, True),
+    ("theorem1", 2, 3, None, False),
+    ("theorem1", 2, None, 1, False),
+    ("theorem2", 2, 2, None, True),
+    ("theorem2", 2, None, None, False),
+    ("theorem2", 2, 1, None, False),
+    ("theorem2", 2, 2, 1, False),
+    ("szemeredi", 0, None, None, False),
+    ("theorem2", 0, 2, None, False),
+    ("minimax", 2, None, None, False),
+]
+
+
+def _accepts(call, *errors) -> bool:
+    try:
+        call()
+    except errors:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name, w, d, k, accepted", COMBOS)
+def test_every_entry_point_agrees(name, w, d, k, accepted, tmp_path, capsys):
+    verdicts = {
+        "make_strategy": _accepts(lambda: make_strategy(name, w, k=k, d=d), ValueError),
+        "sweep": _accepts(lambda: sweep([{"strategy": name, "partitioner": "first-fit",
+                                          "w": w, "d": d, "k": k}], violation_dir=tmp_path),
+                          ValueError),
+    }
+    argv = ["play", "--strategy", name, "--width", str(w), "--partitioner", "first-fit"]
+    if d is not None:
+        argv += ["--dim", str(d)]
+    if k is not None:
+        argv += ["--k", str(k)]
+    code = main(argv)
+    capsys.readouterr()
+    assert code in (0, 2)
+    verdicts["olcp play"] = code == 0
+    if k is None:  # neither a bound nor a transcript header names k
+        verdicts["bound_for"] = _accepts(lambda: bound_for(name, w, d=d), ValueError)
+        header = {"version": 1, "strategy": name, "w": w, "d": d,
+                  "partitioner": "first-fit", "seed": None}
+        verdicts["Transcript.parse"] = _accepts(
+            lambda: Transcript.parse(json.dumps(header) + "\n"), TranscriptError)
+    assert verdicts == dict.fromkeys(verdicts, accepted)
