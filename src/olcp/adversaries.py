@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import Iterable, Sequence
 
 from .builders import BOTTOM, TOP, Builder, BuilderSpec, Region
@@ -167,13 +166,10 @@ class LevelReport:
 
 
 def _chain_sorted(p: Poset, pts: Iterable[int]) -> list[int]:
-    """Sort a set known to be a chain from bottom to top."""
-    def cmp(a: int, b: int) -> int:
-        if a == b:
-            return 0
-        return -1 if p.less(a, b) else 1
-
-    return sorted(pts, key=cmp_to_key(cmp))
+    """Sort a set known to be a chain from bottom to top: along a chain,
+    x < y implies below(x) is a proper subset of below(y)."""
+    below = p._below
+    return sorted(pts, key=lambda x: len(below[x]))
 
 
 def _subseq(order: LinearOrder, keep: set[int]) -> list[int]:
@@ -245,6 +241,16 @@ class _Bank:
             if len({tuple(b.stage1_points) for b in col}) != 1 or len({b.terminal for b in col}) != 1:
                 raise StrategyInvariantError("instance records diverged across hosts")
         return rows[0]
+
+
+def _bank_chains(p: Poset, bank: _Bank, dual: bool) -> dict[int, list[int]]:
+    """Certified chain of each recursion instance, keyed by its width: its
+    stage-one points at or below its terminal (at or above, when dual)."""
+    out = {}
+    for inst in bank.instances():
+        reach = p.up_set(inst.terminal) if dual else p.down_set(inst.terminal)
+        out[inst.spec.w] = _chain_sorted(p, reach & set(inst.stage1_points))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +350,7 @@ class SzemerediStrategy(Strategy):
         """The certificate chains, one per sub-game width."""
         if not self.done():
             raise StrategyInvariantError("certificate requested mid-game")
-        chains = {}
-        for inst in self._bank.instances():
-            pts = self.poset.down_set(inst.terminal) & set(inst.stage1_points)
-            chains[inst.spec.w] = _chain_sorted(self.poset, pts)
+        chains = _bank_chains(self.poset, self._bank, dual=False)
         return RainbowChains(chains, frozenset(self.poset.elements))
 
 
@@ -359,6 +362,10 @@ class _GameLevel:
     """One width level of a staged game: forcing stage, mirrored stage,
     separator choice, then hand-off to the next level down.
 
+    A subclass lays out stage one: one root builder per host, whose
+    intersection gives the level's relations.  The mirrored stage follows
+    from those builders alone.
+
     A level holds the owning strategy's poset and color record, never the
     strategy itself, so a finished game is freed without the cycle
     collector.
@@ -367,8 +374,12 @@ class _GameLevel:
     d: int | None = None  # visible orders the level lives in; None = hidden hosts
     extra_below: frozenset[int] = frozenset()  # cross-level relations not in the hosts
     extra_above: frozenset[int] = frozenset()
+    scan_hosts: list[LinearOrder] | None = None  # the keeper orders of hidden levels
+    stack_hosts: list[LinearOrder] | None = None
 
-    def __init__(self, poset: Poset, colors: dict[int, int], width: int):
+    def __init__(self, poset: Poset, colors: dict[int, int], width: int,
+                 hosts: Sequence[LinearOrder], specs: Sequence[BuilderSpec],
+                 regions: Sequence[Region]):
         self.poset = poset
         self.colors = colors
         self.width = width
@@ -381,16 +392,11 @@ class _GameLevel:
         self.separator: list[int] = []
         self.separator_colors = 0
         self.child: _GameLevel | None = None
-        self._bank: _Bank | None = None
+        self.hosts = hosts
+        self._bank = _Bank([Builder(*layout) for layout in zip(specs, regions, hosts)])
         self._dual_bank: _Bank | None = None
 
     # hooks -----------------------------------------------------------------
-
-    def _relation_hosts(self) -> Sequence[LinearOrder]:
-        raise NotImplementedError
-
-    def _make_dual_bank(self) -> _Bank:
-        raise NotImplementedError
 
     def _make_child(self) -> "_GameLevel | None":
         raise NotImplementedError
@@ -416,7 +422,7 @@ class _GameLevel:
         bank = self._bank if self.stage == 1 else self._dual_bank
         assert bank is not None
         anchors = bank.place(e)
-        below, above = _intersect_relations(self._relation_hosts(), e)
+        below, above = _intersect_relations(self.hosts, e)
         below |= self.extra_below
         above |= self.extra_above
         ext = None if self.d is None else tuple(anchors)  # hidden hosts stay hidden
@@ -427,27 +433,32 @@ class _GameLevel:
             self.s1_points.append(e)
             self._bank.observe(e, color)
             if self._bank.done:
-                self.chains = self._extract(self._bank, dual=False)
+                self.chains = _bank_chains(self.poset, self._bank, dual=False)
                 self._dual_bank = self._make_dual_bank()
                 self.stage = 2
         elif self.stage == 2:
             self.s2_points.append(e)
             self._dual_bank.observe(e, color)
             if self._dual_bank.done:
-                self.dual_chains = self._extract(self._dual_bank, dual=True)
+                self.dual_chains = _bank_chains(self.poset, self._dual_bank, dual=True)
                 self._choose_separator()
                 self.stage = 3
                 self.child = self._make_child()
         else:
             raise StrategyInvariantError("observation after the level finished")
 
-    def _extract(self, bank: _Bank, dual: bool) -> dict[int, list[int]]:
-        p = self.poset
-        out = {}
-        for inst in bank.instances():
-            reach = p.up_set(inst.terminal) if dual else p.down_set(inst.terminal)
-            out[inst.spec.w] = _chain_sorted(p, reach & set(inst.stage1_points))
-        return out
+    def _make_dual_bank(self) -> _Bank:
+        """Under each root builder, in bank order, a dual builder of the
+        other family in the same host, completely below its stage-one points."""
+        w = self.width
+        s1 = set(self.s1_points)
+        duals = []
+        for b in self._bank.builders:
+            lowest = next(x for x in b.host.sequence if x in s1)
+            family = "stack" if b.spec.family == "scan" else "scan"
+            duals.append(Builder(BuilderSpec(family, w, w, "dual"),
+                                 Region(b.region.low, lowest), b.host))
+        return _Bank(duals)
 
     def _choose_separator(self) -> None:
         colors = self.colors
@@ -479,6 +490,8 @@ class _GameLevel:
             s2_points=list(self.s2_points),
             chains={k: list(v) for k, v in self.chains.items()},
             dual_chains={k: list(v) for k, v in self.dual_chains.items()},
+            scan_hosts=None if self.scan_hosts is None else list(self.scan_hosts),
+            stack_hosts=None if self.stack_hosts is None else list(self.stack_hosts),
         )
 
 
@@ -488,33 +501,14 @@ class _HiddenLevel(_GameLevel):
 
     def __init__(self, poset: Poset, colors: dict[int, int], width: int,
                  extra_below: frozenset[int], extra_above: frozenset[int]):
-        super().__init__(poset, colors, width)
-        self.extra_below = extra_below
-        self.extra_above = extra_above
         self.scan_hosts = [LinearOrder() for _ in range(width)]
         self.stack_hosts = [LinearOrder() for _ in range(width)]
-        builders = [
-            Builder(BuilderSpec("scan", kk, width), Region(BOTTOM, TOP), host)
-            for kk, host in enumerate(self.scan_hosts, start=1)
-        ] + [
-            Builder(BuilderSpec("stack", kk, width), Region(BOTTOM, TOP), host)
-            for kk, host in enumerate(self.stack_hosts, start=1)
-        ]
-        self._bank = _Bank(builders)
-
-    def _relation_hosts(self):
-        return self.scan_hosts + self.stack_hosts
-
-    def _make_dual_bank(self) -> _Bank:
-        w = self.width
-        duals = [
-            Builder(BuilderSpec("stack", w, w, "dual"), Region(BOTTOM, h.sequence[0]), h)
-            for h in self.scan_hosts
-        ] + [
-            Builder(BuilderSpec("scan", w, w, "dual"), Region(BOTTOM, h.sequence[0]), h)
-            for h in self.stack_hosts
-        ]
-        return _Bank(duals)
+        specs = [BuilderSpec(family, kk, width)
+                 for family in ("scan", "stack") for kk in range(1, width + 1)]
+        super().__init__(poset, colors, width, self.scan_hosts + self.stack_hosts, specs,
+                         [Region(BOTTOM, TOP)] * (2 * width))
+        self.extra_below = extra_below
+        self.extra_above = extra_above
 
     def _t_range(self):
         return 1, self.width
@@ -541,12 +535,6 @@ class _HiddenLevel(_GameLevel):
         first = _subseq(a, s2) + _subseq(a, c_t) + child1 + _subseq(a, s1 - c_t)
         second = _subseq(b, s2 - d_top) + child2 + _subseq(b, d_top) + _subseq(b, s1)
         return first, second
-
-    def report(self) -> LevelReport:
-        rep = super().report()
-        rep.scan_hosts = list(self.scan_hosts)
-        rep.stack_hosts = list(self.stack_hosts)
-        return rep
 
 
 class _StagedStrategy(Strategy):
@@ -620,35 +608,11 @@ class _VisibleLevel(_GameLevel):
 
     def __init__(self, poset: Poset, colors: dict[int, int], orders: list[LinearOrder],
                  width: int, regions: list[Region]):
-        super().__init__(poset, colors, width)
-        self.orders = orders
         self.d = d = len(orders)
+        specs = [BuilderSpec("scan", width - d + 2 + j, width) for j in range(d - 1)]
+        specs.append(BuilderSpec("stack", width, width))
+        super().__init__(poset, colors, width, orders, specs, regions)
         self.regions = regions
-        builders = [
-            Builder(BuilderSpec("scan", width - d + 2 + j, width), regions[j], orders[j])
-            for j in range(d - 1)
-        ]
-        builders.append(
-            Builder(BuilderSpec("stack", width, width), regions[d - 1], orders[d - 1])
-        )
-        self._bank = _Bank(builders)
-
-    def _relation_hosts(self):
-        return self.orders
-
-    def _make_dual_bank(self) -> _Bank:
-        d = self.d
-        w = self.width
-        duals = []
-        for j in range(d):
-            order = self.orders[j]
-            pos = order.positions()
-            lowest = min(self.s1_points, key=pos.__getitem__)
-            family = "scan" if j == d - 1 else "stack"
-            duals.append(
-                Builder(BuilderSpec(family, w, w, "dual"), Region(self.regions[j].low, lowest), order)
-            )
-        return _Bank(duals)
 
     def _t_range(self):
         return max(1, self.width - self.d + 2), self.width
@@ -656,7 +620,7 @@ class _VisibleLevel(_GameLevel):
     def _make_child(self):
         if self.width == 1:
             return None
-        return _VisibleLevel(self.poset, self.colors, self.orders, self.width - 1,
+        return _VisibleLevel(self.poset, self.colors, self.hosts, self.width - 1,
                              self._child_regions())
 
     def _child_regions(self) -> list[Region]:
@@ -674,7 +638,7 @@ class _VisibleLevel(_GameLevel):
         s1, s2 = set(self.s1_points), set(self.s2_points)
         regions = []
         for j in range(d):
-            pos = self.orders[j].positions()
+            pos = self.hosts[j].positions()
             if j == j_t:
                 low = max(c_t, key=pos.__getitem__)
                 rest = s1 - c_t

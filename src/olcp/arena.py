@@ -233,7 +233,7 @@ class GameReport:
     seed: int | None
     points: int
     colors: int
-    width: int | None
+    width: int
     bound: float
     bound_met: bool
     violations: list[str]
@@ -252,13 +252,12 @@ class GameReport:
 # the game loop
 
 
-def run_game(strategy: Strategy, partitioner, seed: int | None = None,
-             checks: str = "full") -> tuple[Transcript, GameReport]:
+def run_game(strategy: Strategy, partitioner,
+             seed: int | None = None) -> tuple[Transcript, GameReport]:
     """Play one full game and return its transcript and verified report.
 
-    ``checks`` is "full" (default) or "lemmas"; the latter skips the
-    whole-poset width recomputation (a maximum matching over all
-    comparable pairs), for high-volume fuzzing.
+    The report makes every check a replay makes, the width of the whole
+    presented poset included.
     """
     part = ChainPartition()
     rounds: list[TranscriptRound] = []
@@ -298,7 +297,7 @@ def run_game(strategy: Strategy, partitioner, seed: int | None = None,
                     f"round {rnd}: presented relations are not the intersection of the visible orders"
                 )
     transcript = Transcript(strategy.name, strategy.w, strategy.d, partitioner.name, seed, rounds)
-    report = build_report(strategy, part, checks=checks, extra_violations=live)
+    report = build_report(strategy, part, extra_violations=live)
     report.partitioner = partitioner.name
     report.seed = seed
     return transcript, report
@@ -313,7 +312,8 @@ class _ExtensionWatch:
     a replay) and must equal the strategy's order after every round: then
     each order grew by inserting just the new element, directly above its
     recorded anchor, and everything already placed kept its relative
-    position.  The first break is reported and ends the watch.
+    position.  The first break, a round without an insertion record
+    included, is reported and ends the watch.
     """
 
     def __init__(self, strategy: Strategy):
@@ -322,30 +322,34 @@ class _ExtensionWatch:
 
     def check(self, rnd: int, e: int, ext: tuple[int | None, ...] | None,
               out: list[str]) -> None:
-        if self.replicas is None or ext is None:
+        if self.replicas is None:
             return
+        fault = self._grow(e, ext)
+        if fault is not None:
+            out.append(f"round {rnd}: {fault}; insertion-only growth broken")
+            self.replicas = None
+
+    def _grow(self, e: int, ext: tuple[int | None, ...] | None) -> str | None:
+        """Insert e into each replica at its recorded anchor; the fault, if any."""
+        if ext is None:
+            return "no insertion record for the visible orders"
         for j, anchor in enumerate(ext):
             replica = self.replicas[j]
             try:
                 replica.insert(0 if anchor is None else replica.index(anchor) + 1, e)
             except ValueError:
-                out.append(f"round {rnd}: order {j} grew above unknown element {anchor}; "
-                           "insertion-only growth broken")
-                self.replicas = None
-                return
+                return f"order {j} grew above unknown element {anchor}"
         for j, order in enumerate(self.orders):
             if self.replicas[j] != order.sequence:
-                out.append(f"round {rnd}: recorded insertions rebuild a different order {j}; "
-                           "insertion-only growth broken")
-                self.replicas = None
-                return
+                return f"recorded insertions rebuild a different order {j}"
+        return None
 
 
 # ---------------------------------------------------------------------------
 # verification engine (shared by live games and transcript replay)
 
 
-def build_report(strategy: Strategy, part: ChainPartition, checks: str = "full",
+def build_report(strategy: Strategy, part: ChainPartition,
                  extra_violations: Iterable[str] = (),
                  recheck_partition: bool = True) -> GameReport:
     violations = list(extra_violations)
@@ -375,11 +379,9 @@ def build_report(strategy: Strategy, part: ChainPartition, checks: str = "full",
         if not verify_realizer(realizer, p):
             violations.append("extracted realizer does not realize the presented poset")
 
-    width = None
-    if checks == "full":
-        width = p.width()
-        if width != strategy.w:
-            violations.append(f"presented poset has width {width}, the game promises {strategy.w}")
+    width = p.width()
+    if width != strategy.w:
+        violations.append(f"presented poset has width {width}, the game promises {strategy.w}")
 
     return GameReport(
         strategy=strategy.name, w=strategy.w, d=strategy.d,
@@ -443,30 +445,28 @@ def _check_order_separation(strategy: Strategy, rep: LevelReport, tag: str) -> l
     """Placement checks inside the keeper orders: each certified chain sits
     at the bottom of the order tuned to it, and the top mirrored chain sits
     at the top of every mirror-keeper order."""
-    v: list[str] = []
-    s1, s2 = set(rep.s1_points), set(rep.s2_points)
-    top_mirror = rep.dual_chains[rep.width]
     if rep.scan_hosts is not None and rep.stack_hosts is not None:
-        for k in range(1, rep.width + 1):
-            seq = rep.scan_hosts[k - 1].restrict(s1).sequence
-            if seq[: len(rep.chains[k])] != rep.chains[k]:
-                v.append(f"{tag}: chain {k} is not lowest in its keeper order")
-        for k in range(1, rep.width + 1):
-            seq = rep.stack_hosts[k - 1].restrict(s2).sequence
-            if seq[len(seq) - len(top_mirror):] != top_mirror:
-                v.append(f"{tag}: top mirrored chain is not highest in keeper order {k}")
+        ks = range(1, rep.width + 1)
+        forcing = [(k, "its keeper order", rep.scan_hosts[k - 1]) for k in ks]
+        mirror = [(f"keeper order {k}", rep.stack_hosts[k - 1]) for k in ks]
     else:
         d = strategy.d
         assert d is not None
-        lo = max(1, rep.width - d + 2)
-        for k in range(lo, rep.width + 1):
-            j = k - (rep.width - d + 2)
-            seq = strategy.orders[j].restrict(s1).sequence
-            if seq[: len(rep.chains[k])] != rep.chains[k]:
-                v.append(f"{tag}: chain {k} is not lowest in visible order {j}")
-        seq = strategy.orders[d - 1].restrict(s2).sequence
+        j0 = rep.width - d + 2  # chain k keeps visible order k - j0
+        forcing = [(k, f"visible order {k - j0}", strategy.orders[k - j0])
+                   for k in range(max(1, j0), rep.width + 1)]
+        mirror = [("the last visible order", strategy.orders[d - 1])]
+    v: list[str] = []
+    s1, s2 = set(rep.s1_points), set(rep.s2_points)
+    for k, name, order in forcing:
+        seq = order.restrict(s1).sequence
+        if seq[: len(rep.chains[k])] != rep.chains[k]:
+            v.append(f"{tag}: chain {k} is not lowest in {name}")
+    top_mirror = rep.dual_chains[rep.width]
+    for name, order in mirror:
+        seq = order.restrict(s2).sequence
         if seq[len(seq) - len(top_mirror):] != top_mirror:
-            v.append(f"{tag}: top mirrored chain is not highest in the last visible order")
+            v.append(f"{tag}: top mirrored chain is not highest in {name}")
     return v
 
 
@@ -491,8 +491,7 @@ def verify_transcript(t: Transcript) -> list[str]:
 
     if not strategy.done():
         return v
-    report = build_report(strategy, part, checks="full",
-                          extra_violations=v, recheck_partition=False)
+    report = build_report(strategy, part, extra_violations=v, recheck_partition=False)
     out = list(report.violations)
     if not report.bound_met:
         out.append(f"forced-color bound not met: {report.colors} colors < {report.bound:g}")

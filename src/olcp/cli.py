@@ -11,7 +11,7 @@ import csv
 import sys
 from pathlib import Path
 
-from .adversaries import STRATEGY_NAMES, make_strategy
+from .adversaries import STRATEGY_NAMES, check_strategy, make_strategy
 from .arena import Transcript, run_game, sweep, verify_transcript
 from .errors import OlcpError, TranscriptError
 from .partitioners import PARTITIONER_NAMES, make_partitioner
@@ -47,13 +47,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Strategy parameter -> the flag that sets it.
-_FLAGS = {"w": "--width", "d": "--dim", "k": "--k"}
+# Strategy parameter -> the flag that sets it, per command.
+_PLAY_FLAGS = {"w": "--width", "d": "--dim", "k": "--k"}
+_TABLE_FLAGS = {"w": "--width-max", "d": "--dims"}
 
 
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _parameter_error(exc: ValueError, flags: dict[str, str]) -> int:
+    """A ``check_strategy`` message, with its parameter named by its flag."""
+    param, _, rest = str(exc).partition(" ")  # messages open with the parameter
+    return _usage_error(f"{flags.get(param, param)} {rest}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -75,8 +82,7 @@ def _cmd_play(args: argparse.Namespace) -> int:
     try:
         strategy = make_strategy(args.strategy, args.width, k=args.k, d=args.dim)
     except ValueError as exc:
-        param, _, rest = str(exc).partition(" ")  # messages open with the parameter
-        return _usage_error(f"{_FLAGS.get(param, param)} {rest}")
+        return _parameter_error(exc, _PLAY_FLAGS)
     partitioner = make_partitioner(args.partitioner, seed=args.seed)
     try:
         transcript, report = run_game(strategy, partitioner, seed=args.seed)
@@ -114,29 +120,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if args.width_max < 1:
-        return _usage_error("--width-max must be at least 1")
     if args.seeds < 0:
         return _usage_error("--seeds must be non-negative")
     names = [n for item in args.strategies for n in item.split(",") if n]
-    for name in names:
-        if name not in STRATEGY_NAMES:
-            return _usage_error(f"unknown strategy {name!r}")
     try:
         dims = [int(part) for part in args.dims.split(",") if part.strip()]
     except ValueError:
         return _usage_error(f"--dims must be comma-separated integers, got {args.dims!r}")
     if not dims and "theorem2" in names:
         return _usage_error("--dims must name at least one dimension for theorem2")
-    if any(d < 2 for d in dims):
-        return _usage_error("--dims entries must be at least 2")
+    dims_of = {name: dims if name == "theorem2" else [None] for name in names}
+    for name in names:
+        for d in dims_of[name]:
+            try:
+                check_strategy(name, args.width_max, d=d)
+            except ValueError as exc:
+                return _parameter_error(exc, _TABLE_FLAGS)
 
     players: list[tuple[str, int | None]] = [("first-fit", None)]
     players += [("random", s) for s in range(args.seeds)]
     configs = []
     for name in names:
         for w in range(1, args.width_max + 1):
-            for d in dims if name == "theorem2" else [None]:
+            for d in dims_of[name]:
                 for pname, seed in players:
                     configs.append(
                         {"strategy": name, "partitioner": pname, "w": w, "d": d, "seed": seed}

@@ -103,9 +103,6 @@ class Poset:
     def less(self, x: int, y: int) -> bool:
         return x in self._below[y]
 
-    def leq(self, x: int, y: int) -> bool:
-        return x == y or x in self._below[y]
-
     def comparable(self, x: int, y: int) -> bool:
         return x == y or x in self._below[y] or y in self._below[x]
 
@@ -130,9 +127,6 @@ class Poset:
         if not isinstance(other, Poset):
             return NotImplemented
         return self._elements == other._elements and self._below == other._below
-
-    def __hash__(self):  # pragma: no cover - posets are not hashable
-        raise TypeError("Poset is unhashable")
 
     # -- whole-poset classification ----------------------------------------
 
@@ -446,9 +440,6 @@ class ChainPartition:
 
     def classes(self) -> dict[int, set[int]]:
         return {c: set(s) for c, s in self._classes.items()}
-
-    def class_of(self, color: int) -> set[int]:
-        return set(self._classes.get(color, ()))
 
     def distinct_colors(self, elements: Iterable[int] | None = None) -> int:
         """Number of distinct colors on ``elements`` (all, if omitted)."""

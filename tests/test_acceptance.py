@@ -61,10 +61,10 @@ def _report(name: str, ok: bool) -> None:
     assert ok, name
 
 
-def _play(name, w, d=None, seed=None, checks="full"):
+def _play(name, w, d=None, seed=None):
     s = make_strategy(name, w, d=d)
     part = FirstFit() if seed is None else RandomValid(seed)
-    t, r = run_game(s, part, seed=seed, checks=checks)
+    t, r = run_game(s, part, seed=seed)
     return s, t, r
 
 
@@ -76,7 +76,7 @@ def test_criterion_1_two_host_bound_grid():
         partitioners = [None] + list(range(100))
         for seed in partitioners:
             start = time.perf_counter()
-            s, t, r = _play("szemeredi", w, seed=seed, checks="lemmas")
+            s, t, r = _play("szemeredi", w, seed=seed)
             elapsed = time.perf_counter() - start
             union = [x for chain in s.rainbow().chains.values() for x in chain]
             colors_in_union = {t.rounds[x - 1].color for x in union}
@@ -110,7 +110,7 @@ def test_criterion_3_chain_index_invariance():
             for k in range(1, w + 1):
                 s = make_strategy("szemeredi", w, k=k)
                 part = FirstFit() if seed is None else RandomValid(seed)
-                t, _ = run_game(s, part, seed=seed, checks="lemmas")
+                t, _ = run_game(s, part, seed=seed)
                 sig = [(row.element, row.below, row.above) for row in t.rounds]
                 if baseline is None:
                     baseline = sig
@@ -128,11 +128,11 @@ def test_criterion_4_certificate_lemma_fuzz():
     for seed in range(200):
         for w in range(1, 6):
             for name in ("szemeredi", "theorem1"):
-                _, _, r = _play(name, w, seed=seed, checks="lemmas")
+                _, _, r = _play(name, w, seed=seed)
                 ok = ok and r.violations == [] and r.bound_met
         d = 2 + seed % 3
         w = (seed // 3) % 5 + 1
-        _, _, r = _play("theorem2", w, d=d, seed=seed, checks="lemmas")
+        _, _, r = _play("theorem2", w, d=d, seed=seed)
         ok = ok and r.violations == [] and r.bound_met
     _report("certificate and separation checks hold over 200-seed fuzz (w<=5)", ok)
 

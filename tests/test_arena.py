@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import json
 import weakref
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +14,7 @@ from olcp import (
     FirstFit,
     GameReport,
     IllegalMoveError,
+    LinearOrder,
     OlcpError,
     RandomValid,
     Transcript,
@@ -244,6 +246,14 @@ def test_swapped_extension_anchors_break_insertion_only_growth():
     ]
 
 
+def test_round_without_extension_record_breaks_insertion_only_growth():
+    t, _ = game("theorem2", 3, d=2)
+    bare = reround(t, 4, ext=None)  # only library callers can build such a row
+    assert verify_transcript(bare) == [
+        "round 5: no insertion record for the visible orders; insertion-only growth broken"
+    ]
+
+
 def test_live_and_replayed_games_agree_on_bad_anchors():
     s = make_strategy("theorem2", 3, d=2)
     place = s._place
@@ -262,6 +272,41 @@ def test_live_and_replayed_games_agree_on_bad_anchors():
     assert live[0] == replayed[0] == (
         "round 3: recorded insertions rebuild a different order 0; insertion-only growth broken"
     )
+
+
+def _swap_ends(order: LinearOrder, keep) -> LinearOrder:
+    """A copy of ``order`` with the lowest and highest points of ``keep`` swapped."""
+    seq = order.restrict(keep).sequence
+    swap = {seq[0]: seq[-1], seq[-1]: seq[0]}
+    return LinearOrder(swap.get(x, x) for x in order.sequence)
+
+
+def test_keeper_checks_fire_on_hidden_hosts():
+    s = make_strategy("theorem1", 2)
+    run_game(s, FirstFit())
+    rep = s.level_reports()[0]
+    assert arena._check_order_separation(s, rep, "level 2") == []
+    scan, stack = list(rep.scan_hosts), list(rep.stack_hosts)
+    scan[1] = _swap_ends(scan[1], rep.s1_points)
+    stack[0] = _swap_ends(stack[0], rep.s2_points)
+    bad = dataclasses.replace(rep, scan_hosts=scan, stack_hosts=stack)
+    assert arena._check_order_separation(s, bad, "level 2") == [
+        "level 2: chain 2 is not lowest in its keeper order",
+        "level 2: top mirrored chain is not highest in keeper order 1",
+    ]
+
+
+def test_keeper_checks_fire_on_visible_orders():
+    s = make_strategy("theorem2", 3, d=2)
+    run_game(s, FirstFit())
+    rep = s.level_reports()[0]
+    assert arena._check_order_separation(s, rep, "level 3") == []
+    stand_in = SimpleNamespace(d=2, orders=[_swap_ends(s.orders[0], rep.s1_points),
+                                            _swap_ends(s.orders[1], rep.s2_points)])
+    assert arena._check_order_separation(stand_in, rep, "level 3") == [
+        "level 3: chain 3 is not lowest in visible order 0",
+        "level 3: top mirrored chain is not highest in the last visible order",
+    ]
 
 
 def test_truncated_transcript_is_flagged():
@@ -369,8 +414,8 @@ def test_sweep_aborts_and_persists_on_violation(tmp_path, monkeypatch):
 
     real_run_game = arena_mod.run_game
 
-    def sabotaged(strategy, partitioner, seed=None, checks="full"):
-        t, r = real_run_game(strategy, partitioner, seed=seed, checks=checks)
+    def sabotaged(strategy, partitioner, seed=None):
+        t, r = real_run_game(strategy, partitioner, seed=seed)
         r.violations.append("synthetic failure for the abort path")
         return t, r
 

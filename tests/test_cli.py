@@ -223,5 +223,19 @@ def test_table_validates_its_numbers(tmp_path, capsys):
     assert code == 2 and "wizardry" in err
 
 
+def test_table_checks_dims_only_where_theorem2_plays(tmp_path, capsys):
+    code, _, err = run(
+        capsys, "table", "--strategies", "theorem2", "--width-max", "1",
+        "--dims", "2,1", "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 2
+    assert "--dims must be an integer >= 2 in visible-order games" in err
+    code, _, _ = run(
+        capsys, "table", "--strategies", "szemeredi", "--width-max", "1",
+        "--dims", "1", "--out", str(tmp_path / "x.csv"),
+    )
+    assert code == 0
+
+
 def test_no_subcommand_exits_2(capsys):
     assert main([]) == 2

@@ -97,6 +97,7 @@ def test_dual_reverses_every_relation():
     d = p.dual()
     assert d.relation_pairs() == {(b, a) for a, b in p.relation_pairs()}
     assert d.dual() == p
+    pytest.raises(TypeError, hash, p)  # equal by value, so unhashable
 
 
 def test_restrict_keeps_induced_relations():
