@@ -106,6 +106,14 @@ class Poset:
     def comparable(self, x: int, y: int) -> bool:
         return x == y or x in self._below[y] or y in self._below[x]
 
+    def incomparable_pairs(self, pts: Iterable[int]) -> Iterator[tuple[int, int]]:
+        """Incomparable pairs (x, y) of ``pts``, x listed before y, in listing order."""
+        pts = list(pts)
+        for i, x in enumerate(pts):
+            for y in pts[i + 1 :]:
+                if not self.comparable(x, y):
+                    yield x, y
+
     def below(self, x: int) -> set[int]:
         """Elements strictly below x (a copy)."""
         return set(self._below[x])
@@ -479,15 +487,7 @@ def verify_chain_partition(p: Poset, part: ChainPartition) -> list[str]:
     if missing:
         problems.append(f"uncolored elements: {sorted(missing)}")
     for color, members in sorted(part.classes().items()):
-        members = sorted(members & elements)
-        for i, x in enumerate(members):
-            for y in members[i + 1 :]:
-                if not p.comparable(x, y):
-                    problems.append(
-                        f"color {color} is not a chain: ({x}, {y}) incomparable"
-                    )
-                    break
-            else:
-                continue
-            break
+        pair = next(p.incomparable_pairs(sorted(members & elements)), None)
+        if pair is not None:
+            problems.append(f"color {color} is not a chain: ({pair[0]}, {pair[1]}) incomparable")
     return problems

@@ -11,6 +11,7 @@ from olcp import (
     ChainPartition,
     FirstFit,
     HiddenRealizerStrategy,
+    LinearOrder,
     Poset,
     PresentedRealizerStrategy,
     RainbowChains,
@@ -27,6 +28,8 @@ from olcp import (
     theorem2_total,
     verify_realizer,
 )
+from olcp.adversaries import _Bank
+from olcp.builders import BOTTOM, TOP, Builder, BuilderSpec, Region
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +157,14 @@ def test_observe_before_move_is_an_error():
 
 # ---------------------------------------------------------------------------
 # certificate checker rejects corrupt certificates
+
+
+def test_bank_of_mixed_widths_breaks_lockstep_on_first_color():
+    bank = _Bank([Builder(BuilderSpec("scan", 2, 2), Region(BOTTOM, TOP), LinearOrder()),
+                  Builder(BuilderSpec("stack", 1, 1), Region(BOTTOM, TOP), LinearOrder())])
+    bank.place(1)
+    with pytest.raises(StrategyInvariantError, match="builders disagreed about stage transitions"):
+        bank.observe(1, 1)
 
 
 def _two_chain_poset() -> Poset:

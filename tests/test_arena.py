@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from olcp import (
+    ChainPartition,
     FirstFit,
     GameReport,
     IllegalMoveError,
@@ -307,6 +308,42 @@ def test_keeper_checks_fire_on_visible_orders():
         "level 3: chain 3 is not lowest in visible order 0",
         "level 3: top mirrored chain is not highest in the last visible order",
     ]
+
+
+def test_separator_that_is_not_a_chain_is_named():
+    s = make_strategy("theorem1", 2)
+    t, _ = run_game(s, FirstFit())
+    part = ChainPartition()
+    for row in t.rounds:
+        part.assign(row.element, row.color)
+    reports = s.level_reports()
+    assert arena._check_levels(s, part, reports) == []
+    pts = reports[0].s1_points
+    x, y = next((a, b) for i, a in enumerate(pts) for b in pts[i + 1:]
+                if not s.poset.comparable(a, b))
+    reports[0].separator = [x, y]
+    assert f"level 2: separator is not a chain: ({x}, {y})" in arena._check_levels(s, part, reports)
+
+
+def test_live_relations_off_the_visible_orders_fail_the_realizer_check():
+    # The live game checks once, at the end, that the visible orders realize
+    # the presented poset; a single wrong round must still reach that check.
+    s = make_strategy("theorem2", 3, d=2)
+    place = s._place
+    dropped = []
+
+    def drop_highest_below(e):
+        below, above, level, stage, ext = place(e)
+        if below and not dropped:
+            top = max(below, key=lambda x: len(s.poset.below(x)))
+            dropped.append(top)
+            below = below - {top}
+        return below, above, level, stage, ext
+
+    s._place = drop_highest_below
+    _, report = run_game(s, FirstFit())
+    assert dropped
+    assert "extracted realizer does not realize the presented poset" in report.violations
 
 
 def test_truncated_transcript_is_flagged():

@@ -127,6 +127,17 @@ def test_width_matches_definition(case):
         assert all(p.comparable(a, b) for a, b in itertools.combinations(members, 2))
 
 
+@settings(max_examples=150, deadline=None)
+@given(realizers(), st.data())
+def test_incomparable_pairs_matches_definition(case, data):
+    orders, p = case
+    pts = data.draw(st.lists(st.sampled_from(p.elements), unique=True) if len(p) else st.just([]))
+    related = brute_intersection_pairs(orders)
+    expected = [(x, y) for i, x in enumerate(pts) for y in pts[i + 1:]
+                if (x, y) not in related and (y, x) not in related]
+    assert list(p.incomparable_pairs(pts)) == expected
+
+
 def test_realizer_checks_reject_mismatched_element_sets():
     p = Poset.from_pairs(3, [(1, 2)])
     with pytest.raises(RelationError):
