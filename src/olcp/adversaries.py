@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 
 from .builders import BOTTOM, TOP, Builder, BuilderSpec, Region
 from .errors import StrategyInvariantError
-from .poset import ChainPartition, LinearOrder, Poset, Realizer
+from .poset import ChainPartition, LinearOrder, Poset, Realizer, _mask
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,8 @@ class RainbowChains:
 
     Within ``universe`` the chains must be pairwise completely
     incomparable, jointly rainbow, of sizes exactly 1..w, and their union
-    downward closed.  ``verify`` returns human-readable violations.
+    downward closed.  ``verify`` returns human-readable violations; only a
+    failing mask test walks the points to name them.
     """
 
     chains: dict[int, list[int]]
@@ -126,23 +127,24 @@ class RainbowChains:
                          for x, y in p.incomparable_pairs(pts)]
         sizes = sorted(self.chains)
         for i, s in enumerate(sizes):
+            reach = 0  # everything comparable to chain s
+            for x in self.chains[s]:
+                reach |= p.comparable_mask(x)
             for s2 in sizes[i + 1 :]:
-                for x in self.chains[s]:
-                    for y in self.chains[s2]:
-                        if p.comparable(x, y):
-                            problems.append(
-                                f"chains {s} and {s2} touch: {x} and {y} comparable"
-                            )
+                if reach & _mask(self.chains[s2]):
+                    problems += [f"chains {s} and {s2} touch: {x} and {y} comparable"
+                                 for x in self.chains[s] for y in self.chains[s2]
+                                 if p.comparable(x, y)]
         union = {x for pts in self.chains.values() for x in pts}
         if not part.is_rainbow(union):
             problems.append("chain union repeats a color")
         outside = self.universe - union
-        if outside:
-            for c in union:
+        hole = _mask(outside)
+        for c in union:
+            if p._below[c] & hole:
                 gap = outside & p.below(c)
-                if gap:
-                    problems += [f"union not downward closed: {x} < {c}"
-                                 for x in self.universe if x in gap]
+                problems += [f"union not downward closed: {x} < {c}"
+                             for x in self.universe if x in gap]
         return problems
 
 
@@ -167,22 +169,23 @@ def _chain_sorted(p: Poset, pts: Iterable[int]) -> list[int]:
     """Sort a set known to be a chain from bottom to top: along a chain,
     x < y implies below(x) is a proper subset of below(y)."""
     below = p._below
-    return sorted(pts, key=lambda x: len(below[x]))
+    return sorted(pts, key=lambda x: below[x].bit_count())
 
 
 def _intersect_relations(hosts: Sequence[LinearOrder], e: int) -> tuple[set[int], set[int]]:
-    """Strict down-/up-set of e in the intersection of the host orders."""
-    pos = hosts[0].positions()
-    pe = pos[e]
-    below = {x for x, i in pos.items() if i < pe}
-    above = {x for x, i in pos.items() if i > pe}
+    """Strict down-/up-set of e in the intersection of the host orders:
+    the slices on either side of e, intersected host by host."""
+    seq = hosts[0].sequence
+    i = seq.index(e)
+    below = set(seq[:i])
+    above = set(seq[i + 1 :])
     for h in hosts[1:]:
         if not below and not above:
             break
-        pos = h.positions()
-        pe = pos[e]
-        below = {x for x in below if pos[x] < pe}
-        above = {x for x in above if pos[x] > pe}
+        seq = h.sequence
+        i = seq.index(e)
+        below.intersection_update(seq[:i])
+        above.intersection_update(seq[i + 1 :])
     return below, above
 
 

@@ -114,7 +114,7 @@ class Builder:
     """One recursive builder instance bound to a host order and region."""
 
     __slots__ = (
-        "spec", "region", "host", "stage", "stage1_points",
+        "spec", "region", "host", "stage", "stage1_points", "_in_host_order",
         "colors_seen", "terminal", "child", "_pending", "_color_by_point",
     )
 
@@ -124,6 +124,8 @@ class Builder:
         self.host = host
         self.stage = "done" if spec.w == 0 else "one"
         self.stage1_points: list[int] = []
+        # Own stage-one points (the pending one too), lowest in the host first.
+        self._in_host_order: list[int] = []
         self.colors_seen: set[int] = set()
         self.terminal: int | None = None
         self.child: Builder | None = None
@@ -166,38 +168,42 @@ class Builder:
             return self.child.place_next(e)
         if self._pending is not None:
             raise StrategyInvariantError(f"point {self._pending} still awaits its color")
-        anchor = self._stage1_anchor()
+        anchor, slot = self._stage1_anchor()
         self.host.insert_above(anchor, e)
+        self._in_host_order.insert(slot, e)
         self._pending = e
         return anchor
 
-    def _stage1_anchor(self) -> int | None:
+    def _stage1_anchor(self) -> tuple[int | None, int]:
+        """The next stage-one point's anchor, and its slot among the
+        builder's own points in host order."""
         use_scan = (self.spec.family == "scan") == (self.spec.k == self.spec.w)
         _, hi = self.region.bounds(self.host)
         seq = self.host.sequence
         if use_scan:
-            y = self._scan_target()
-            if y is not None:
+            i = self._scan_target()
+            if i is not None:
+                y = self._in_host_order[i]
                 if self.spec.dual:
-                    return y  # directly above y
-                i = self.host.position(y)
-                return seq[i - 1] if i - 1 >= 0 else None
+                    return y, i + 1  # directly above y
+                j = self.host.position(y)
+                return (seq[j - 1] if j - 1 >= 0 else None), i  # directly below y
         # stack rule (also the scan fallback): far end of the region
         if self.spec.dual:
-            return None if self.region.low is BOTTOM else self.region.low
-        return seq[hi - 1] if hi - 1 >= 0 else None
+            return (None if self.region.low is BOTTOM else self.region.low), 0
+        return (seq[hi - 1] if hi - 1 >= 0 else None), len(self._in_host_order)
 
     def _scan_target(self) -> int | None:
         """Walk own stage-one points from the near end of the region and
-        return the first whose color repeats an earlier one; None if the
-        colors seen so far are all distinct."""
-        pos = self.host.positions()
-        pts = sorted(self.stage1_points, key=pos.__getitem__, reverse=self.spec.dual)
+        return the host-order slot of the first whose color repeats an
+        earlier one; None if the colors seen so far are all distinct."""
+        pts = self._in_host_order
+        walk = range(len(pts) - 1, -1, -1) if self.spec.dual else range(len(pts))
         seen: set[int] = set()
-        for p in pts:
-            c = self._color_by_point[p]
+        for i in walk:
+            c = self._color_by_point[pts[i]]
             if c in seen:
-                return p
+                return i
             seen.add(c)
         return None
 

@@ -33,16 +33,13 @@ class PartitionerView:
     realizer: tuple[LinearOrder, ...] | None = None
 
     def legal_colors(self) -> list[int]:
-        """Existing colors the new element may join, ascending."""
-        return [
-            c
-            for c in sorted(self.partition.colors_used())
-            if self.partition.legal(self.poset, self.element, c)[0]
-        ]
+        """Existing colors the new element may join, ascending: those whose
+        class mask lies inside the element's comparability mask."""
+        outside = ~self.poset.comparable_mask(self.element)
+        return [c for c, cls in self.partition.masks.items() if not cls & outside]
 
     def fresh_color(self) -> int:
-        used = self.partition.colors_used()
-        return max(used) + 1 if used else 1
+        return self.partition.top + 1
 
 
 class FirstFit:

@@ -1,11 +1,12 @@
 """Finite posets, linear orders, realizers and chain partitions.
 
 Elements are positive integer ids (the round an element entered the game).
-A :class:`Poset` stores the full strict-order relation as below/above sets
-per element, kept transitively closed on every insertion.  Staged games
-reach 770-1300 points and about 256k relations, so the whole-poset checks
-(realizer, extension, width) never loop over pairs of elements in Python:
-they work on Python-int bitmasks, bit ``x`` standing for element ``x``.
+A :class:`Poset` keeps one below and one above bitmask per element (bit
+``x`` stands for element ``x``), transitively closed on every insertion,
+and a :class:`ChainPartition` one mask per color.  Staged games reach
+770-1300 points and about 256k relations, so neither the per-round legality
+scan nor the whole-poset checks (realizer, extension, width) loop over
+pairs of elements in Python.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ class Poset:
     __slots__ = ("_below", "_above", "_elements", "__weakref__")
 
     def __init__(self) -> None:
-        self._below: dict[int, set[int]] = {}
-        self._above: dict[int, set[int]] = {}
+        self._below: dict[int, int] = {}  # x -> mask of the elements below x
+        self._above: dict[int, int] = {}
         self._elements: list[int] = []
 
     # -- construction -----------------------------------------------------
@@ -40,26 +41,29 @@ class Poset:
         for x in below | above:
             if x not in self._below:
                 raise RelationError(f"unknown element {x}")
-        down = set(below)
+        down = _mask(below)
         for b in below:
             down |= self._below[b]
-        up = set(above)
+        up = _mask(above)
         for a in above:
             up |= self._above[a]
         if down & up:
-            clash = min(down & up)
+            clash = min(_ids(down & up))
             raise RelationError(f"element {clash} forced both below and above the new element")
-        return self._add_closed(down, up)
+        return self._add_closed(_ids(down), _ids(up))
 
     def _add_closed(self, down: set[int], up: set[int]) -> int:
-        """Fast path: ``down``/``up`` are already transitively closed."""
+        """Fast path: ``down``/``up`` are already transitively closed.  Walking
+        these sets to update older masks beats walking the new mask's bits."""
         e = len(self._elements) + 1
-        self._below[e] = down
-        self._above[e] = up
+        bit = 1 << e
+        below, above = self._below, self._above
         for u in down:
-            self._above[u].add(e)
+            above[u] |= bit
         for v in up:
-            self._below[v].add(e)
+            below[v] |= bit
+        below[e] = _mask(down)
+        above[e] = _mask(up)
         self._elements.append(e)
         return e
 
@@ -101,35 +105,40 @@ class Poset:
         return list(self._elements)
 
     def less(self, x: int, y: int) -> bool:
-        return x in self._below[y]
+        return bool(self._below[y] >> x & 1)
 
     def comparable(self, x: int, y: int) -> bool:
-        return x == y or x in self._below[y] or y in self._below[x]
+        return x == y or bool((self._below[y] | self._above[y]) >> x & 1)
+
+    def comparable_mask(self, x: int) -> int:
+        """Mask of the elements comparable to x, x itself included."""
+        return self._below[x] | self._above[x] | 1 << x
 
     def incomparable_pairs(self, pts: Iterable[int]) -> Iterator[tuple[int, int]]:
         """Incomparable pairs (x, y) of ``pts``, x listed before y, in listing order."""
         pts = list(pts)
         for i, x in enumerate(pts):
+            reach = self.comparable_mask(x)
             for y in pts[i + 1 :]:
-                if not self.comparable(x, y):
+                if not reach >> y & 1:
                     yield x, y
 
     def below(self, x: int) -> set[int]:
-        """Elements strictly below x (a copy)."""
-        return set(self._below[x])
+        """Elements strictly below x (a fresh set)."""
+        return _ids(self._below[x])
 
     def above(self, x: int) -> set[int]:
-        return set(self._above[x])
+        return _ids(self._above[x])
 
     def down_set(self, x: int) -> set[int]:
         """x together with everything below it."""
-        return self._below[x] | {x}
+        return _ids(self._below[x] | 1 << x)
 
     def up_set(self, x: int) -> set[int]:
-        return self._above[x] | {x}
+        return _ids(self._above[x] | 1 << x)
 
     def relation_pairs(self) -> set[tuple[int, int]]:
-        return {(x, y) for y in self._elements for x in self._below[y]}
+        return {(x, y) for y in self._elements for x in _ids(self._below[y])}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poset):
@@ -139,14 +148,12 @@ class Poset:
     # -- whole-poset classification ----------------------------------------
 
     def is_completely_below(self, U: Iterable[int], V: Iterable[int]) -> bool:
-        return all(v in self._above[u] for u in U for v in V)
+        vm = _mask(V)
+        return all(self._above[u] & vm == vm for u in U)
 
     def is_completely_incomparable(self, U: Iterable[int], V: Iterable[int]) -> bool:
-        return all(
-            v not in self._above[u] and v not in self._below[u] and u != v
-            for u in U
-            for v in V
-        )
+        vm = _mask(V)
+        return not any(self.comparable_mask(u) & vm for u in U)
 
     # -- derived posets ------------------------------------------------------
 
@@ -154,33 +161,32 @@ class Poset:
         """The same elements with every relation flipped."""
         d = Poset()
         d._elements = list(self._elements)
-        d._below = {e: set(s) for e, s in self._above.items()}
-        d._above = {e: set(s) for e, s in self._below.items()}
+        d._below = dict(self._above)
+        d._above = dict(self._below)
         return d
 
     def restrict(self, keep: Iterable[int]) -> "Poset":
         """Induced sub-poset on ``keep`` (ids preserved)."""
-        keep = set(keep)
+        km = _mask(keep)
         r = Poset()
-        r._elements = [e for e in self._elements if e in keep]
-        r._below = {e: self._below[e] & keep for e in r._elements}
-        r._above = {e: self._above[e] & keep for e in r._elements}
+        r._elements = [e for e in self._elements if km >> e & 1]
+        r._below = {e: self._below[e] & km for e in r._elements}
+        r._above = {e: self._above[e] & km for e in r._elements}
         return r
 
     def check_axioms(self) -> list[str]:
         """Exhaustively re-verify irreflexivity, antisymmetry, transitivity."""
         problems = []
         for y in self._elements:
-            if y in self._below[y]:
+            by = self._below[y]
+            if by >> y & 1:
                 problems.append(f"reflexive relation on {y}")
-            for x in self._below[y]:
-                if y in self._below[x]:
+            for x in sorted(_ids(by)):
+                if self._below[x] >> y & 1:
                     problems.append(f"antisymmetry broken on ({x}, {y})")
-                if not self._below[x] <= self._below[y]:
-                    gap = min(self._below[x] - self._below[y])
-                    problems.append(f"transitivity broken: {gap} < {x} < {y}")
-            for x in self._below[y]:
-                if y not in self._above[x]:
+                if self._below[x] & ~by:
+                    problems.append(f"transitivity broken: {min(_ids(self._below[x] & ~by))} < {x} < {y}")
+                if not self._above[x] >> y & 1:
                     problems.append(f"below/above tables disagree on ({x}, {y})")
         return problems
 
@@ -223,7 +229,7 @@ class Poset:
         poset is too deep for it.  Every step takes the lowest id first, so
         the result is deterministic for a given poset.
         """
-        above = {u: _mask(self._above[u]) for u in sorted(self._elements)}
+        above = {u: self._above[u] for u in sorted(self._elements)}
         match_l: dict[int, int] = {}
         match_r: dict[int, int] = {}
         taken = 0  # mask of matched v
@@ -268,26 +274,33 @@ class LinearOrder:
     Supports the single mutation the game needs: insert a fresh element
     directly above an existing anchor (or at the very bottom).  Existing
     relative order is never disturbed, which is exactly the on-line
-    extension property the adversaries rely on.
+    extension property the adversaries rely on.  Insertions use
+    ``list.index`` and a membership set built on first use (so read-only
+    copies never pay for one); only whole-order checks build :meth:`positions`.
     """
 
-    __slots__ = ("sequence", "_pos", "_stale")
+    __slots__ = ("sequence", "_members", "_pos", "_stale")
 
     def __init__(self, sequence: Iterable[int] = ()):
         self.sequence: list[int] = list(sequence)
+        self._members: set[int] | None = None
         self._pos: dict[int, int] = {}
         self._stale = True
 
     def insert_above(self, anchor: int | None, e: int) -> None:
         """Insert ``e`` directly above ``anchor`` (``None`` = new bottom)."""
-        if e in self.positions():
+        if self._members is None:
+            self._members = set(self.sequence)
+        members = self._members
+        if e in members:
             raise RelationError(f"element {e} is already in the order")
         if anchor is None:
             self.sequence.insert(0, e)
         else:
-            if anchor not in self.positions():
+            if anchor not in members:
                 raise RelationError(f"anchor {anchor} is not in the order")
             self.sequence.insert(self.sequence.index(anchor) + 1, e)
+        members.add(e)
         self._stale = True
 
     def positions(self) -> dict[int, int]:
@@ -297,11 +310,10 @@ class LinearOrder:
         return self._pos
 
     def position(self, x: int) -> int:
-        return self.positions()[x]
+        return self.sequence.index(x)
 
     def before(self, x: int, y: int) -> bool:
-        pos = self.positions()
-        return pos[x] < pos[y]
+        return self.position(x) < self.position(y)
 
     def cover_above(self, x: int) -> int | None:
         """The element directly above x, or None if x is topmost."""
@@ -318,7 +330,7 @@ class LinearOrder:
         if set(pos) != set(p._elements):
             return False
         at = pos.__getitem__
-        return all(max(map(at, below), default=-1) < pos[y] for y, below in p._below.items())
+        return all(max(map(at, _ids(below)), default=-1) < pos[y] for y, below in p._below.items())
 
     def copy(self) -> "LinearOrder":
         return LinearOrder(self.sequence)
@@ -330,7 +342,7 @@ class LinearOrder:
         return iter(self.sequence)
 
     def __contains__(self, x: int) -> bool:
-        return x in self.positions()
+        return x in (self.sequence if self._members is None else self._members)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearOrder):
@@ -349,12 +361,7 @@ def _mask(ids: Iterable[int]) -> int:
 
 
 def _ids(mask: int) -> set[int]:
-    out = set()
-    while mask:
-        low = mask & -mask
-        out.add(low.bit_length() - 1)
-        mask ^= low
-    return out
+    return {i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"}
 
 
 def _common_below(orders: list[LinearOrder]) -> dict[int, int]:
@@ -382,11 +389,11 @@ def intersect(orders: Iterable[LinearOrder]) -> Poset:
     below = _common_below(orders)
     p = Poset()
     p._elements = sorted(base)
-    p._below = {e: _ids(below[e]) for e in p._elements}
-    p._above = {e: set() for e in p._elements}
+    p._below = {e: below[e] for e in p._elements}
+    p._above = dict.fromkeys(p._elements, 0)
     for e in p._elements:
-        for u in p._below[e]:
-            p._above[u].add(e)
+        for u in _ids(below[e]):
+            p._above[u] |= 1 << e
     return p
 
 
@@ -423,17 +430,21 @@ def verify_realizer(realizer: Realizer, p: Poset) -> bool:
     if any(set(o.sequence) != elements for o in realizer.orders[1:]):
         return False
     common = _common_below(realizer.orders)
-    return all(common[y] == _mask(below) for y, below in p._below.items())
+    return all(common[y] == below for y, below in p._below.items())
 
 
 class ChainPartition:
-    """An assignment of colors (opaque positive ints) to elements."""
+    """An assignment of colors (opaque positive ints) to elements; ``masks``
+    maps every color, ascending, to its class's mask and ``top`` is the
+    largest color (0 if none), both read-only outside :meth:`assign`."""
 
-    __slots__ = ("color_of", "_classes")
+    __slots__ = ("color_of", "_classes", "masks", "top")
 
     def __init__(self) -> None:
         self.color_of: dict[int, int] = {}
         self._classes: dict[int, set[int]] = {}
+        self.masks: dict[int, int] = {}
+        self.top = 0
 
     def assign(self, e: int, color: int) -> None:
         if e in self.color_of:
@@ -442,9 +453,10 @@ class ChainPartition:
             raise RelationError(f"colors are positive integers, got {color}")
         self.color_of[e] = color
         self._classes.setdefault(color, set()).add(e)
-
-    def colors_used(self) -> set[int]:
-        return set(self._classes)
+        if color < self.top and color not in self.masks:  # keep masks ascending
+            self.masks = dict(sorted({**self.masks, color: 0}.items()))
+        self.masks[color] = self.masks.get(color, 0) | 1 << e
+        self.top = max(self.top, color)
 
     def classes(self) -> dict[int, set[int]]:
         return {c: set(s) for c, s in self._classes.items()}
@@ -464,9 +476,13 @@ class ChainPartition:
         """Would coloring ``e`` with ``color`` keep that class a chain?
 
         Returns (ok, offending_pair) where the pair names an incomparable
-        same-color conflict when not ok.
+        same-color conflict when not ok.  One mask test clears a legal
+        color; only a class that fails it is walked, to name the pair.
         """
-        for x in self._classes.get(color, ()):
+        cls = self.masks.get(color)
+        if not cls or not cls & ~p.comparable_mask(e):
+            return True, None
+        for x in self._classes[color]:
             if not p.comparable(x, e):
                 return False, (min(x, e), max(x, e))
         return True, None

@@ -1,8 +1,10 @@
-"""The bitmask whole-poset checks against their brute-force definitions.
+"""The bitmask order core against brute-force definitions.
 
-``verify_realizer``, ``LinearOrder.is_extension_of``, ``intersect`` and
-``Poset.width`` work on bitmasks; the definitions below loop over pairs and
-subsets the slow way, straight from the textbook statements.
+``Poset`` stores its relation as bitmasks and ``ChainPartition`` one mask
+per color; ``verify_realizer``, ``LinearOrder.is_extension_of``,
+``intersect``, ``Poset.width`` and the legality scan all work on them.  The
+definitions below loop over pairs, subsets and plain lists the slow way,
+straight from the textbook statements.
 """
 
 from __future__ import annotations
@@ -15,7 +17,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from olcp import LinearOrder, Poset, Realizer, RelationError, intersect, verify_realizer
+from olcp import (
+    ChainPartition,
+    LinearOrder,
+    PartitionerView,
+    Poset,
+    Realizer,
+    RelationError,
+    intersect,
+    verify_realizer,
+)
 
 
 def brute_intersection_pairs(orders: list[LinearOrder]) -> set[tuple[int, int]]:
@@ -170,3 +181,149 @@ def test_width_of_a_large_two_dimensional_order():
     for members in cover.classes().values():
         chain = sorted(members, key=a_pos.__getitem__)
         assert all(p.less(x, y) for x, y in zip(chain, chain[1:]))
+
+
+# ---------------------------------------------------------------------------
+# element queries on every way a poset is built
+
+
+def closure(n: int, pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
+    """Transitive closure of a relation on 1..n, Warshall-style."""
+    rel = set(pairs)
+    for k in range(1, n + 1):
+        rel |= {(x, y) for x, k1 in rel if k1 == k for k2, y in rel if k2 == k}
+    return rel
+
+
+@st.composite
+def grown_posets(draw, max_n: int = 9):
+    """(p, rel): a poset grown by ``add_element`` from random generating
+    sets, and its relation computed independently as a set of pairs."""
+    p = Poset()
+    rel: set[tuple[int, int]] = set()
+    for e in range(1, draw(st.integers(0, max_n)) + 1):
+        old = list(range(1, e))
+        below = draw(st.sets(st.sampled_from(old), max_size=3)) if old else set()
+        above = draw(st.sets(st.sampled_from(old), max_size=3)) if old else set()
+        down = below | {x for x, y in rel if y in below}
+        up = above | {y for x, y in rel if x in above}
+        if down & up or any((x, y) not in rel for x in down for y in up):
+            above, up = set(), set()  # generating sets the order cannot take
+        assert p.add_element(below=below, above=above) == e
+        rel |= {(x, e) for x in down} | {(e, y) for y in up}
+    return p, rel
+
+
+@st.composite
+def derived_posets(draw):
+    """(p, rel) from add_element, from_pairs, dual, restrict or intersect."""
+    how = draw(st.sampled_from(["add_element", "from_pairs", "dual", "restrict", "intersect"]))
+    if how == "intersect":
+        orders, p = draw(realizers())
+        return p, brute_intersection_pairs(orders)
+    if how == "from_pairs":
+        n = draw(st.integers(0, 9))
+        pairs = draw(st.sets(st.tuples(st.integers(1, max(n, 1)), st.integers(1, max(n, 1)))
+                             .filter(lambda xy: xy[0] < xy[1] <= n), max_size=12))
+        return Poset.from_pairs(n, pairs), closure(n, pairs)
+    p, rel = draw(grown_posets())
+    if how == "dual":
+        return p.dual(), {(y, x) for x, y in rel}
+    if how == "restrict":
+        keep = draw(st.sets(st.sampled_from(p.elements))) if len(p) else set()
+        return p.restrict(keep), {(x, y) for x, y in rel if x in keep and y in keep}
+    return p, rel
+
+
+@settings(max_examples=200, deadline=None)
+@given(derived_posets(), st.data())
+def test_element_queries_match_pair_definitions(case, data):
+    p, rel = case
+    els = p.elements
+    assert p.check_axioms() == []
+    assert p.relation_pairs() == rel
+    for x in els:
+        assert p.below(x) == {u for u, v in rel if v == x}
+        assert p.above(x) == {v for u, v in rel if u == x}
+        assert p.down_set(x) == p.below(x) | {x}
+        assert p.up_set(x) == p.above(x) | {x}
+        for y in els:
+            assert p.less(x, y) == ((x, y) in rel)
+            assert p.comparable(x, y) == (x == y or (x, y) in rel or (y, x) in rel)
+            assert bool(p.comparable_mask(x) >> y & 1) == p.comparable(x, y)
+    if els:
+        U = data.draw(st.lists(st.sampled_from(els), max_size=4))
+        V = data.draw(st.lists(st.sampled_from(els), max_size=4))
+        assert p.is_completely_below(U, V) == all((u, v) in rel for u in U for v in V)
+        assert p.is_completely_incomparable(U, V) == all(
+            u != v and (u, v) not in rel and (v, u) not in rel for u in U for v in V)
+
+
+# ---------------------------------------------------------------------------
+# the legality scan against set-based classes
+
+
+def reference_legal(rel, classes: dict[int, set[int]], e: int, color: int):
+    """The pre-mask rule: walk the color's class set, name the first
+    member incomparable to e."""
+    for x in classes.get(color, ()):
+        if x != e and (x, e) not in rel and (e, x) not in rel:
+            return False, (min(x, e), max(x, e))
+    return True, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(derived_posets(), st.data())
+def test_legal_colors_and_legal_match_a_set_based_reference(case, data):
+    p, rel = case
+    els = p.elements
+    if not els:
+        return
+    part = ChainPartition()
+    classes: dict[int, set[int]] = {}  # grown in the same order as the partition's
+    colored = data.draw(st.lists(st.sampled_from(els), unique=True))
+    for x in colored:
+        color = data.draw(st.integers(1, 6))  # any order, gaps included
+        part.assign(x, color)
+        classes.setdefault(color, set()).add(x)
+    assert list(part.masks) == sorted(classes)
+    assert part.top == max(classes, default=0)
+    for e in els:
+        for color in range(1, 8):
+            assert part.legal(p, e, color) == reference_legal(rel, classes, e, color)
+        view = PartitionerView(p, part, e)
+        assert view.legal_colors() == [c for c in sorted(classes)
+                                       if reference_legal(rel, classes, e, c)[0]]
+        assert view.fresh_color() == max(classes, default=0) + 1
+
+
+# ---------------------------------------------------------------------------
+# linear orders against a plain list
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 12), unique=True, max_size=4),
+       st.lists(st.tuples(st.integers(0, 14), st.integers(1, 14)), max_size=20))
+def test_linear_order_matches_a_plain_list(start, steps):
+    """``insert_above`` with anchor id 0 standing for the bottom."""
+    order = LinearOrder(start)
+    model = list(start)
+    for anchor_id, e in steps:
+        anchor = None if anchor_id == 0 else anchor_id
+        if e in model:
+            with pytest.raises(RelationError, match=f"^element {e} is already in the order$"):
+                order.insert_above(anchor, e)
+        elif anchor is not None and anchor not in model:
+            with pytest.raises(RelationError, match=f"^anchor {anchor} is not in the order$"):
+                order.insert_above(anchor, e)
+        else:
+            order.insert_above(anchor, e)
+            model.insert(0 if anchor is None else model.index(anchor) + 1, e)
+        assert order.sequence == model
+        for x in range(1, 15):
+            assert (x in order) == (x in model)
+            if x in model:
+                assert order.position(x) == model.index(x)
+        assert order.positions() == {x: i for i, x in enumerate(model)}
+    copy = order.copy()
+    assert copy == order and all(x in copy for x in model)
