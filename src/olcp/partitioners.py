@@ -34,8 +34,8 @@ class PartitionerView:
 
     def legal_colors(self) -> list[int]:
         """Existing colors the new element may join, ascending: those whose
-        class mask lies inside the element's comparability mask."""
-        outside = ~self.poset.comparable_mask(self.element)
+        class mask misses the element's incomparability mask."""
+        outside = self.poset.incomparable_mask(self.element)
         return [c for c, cls in self.partition.masks.items() if not cls & outside]
 
     def fresh_color(self) -> int:

@@ -26,6 +26,7 @@ from olcp import (
     verify_transcript,
 )
 from olcp import arena
+from olcp.adversaries import SzemerediStrategy
 from olcp.arena import TranscriptRound
 
 
@@ -358,6 +359,28 @@ def test_extra_round_after_the_end_is_flagged():
     long = Transcript(t.strategy, t.w, t.d, t.partitioner, t.seed,
                       t.rounds + [extra], t.version)
     assert any("already over" in v for v in verify_transcript(long))
+
+
+def test_chain_index_that_ends_early_is_flagged(monkeypatch):
+    """Every chain index must replay the whole recorded game; a variant
+    that stops one round early is named, and the main replay is clean."""
+    t, _ = game("szemeredi", 4)
+    done = SzemerediStrategy.done
+
+    def early(self):
+        last = self.k == 1 and self._pending is None and len(self.poset) == len(t.rounds) - 1
+        return last or done(self)
+
+    monkeypatch.setattr(SzemerediStrategy, "done", early)
+    assert verify_transcript(t) == [
+        f"chain index 1 presents a different game: round {len(t.rounds)}: the game was already over"
+    ]
+
+
+def test_faults_of_the_main_replay_are_not_repeated_per_chain_index():
+    t, _ = game("szemeredi", 3)
+    cut = Transcript(t.strategy, t.w, t.d, t.partitioner, t.seed, t.rounds[:-2], t.version)
+    assert verify_transcript(cut) == ["transcript ends before the game is over"]
 
 
 def test_wrong_relations_name_the_round():

@@ -72,6 +72,32 @@ def test_add_element_rejects_unknown_ids():
         p.add_element(below={9})
 
 
+def test_add_element_rejects_generating_sets_that_relate_old_elements():
+    """1 and 2 are incomparable, so nothing can go above 1 and below 2."""
+    p = Poset.antichain(2)
+    with pytest.raises(RelationError, match="^the new element would put 1 below 2, which are unrelated$"):
+        p.add_element(below={1}, above={2})
+    assert p == Poset.antichain(2)
+    assert p.check_axioms() == []
+    assert p.add_element(below={2}, above=()) == 3
+
+
+def test_new_ids_continue_past_the_largest_id():
+    p = Poset.from_pairs(3, [(1, 2), (2, 3)]).restrict({2, 3})
+    assert p.add_element() == 4
+    assert p.elements == [2, 3, 4]
+    assert p.relation_pairs() == {(2, 3)}
+    q = intersect([LinearOrder([5, 2]), LinearOrder([2, 5])])
+    assert q.add_element(below={2}) == 6
+    assert q.relation_pairs() == {(2, 6)}
+    assert Poset.chain(3).restrict({1}).add_element() == 2
+
+
+def test_intersect_rejects_ids_below_one():
+    with pytest.raises(RelationError, match="positive integers"):
+        intersect([LinearOrder([0, 1]), LinearOrder([1, 0])])
+
+
 def test_from_pairs_requires_ascending_ids():
     with pytest.raises(RelationError):
         Poset.from_pairs(3, [(2, 1)])

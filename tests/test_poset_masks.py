@@ -198,7 +198,8 @@ def closure(n: int, pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
 @st.composite
 def grown_posets(draw, max_n: int = 9):
     """(p, rel): a poset grown by ``add_element`` from random generating
-    sets, and its relation computed independently as a set of pairs."""
+    sets, and its relation computed independently as a set of pairs.
+    Generating sets the order cannot take must raise and change nothing."""
     p = Poset()
     rel: set[tuple[int, int]] = set()
     for e in range(1, draw(st.integers(0, max_n)) + 1):
@@ -208,7 +209,10 @@ def grown_posets(draw, max_n: int = 9):
         down = below | {x for x, y in rel if y in below}
         up = above | {y for x, y in rel if x in above}
         if down & up or any((x, y) not in rel for x in down for y in up):
-            above, up = set(), set()  # generating sets the order cannot take
+            with pytest.raises(RelationError):
+                p.add_element(below=below, above=above)
+            assert p.elements == old and p.relation_pairs() == rel
+            above, up = set(), set()
         assert p.add_element(below=below, above=above) == e
         rel |= {(x, e) for x in down} | {(e, y) for y in up}
     return p, rel
@@ -235,10 +239,24 @@ def derived_posets(draw):
     return p, rel
 
 
-@settings(max_examples=200, deadline=None)
-@given(derived_posets(), st.data())
-def test_element_queries_match_pair_definitions(case, data):
-    p, rel = case
+@st.composite
+def sparse_posets(draw):
+    """(p, rel) from restrict, dual or intersect over ids that are not 1..n."""
+    how = draw(st.sampled_from(["restrict", "dual", "intersect"]))
+    if how == "intersect":
+        ids = draw(st.lists(st.integers(1, 40), unique=True, max_size=8))
+        orders = [LinearOrder(draw(st.permutations(ids))) for _ in range(draw(st.integers(1, 3)))]
+        return intersect(orders), brute_intersection_pairs(orders)
+    p, rel = draw(grown_posets())
+    keep = draw(st.sets(st.sampled_from(p.elements))) if len(p) else set()
+    p, rel = p.restrict(keep), {(x, y) for x, y in rel if x in keep and y in keep}
+    if how == "dual":
+        return p.dual(), {(y, x) for x, y in rel}
+    return p, rel
+
+
+def assert_queries_match(p: Poset, rel: set[tuple[int, int]]) -> None:
+    """Every per-element query of p against the pair relation rel."""
     els = p.elements
     assert p.check_axioms() == []
     assert p.relation_pairs() == rel
@@ -251,12 +269,55 @@ def test_element_queries_match_pair_definitions(case, data):
             assert p.less(x, y) == ((x, y) in rel)
             assert p.comparable(x, y) == (x == y or (x, y) in rel or (y, x) in rel)
             assert bool(p.comparable_mask(x) >> y & 1) == p.comparable(x, y)
+        incomparable = p.incomparable_mask(x)
+        assert incomparable >= 0
+        assert incomparable == sum(1 << y for y in els if not p.comparable(x, y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(derived_posets(), st.data())
+def test_element_queries_match_pair_definitions(case, data):
+    p, rel = case
+    els = p.elements
+    assert_queries_match(p, rel)
     if els:
         U = data.draw(st.lists(st.sampled_from(els), max_size=4))
         V = data.draw(st.lists(st.sampled_from(els), max_size=4))
         assert p.is_completely_below(U, V) == all((u, v) in rel for u in U for v in V)
         assert p.is_completely_incomparable(U, V) == all(
             u != v and (u, v) not in rel and (v, u) not in rel for u in U for v in V)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_posets())
+def test_sparse_rows_answer_like_dense_ones(case):
+    """Rows of ids that are absent hold nothing and answer nothing: every
+    query of an absent id raises KeyError, and a new id goes past the top."""
+    p, rel = case
+    els = set(p.elements)
+    assert_queries_match(p, rel)
+    assert p.width() == brute_width(p)
+    top = max(els, default=0)
+    for x in range(-2, top + 3):
+        assert (x in p) == (x in els)
+        if x not in els:
+            for query in (p.below, p.above, p.comparable_mask, p.incomparable_mask):
+                with pytest.raises(KeyError):
+                    query(x)
+    assert p.add_element() == top + 1
+    assert p.relation_pairs() == rel
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_posets())
+def test_equality_reads_elements_and_relations_not_row_lengths(case):
+    p, rel = case
+    padded = p.dual().dual()
+    padded._below += [0, 0, 0]
+    padded._above += [0, 0, 0]
+    assert padded == p and p == padded
+    assert (p.dual() == p) == (not rel)
+    assert p.restrict(list(p)[1:]) != p or not len(p)
 
 
 # ---------------------------------------------------------------------------
