@@ -174,16 +174,19 @@ def _chain_sorted(p: Poset, pts: Iterable[int]) -> list[int]:
 
 def _intersect_relations(hosts: Sequence[LinearOrder], e: int) -> tuple[set[int], set[int]]:
     """Strict down-/up-set of e in the intersection of the host orders:
-    the slices on either side of e, intersected host by host."""
-    seq = hosts[0].sequence
-    i = seq.index(e)
+    the slices on either side of e, intersected host by host.  Each host
+    is asked for e where its last insertion went, the usual case when e
+    has just been placed."""
+    h = hosts[0]
+    seq = h.sequence
+    i = h.locate(e, h._last)
     below = set(seq[:i])
     above = set(seq[i + 1 :])
     for h in hosts[1:]:
         if not below and not above:
             break
         seq = h.sequence
-        i = seq.index(e)
+        i = h.locate(e, h._last)
         below.intersection_update(seq[:i])
         above.intersection_update(seq[i + 1 :])
     return below, above
@@ -277,8 +280,9 @@ class Strategy:
             )
         e = len(self.poset) + 1
         below, above, level, stage, ext = self._place(e)
-        self.poset._add_closed(set(below), set(above))
-        move = Move(e, frozenset(below), frozenset(above), level, stage, ext)
+        below, above = frozenset(below), frozenset(above)
+        self.poset._add_closed(below, above)
+        move = Move(e, below, above, level, stage, ext)
         self._pending = move
         return move
 

@@ -46,6 +46,7 @@ from .partitioners import PartitionerView, make_partitioner
 from .poset import (
     ChainPartition,
     LinearOrder,
+    _digits_mask,
     verify_chain_partition,
     verify_realizer,
 )
@@ -469,15 +470,16 @@ def verify_transcript(t: Transcript) -> list[str]:
 
     Empty list means the transcript is a faithful record of a passing game.
     """
+    masks = _relation_masks(t)
     strategy = make_strategy(t.strategy, t.w, d=t.d)
-    v, part = _replay(strategy, t)
+    v, part = _replay(strategy, t, masks)
     if isinstance(strategy, SzemerediStrategy):
         # Every chain index must replay the same game.  Its first fault that
         # the main replay did not report shows a different one; the others
         # (color-legality faults, a cut transcript) only repeat it.
         main = set(v)
         for k in range(1, t.w):
-            vk, _ = _replay(make_strategy(t.strategy, t.w, k=k), t)
+            vk, _ = _replay(make_strategy(t.strategy, t.w, k=k), t, masks)
             s = next((s for s in vk if s not in main), None)
             if s is not None:
                 v.append(f"chain index {k} presents a different game: {s}")
@@ -491,11 +493,33 @@ def verify_transcript(t: Transcript) -> list[str]:
     return out
 
 
-def _replay(strategy: Strategy, t: Transcript) -> tuple[list[str], ChainPartition]:
+def _relation_masks(t: Transcript) -> list[tuple[int | None, int | None]]:
+    """Each row's below and above sets as masks (bit x for id x), as the
+    poset keeps the relations of the element a replay presents in that
+    round, which is the round's place in the transcript.  A set no such
+    element can have -- ids not sorted and distinct, or outside 1..round-1
+    -- gets None, which no mask equals, and no mask is built from it."""
+    masks = []
+    for e, row in enumerate(t.rounds, start=1):
+        masks.append(tuple(
+            _digits_mask(ids, e)
+            if not ids or (ids[0] >= 1 and ids[-1] < e and list(ids) == sorted(set(ids)))
+            else None
+            for ids in (row.below, row.above)))
+    return masks
+
+
+def _replay(strategy: Strategy, t: Transcript,
+            masks: Sequence[tuple[int | None, int | None]]) -> tuple[list[str], ChainPartition]:
+    """Feed the recorded colors to ``strategy`` and compare every move with
+    its row.  ``masks`` holds the rows' relation sets as masks
+    (``_relation_masks``); each is compared with the new element's rows in
+    the strategy's poset, right after its insertion."""
     v: list[str] = []
     part = ChainPartition()
     watch = _ExtensionWatch(strategy)
-    for row in t.rounds:
+    below, above = strategy.poset._below, strategy.poset._above
+    for row, (below_mask, above_mask) in zip(t.rounds, masks):
         if strategy.done():
             v.append(f"round {row.round}: the game was already over")
             break
@@ -504,11 +528,12 @@ def _replay(strategy: Strategy, t: Transcript) -> tuple[list[str], ChainPartitio
         except StrategyInvariantError as exc:
             v.append(f"round {row.round}: recorded colors derail the strategy: {exc}")
             break
-        if move.element != row.element:
-            v.append(f"round {row.round}: element {move.element} presented, transcript says {row.element}")
-        if tuple(sorted(move.below)) != row.below:
+        e = move.element
+        if e != row.element:
+            v.append(f"round {row.round}: element {e} presented, transcript says {row.element}")
+        if below[e] != below_mask:
             v.append(f"round {row.round}: relations below the new element differ")
-        if tuple(sorted(move.above)) != row.above:
+        if above[e] != above_mask:
             v.append(f"round {row.round}: relations above the new element differ")
         if move.level != row.level:
             v.append(f"round {row.round}: level annotation {row.level}, re-run says {move.level}")

@@ -19,6 +19,13 @@ Stage one ends when the w-th distinct color lands on the builder's own
 points; the builder then delegates to a single child in a sub-region, down
 to width zero.  Dual orientation mirrors every direction, so a dual run is
 exactly a primal run reflected.
+
+A builder called in stage two hands the call straight to its deepest active
+descendant, which it caches (pointing only downward, so no builder refers
+back to an ancestor and a finished game is freed without the cycle
+collector).  Each builder also keeps where it last saw its region's bounds
+in the host; the host trusts such a position hint only after checking that
+it still holds the bound there.
 """
 
 from __future__ import annotations
@@ -91,10 +98,14 @@ class Region:
     low: object  # element id or BOTTOM
     high: object  # element id or TOP
 
-    def bounds(self, host: LinearOrder) -> tuple[int, int]:
-        """(lo_idx, hi_idx): in-region positions are lo_idx < i < hi_idx."""
-        lo = -1 if self.low is BOTTOM else host.position(self.low)
-        hi = len(host) if self.high is TOP else host.position(self.high)
+    def bounds(self, host: LinearOrder,
+               hint: tuple[int | None, int | None] = (None, None)) -> tuple[int, int]:
+        """(lo_idx, hi_idx): in-region positions are lo_idx < i < hi_idx.
+
+        ``hint`` holds guesses at the two indices, each checked before use.
+        """
+        lo = -1 if self.low is BOTTOM else host.locate(self.low, hint[0])
+        hi = len(host) if self.high is TOP else host.locate(self.high, hint[1])
         if lo >= hi:
             raise StrategyInvariantError(f"region {self} is inverted in its host")
         return lo, hi
@@ -116,6 +127,7 @@ class Builder:
     __slots__ = (
         "spec", "region", "host", "stage", "stage1_points", "_in_host_order",
         "colors_seen", "terminal", "child", "_pending", "_color_by_point",
+        "_leaf", "_bounds",
     )
 
     def __init__(self, spec: BuilderSpec, region: Region, host: LinearOrder):
@@ -131,6 +143,11 @@ class Builder:
         self.child: Builder | None = None
         self._pending: int | None = None
         self._color_by_point: dict[int, int] = {}
+        # Deepest active descendant seen so far; None stands for self, so
+        # that no builder refers to itself.
+        self._leaf: Builder | None = None
+        # Where the region's bounds were last seen in the host (hints).
+        self._bounds: tuple[int | None, int | None] = (None, None)
 
     # -- queries ------------------------------------------------------------
 
@@ -139,11 +156,16 @@ class Builder:
         return self.stage == "done"
 
     def active(self) -> "Builder":
-        """The deepest instance currently placing points."""
-        b = self
+        """The deepest instance currently placing points.
+
+        The walk resumes from the cached deepest instance, so over a whole
+        game it visits each instance once.
+        """
+        b = self._leaf or self
         while b.stage == "two":
             assert b.child is not None
             b = b.child
+        self._leaf = None if b is self else b
         return b
 
     def instances(self) -> Iterator["Builder"]:
@@ -159,39 +181,42 @@ class Builder:
         """Insert fresh element ``e`` into the host; return its anchor.
 
         The anchor is the element ``e`` now sits directly above (None when
-        ``e`` became the new host bottom).
+        ``e`` became the new host bottom).  In stage two the active
+        descendant places ``e``.
         """
-        if self.done:
-            raise StrategyInvariantError("placement requested on a finished builder")
-        if self.stage == "two":
-            assert self.child is not None
-            return self.child.place_next(e)
+        if self.stage != "one":
+            if self.done:
+                raise StrategyInvariantError("placement requested on a finished builder")
+            return self.active().place_next(e)
         if self._pending is not None:
             raise StrategyInvariantError(f"point {self._pending} still awaits its color")
-        anchor, slot = self._stage1_anchor()
-        self.host.insert_above(anchor, e)
+        anchor, at, slot = self._stage1_anchor()
+        self.host.insert_above(anchor, e, at)
+        lo, hi = self._bounds
+        self._bounds = (lo, hi + 1)  # e landed inside the region
         self._in_host_order.insert(slot, e)
         self._pending = e
         return anchor
 
-    def _stage1_anchor(self) -> tuple[int | None, int]:
-        """The next stage-one point's anchor, and its slot among the
-        builder's own points in host order."""
+    def _stage1_anchor(self) -> tuple[int | None, int | None, int]:
+        """The next stage-one point's anchor, a hint at the anchor's host
+        index, and its slot among the builder's own points in host order;
+        records the region's bounds."""
         use_scan = (self.spec.family == "scan") == (self.spec.k == self.spec.w)
-        _, hi = self.region.bounds(self.host)
+        lo, hi = self._bounds = self.region.bounds(self.host, self._bounds)
         seq = self.host.sequence
         if use_scan:
             i = self._scan_target()
             if i is not None:
                 y = self._in_host_order[i]
                 if self.spec.dual:
-                    return y, i + 1  # directly above y
+                    return y, None, i + 1  # directly above y
                 j = self.host.position(y)
-                return (seq[j - 1] if j - 1 >= 0 else None), i  # directly below y
+                return (seq[j - 1] if j - 1 >= 0 else None), j - 1, i  # directly below y
         # stack rule (also the scan fallback): far end of the region
         if self.spec.dual:
-            return (None if self.region.low is BOTTOM else self.region.low), 0
-        return (seq[hi - 1] if hi - 1 >= 0 else None), len(self._in_host_order)
+            return (None if self.region.low is BOTTOM else self.region.low), lo, 0
+        return (seq[hi - 1] if hi - 1 >= 0 else None), hi - 1, len(self._in_host_order)
 
     def _scan_target(self) -> int | None:
         """Walk own stage-one points from the near end of the region and
@@ -210,15 +235,24 @@ class Builder:
     # -- color observation ------------------------------------------------------
 
     def observe_color(self, e: int, color: int) -> list[object]:
-        """Record Bertha's color for the point just placed; return events."""
-        if self.done:
-            raise StrategyInvariantError("color observed on a finished builder")
-        if self.stage == "two":
-            assert self.child is not None
-            events = self.child.observe_color(e, color)
-            if self.child.done:
-                self.stage = "done"
-                events = list(events) + [Done()]
+        """Record Bertha's color for the point just placed; return events.
+
+        In stage two the active descendant observes it; when that finishes,
+        so does every instance from this one down to it, each adding a
+        ``Done`` to the events.
+        """
+        if self.stage != "one":
+            if self.done:
+                raise StrategyInvariantError("color observed on a finished builder")
+            leaf = self.active()
+            events = leaf.observe_color(e, color)
+            if leaf.done:
+                b = self
+                while b is not leaf:
+                    b.stage = "done"
+                    events.append(Done())
+                    b = b.child
+                self._leaf = None
             return events
         if self._pending != e:
             raise StrategyInvariantError(
@@ -245,7 +279,7 @@ class Builder:
         return events
 
     def _child_region(self) -> Region:
-        lo, hi = self.region.bounds(self.host)
+        lo, hi = self.region.bounds(self.host, self._bounds)
         seq = self.host.sequence
         first = self.stage1_points[0]
         z = self.terminal

@@ -75,7 +75,7 @@ class Poset:
                 raise RelationError(f"the new element would put {x} below {y}, which are unrelated")
         return self._add_closed(_ids(down), _ids(up))
 
-    def _add_closed(self, down: set[int], up: set[int]) -> int:
+    def _add_closed(self, down: Iterable[int], up: Iterable[int]) -> int:
         """Fast path: ``down``/``up`` are already transitively closed and
         consistent.  The older rows are updated by walking these sets; the
         new element's own two masks are read from digit strings in linear time."""
@@ -322,34 +322,51 @@ class LinearOrder:
     Supports the single mutation the game needs: insert a fresh element
     directly above an existing anchor (or at the very bottom).  Existing
     relative order is never disturbed, which is exactly the on-line
-    extension property the adversaries rely on.  Insertions use
-    ``list.index`` and a membership set built on first use (so read-only
-    copies never pay for one); only whole-order checks build :meth:`positions`.
+    extension property the adversaries rely on.  Insertions check
+    membership in a set built on first use (so read-only copies never pay
+    for one) and find the anchor with ``list.index``, unless the caller
+    passes a position hint: :meth:`locate` trusts a hint only after checking
+    that the sequence still holds the element there, so a stale hint costs
+    one comparison and a search.  The order remembers where its last
+    insertion went, a hint for finding the new element.  Only whole-order
+    checks build :meth:`positions`.
     """
 
-    __slots__ = ("sequence", "_members", "_pos", "_stale")
+    __slots__ = ("sequence", "_members", "_pos", "_stale", "_last")
 
     def __init__(self, sequence: Iterable[int] = ()):
         self.sequence: list[int] = list(sequence)
         self._members: set[int] | None = None
         self._pos: dict[int, int] = {}
         self._stale = True
+        self._last: int | None = None  # index of the last inserted element
 
-    def insert_above(self, anchor: int | None, e: int) -> None:
-        """Insert ``e`` directly above ``anchor`` (``None`` = new bottom)."""
+    def insert_above(self, anchor: int | None, e: int, hint: int | None = None) -> None:
+        """Insert ``e`` directly above ``anchor`` (``None`` = new bottom);
+        ``hint`` is where the caller expects ``anchor`` to be."""
         if self._members is None:
             self._members = set(self.sequence)
         members = self._members
         if e in members:
             raise RelationError(f"element {e} is already in the order")
         if anchor is None:
-            self.sequence.insert(0, e)
+            at = 0
         else:
             if anchor not in members:
                 raise RelationError(f"anchor {anchor} is not in the order")
-            self.sequence.insert(self.sequence.index(anchor) + 1, e)
+            at = self.locate(anchor, hint) + 1
+        self.sequence.insert(at, e)
+        self._last = at
         members.add(e)
         self._stale = True
+
+    def locate(self, x: int, hint: int | None) -> int:
+        """Index of ``x``: ``hint`` if the sequence holds ``x`` there, else
+        found by search (``ValueError`` when ``x`` is absent)."""
+        seq = self.sequence
+        if hint is not None and 0 <= hint < len(seq) and seq[hint] == x:
+            return hint
+        return seq.index(x)
 
     def positions(self) -> dict[int, int]:
         if self._stale:

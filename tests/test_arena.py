@@ -390,6 +390,21 @@ def test_wrong_relations_name_the_round():
     assert any(v.startswith("round 3: relations below") for v in violations)
 
 
+@pytest.mark.parametrize("side", ["below", "above"])
+@pytest.mark.parametrize("extra", [None, 50, 10**12])
+def test_relations_naming_ids_not_yet_presented_differ(side, extra):
+    """A row may name an id at or above its own round (the element itself,
+    a later one, or one far beyond the game); the parser accepts it, and
+    the replay reports the round without building anything that large."""
+    t, _ = game("szemeredi", 3)
+    r = 3
+    row = t.rounds[r - 1]
+    ids = tuple(sorted({*getattr(row, side), r if extra is None else extra}))
+    text = reround(t, r - 1, **{side: ids}).serialize()
+    assert verify_transcript(Transcript.parse(text)) == [
+        f"round {r}: relations {side} the new element differ"]
+
+
 # ---------------------------------------------------------------------------
 # finished games are freed by reference counting alone
 
@@ -413,6 +428,29 @@ def test_played_game_is_freed_without_the_cycle_collector(name, w, d):
     poset = weakref.ref(s.poset)
     del s, transcript, report
     assert poset() is None
+
+
+@pytest.mark.parametrize("name, w, d", [("szemeredi", 4, None), ("theorem1", 3, None),
+                                        ("theorem2", 3, 3)])
+def test_played_and_verified_games_leave_no_reference_cycles(name, w, d):
+    """Builders, levels and posets refer only downward: once the results
+    are dropped, the cycle collector finds nothing to collect."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        transcript, report = run_game(make_strategy(name, w, d=d), FirstFit())
+        violations = verify_transcript(transcript)
+        assert report.ok and violations == []
+        del transcript, report, violations
+        unreachable = gc.collect()
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert unreachable == 0
 
 
 @pytest.mark.parametrize("name, w, d", [("theorem1", 3, None), ("theorem2", 3, 3)])

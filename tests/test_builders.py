@@ -15,7 +15,7 @@ from olcp import (
     Region,
     StrategyInvariantError,
 )
-from olcp.builders import Done, Stage1Ended
+from olcp.builders import FAMILIES, Done, Stage1Ended
 
 
 def drive(builder: Builder, colors) -> list[int]:
@@ -181,6 +181,59 @@ def test_events_bubble_up_when_the_innermost_child_finishes():
         events = b.observe_color(e, next(script))
     assert [type(ev) for ev in events] == [Stage1Ended, Done, Done]
     assert [inst.spec.w for inst in b.instances()] == [2, 1]
+
+    # Deeper roots: a fresh color on every point ends each stage one after
+    # w points, and the last color finishes all w instances, one Done each.
+    for family in FAMILIES:
+        for w in (3, 4):
+            b = Builder(BuilderSpec(family, w, w), Region(BOTTOM, TOP), LinearOrder())
+            e = 0
+            while not b.done:
+                e += 1
+                b.place_next(e)
+                events = b.observe_color(e, e)
+            assert e == w * (w + 1) // 2
+            assert [type(ev) for ev in events] == [Stage1Ended] + [Done] * w
+            assert [inst.spec.w for inst in b.instances()] == list(range(w, 0, -1))
+            assert all(inst.done for inst in b.instances())
+            with pytest.raises(StrategyInvariantError, match="finished builder"):
+                b.place_next(e + 1)
+            with pytest.raises(StrategyInvariantError, match="finished builder"):
+                b.observe_color(e + 1, 1)
+
+
+@pytest.mark.parametrize("family", ["scan", "stack"])
+def test_foreign_insertions_below_the_region_do_not_mislead_the_builder(family):
+    """Builders reuse where they last saw their region's bounds.  An element
+    inserted into the host below the region between two rounds moves both
+    bounds; anchors and child regions must still be what a fresh
+    ``Region.bounds`` gives, and what a twin builder whose host never
+    changed gives."""
+    spec = BuilderSpec(family, 3, 3)
+    script = feasible_script(spec, random.Random(5))
+    host, twin_host = LinearOrder([90, 91]), LinearOrder([90, 91])
+    b = Builder(spec, Region(90, 91), host)
+    twin = Builder(spec, Region(90, 91), twin_host)
+    for e, color in enumerate(script, start=1):
+        host.insert_above(None, 1000 + e)
+        inst = b.active()
+        _, hi = inst.region.bounds(host)
+        anchor = b.place_next(e)
+        assert anchor == twin.place_next(e)
+        if family == "stack":  # the stack rule piles directly under the region's top
+            assert anchor == host.sequence[hi - 1]
+        b.observe_color(e, color)
+        twin.observe_color(e, color)
+        if inst.child is not None and family == "scan":
+            # inst's stage one has just ended; its child sits above the terminal
+            seq = host.sequence
+            i = seq.index(inst.terminal)
+            _, hi = inst.region.bounds(host)
+            high = seq[i + 1] if i + 1 < hi else inst.region.high
+            assert inst.child.region == Region(inst.terminal, high)
+        assert [x.region for x in b.instances()] == [x.region for x in twin.instances()]
+        assert [x for x in host.sequence if x < 1000] == twin_host.sequence
+    assert b.done and twin.done
 
 
 # ---------------------------------------------------------------------------

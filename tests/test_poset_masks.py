@@ -364,27 +364,38 @@ def test_legal_colors_and_legal_match_a_set_based_reference(case, data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(1, 12), unique=True, max_size=4),
-       st.lists(st.tuples(st.integers(0, 14), st.integers(1, 14)), max_size=20))
+       st.lists(st.tuples(st.integers(0, 14), st.integers(1, 14),
+                          st.sampled_from(["none", "right", "stale", "out"]), st.integers(-20, 20)),
+                max_size=20))
 def test_linear_order_matches_a_plain_list(start, steps):
-    """``insert_above`` with anchor id 0 standing for the bottom."""
+    """``insert_above`` with anchor id 0 standing for the bottom, and with
+    no position hint, the anchor's true index, a stale index in range, or
+    an index out of range."""
     order = LinearOrder(start)
     model = list(start)
-    for anchor_id, e in steps:
+    for anchor_id, e, kind, offset in steps:
         anchor = None if anchor_id == 0 else anchor_id
+        true = model.index(anchor) if anchor in model else 0
+        hint = {"none": None, "right": true, "stale": offset % (len(model) or 1),
+                "out": len(model) + abs(offset) if offset >= 0 else offset}[kind]
         if e in model:
             with pytest.raises(RelationError, match=f"^element {e} is already in the order$"):
-                order.insert_above(anchor, e)
+                order.insert_above(anchor, e, hint)
         elif anchor is not None and anchor not in model:
             with pytest.raises(RelationError, match=f"^anchor {anchor} is not in the order$"):
-                order.insert_above(anchor, e)
+                order.insert_above(anchor, e, hint)
         else:
-            order.insert_above(anchor, e)
+            order.insert_above(anchor, e, hint)
             model.insert(0 if anchor is None else model.index(anchor) + 1, e)
         assert order.sequence == model
         for x in range(1, 15):
             assert (x in order) == (x in model)
             if x in model:
                 assert order.position(x) == model.index(x)
+                assert order.locate(x, hint) == model.index(x)
+            else:
+                with pytest.raises(ValueError):
+                    order.locate(x, hint)
         assert order.positions() == {x: i for i, x in enumerate(model)}
     copy = order.copy()
     assert copy == order and all(x in copy for x in model)
