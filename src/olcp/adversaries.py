@@ -22,6 +22,11 @@ one point per round:
     poset are global, grown insertion-only, and *shown to the partitioner
     every round*.  The forced color count degrades gracefully with d.
 
+Both staged games keep their levels in one list, widest first; the last
+level plays each round, and a finished level above width 1 has the
+strategy lay out the next one down.  The two games differ only in that
+layout: fresh hidden hosts per level, or windows of the visible orders.
+
 Strategies follow a small protocol: ``done()``, ``next_move() -> Move``,
 ``observe(color)``.  The strategy owns the presented poset; the arena owns
 the coloring.  ``STRATEGIES`` maps each name to its class, and
@@ -349,26 +354,25 @@ class SzemerediStrategy(Strategy):
 
 class _GameLevel:
     """One width level of a staged game: forcing stage, mirrored stage,
-    separator choice, then hand-off to the next level down.
+    then the separator choice, after which ``stage`` is 3.
 
-    A subclass lays out stage one: one root builder per host, whose
-    intersection gives the level's relations.  The mirrored stage follows
-    from those builders alone.
+    Stage one runs one root builder per host; the intersection of the
+    hosts, plus the cross-level relations ``extra_below``/``extra_above``,
+    gives the level's relations.  The mirrored stage follows from those
+    builders alone.  ``t_range`` bounds the separator's chain index, and
+    ``d`` is the number of visible orders (None: hidden hosts, scan hosts
+    first).  The strategy lays a level out; the level never sees the next.
 
     A level holds the owning strategy's poset and color record, never the
-    strategy itself, so a finished game is freed without the cycle
-    collector.
+    strategy or another level, so a finished game is freed without the
+    cycle collector.
     """
-
-    d: int | None = None  # visible orders the level lives in; None = hidden hosts
-    extra_below: frozenset[int] = frozenset()  # cross-level relations not in the hosts
-    extra_above: frozenset[int] = frozenset()
-    scan_hosts: list[LinearOrder] | None = None  # the keeper orders of hidden levels
-    stack_hosts: list[LinearOrder] | None = None
 
     def __init__(self, poset: Poset, colors: dict[int, int], width: int,
                  hosts: Sequence[LinearOrder], specs: Sequence[BuilderSpec],
-                 regions: Sequence[Region]):
+                 regions: Sequence[Region], t_range: tuple[int, int], d: int | None = None,
+                 extra_below: frozenset[int] = frozenset(),
+                 extra_above: frozenset[int] = frozenset()):
         self.poset = poset
         self.colors = colors
         self.width = width
@@ -380,31 +384,14 @@ class _GameLevel:
         self.t: int | None = None
         self.separator: list[int] = []
         self.separator_colors = 0
-        self.child: _GameLevel | None = None
         self.hosts = hosts
+        self.regions = regions
+        self.t_range = t_range
+        self.d = d
+        self.extra_below = extra_below
+        self.extra_above = extra_above
         self._bank = _Bank([Builder(*layout) for layout in zip(specs, regions, hosts)])
         self._dual_bank: _Bank | None = None
-
-    # hooks -----------------------------------------------------------------
-
-    def _make_child(self) -> "_GameLevel | None":
-        raise NotImplementedError
-
-    def _t_range(self) -> tuple[int, int]:
-        raise NotImplementedError
-
-    # stage machine -----------------------------------------------------------
-
-    @property
-    def complete(self) -> bool:
-        return self.stage == 3 and (self.child is None or self.child.complete)
-
-    def active_level(self) -> "_GameLevel | None":
-        if self.stage < 3:
-            return self
-        if self.child is not None and not self.child.complete:
-            return self.child.active_level()
-        return None
 
     def place(self, e: int) -> tuple[set[int], set[int], int, int, tuple[int | None, ...] | None]:
         """Place e in this level's hosts: ``Strategy._place``'s move fields."""
@@ -432,7 +419,6 @@ class _GameLevel:
                 self.dual_chains = _bank_chains(self.poset, self._dual_bank, dual=True)
                 self._choose_separator()
                 self.stage = 3
-                self.child = self._make_child()
         else:
             raise StrategyInvariantError("observation after the level finished")
 
@@ -451,7 +437,7 @@ class _GameLevel:
 
     def _choose_separator(self) -> None:
         colors = self.colors
-        lo, hi = self._t_range()
+        lo, hi = self.t_range
         top_dual = set(self.dual_chains[self.width])
         best_t, best = lo, -1
         for t in range(lo, hi + 1):
@@ -469,6 +455,7 @@ class _GameLevel:
             )
 
     def report(self) -> LevelReport:
+        hidden = self.d is None
         return LevelReport(
             width=self.width,
             t=self.t,
@@ -479,79 +466,37 @@ class _GameLevel:
             s2_points=list(self.s2_points),
             chains={k: list(v) for k, v in self.chains.items()},
             dual_chains={k: list(v) for k, v in self.dual_chains.items()},
-            scan_hosts=None if self.scan_hosts is None else list(self.scan_hosts),
-            stack_hosts=None if self.stack_hosts is None else list(self.stack_hosts),
+            scan_hosts=list(self.hosts[: self.width]) if hidden else None,
+            stack_hosts=list(self.hosts[self.width :]) if hidden else None,
         )
 
 
-class _HiddenLevel(_GameLevel):
-    """Level with its own fresh hidden hosts; cross-level relations are
-    carried by the accumulated wrap sets."""
-
-    def __init__(self, poset: Poset, colors: dict[int, int], width: int,
-                 extra_below: frozenset[int], extra_above: frozenset[int]):
-        self.scan_hosts = [LinearOrder() for _ in range(width)]
-        self.stack_hosts = [LinearOrder() for _ in range(width)]
-        specs = [BuilderSpec(family, kk, width)
-                 for family in ("scan", "stack") for kk in range(1, width + 1)]
-        super().__init__(poset, colors, width, self.scan_hosts + self.stack_hosts, specs,
-                         [Region(BOTTOM, TOP)] * (2 * width))
-        self.extra_below = extra_below
-        self.extra_above = extra_above
-
-    def _t_range(self):
-        return 1, self.width
-
-    def _make_child(self):
-        if self.width == 1:
-            return None
-        below = self.extra_below | (set(self.s2_points) - set(self.dual_chains[self.width]))
-        above = self.extra_above | (set(self.s1_points) - set(self.chains[self.t]))
-        return _HiddenLevel(self.poset, self.colors, self.width - 1,
-                            frozenset(below), frozenset(above))
-
-    def realizer_pair(self) -> tuple[list[int], list[int]]:
-        """Assemble the two hidden orders realizing everything from this
-        level down: separator blocks sandwich the child's orders."""
-        if not self.complete:
-            raise StrategyInvariantError("realizer requested before the level finished")
-        a = self.scan_hosts[self.t - 1]
-        b = self.stack_hosts[self.t - 1]
-        s1, s2 = set(self.s1_points), set(self.s2_points)
-        c_t = set(self.chains[self.t])
-        d_top = set(self.dual_chains[self.width])
-        child1, child2 = self.child.realizer_pair() if self.child else ([], [])
-        first = [*a.restrict(s2), *a.restrict(c_t), *child1, *a.restrict(s1 - c_t)]
-        second = [*b.restrict(s2 - d_top), *child2, *b.restrict(d_top), *b.restrict(s1)]
-        return first, second
-
-
 class _StagedStrategy(Strategy):
-    """Driver of a staged game: the active level places each point and
-    takes its color, from the root level down to width 1.  Only a color
-    moves a level on, so the level that placed a point takes its color."""
+    """Driver of a staged game.  It keeps its levels in one list, widest
+    first: the last level places each point and takes its color, and when
+    a level above width 1 finishes, ``_next_level`` lays out the next one
+    down and appends it.  Only a color moves a level on, so the level that
+    placed a point takes its color."""
 
-    _root: _GameLevel
+    _levels: list[_GameLevel]
 
     def done(self) -> bool:
-        return self._root.complete
+        return self._levels[-1].stage == 3
 
     def _place(self, e):
-        return self._root.active_level().place(e)
+        return self._levels[-1].place(e)
 
     def _after_color(self, e, color):
-        self._root.active_level().observe(e, color)
+        level = self._levels[-1]
+        level.observe(e, color)
+        if level.stage == 3 and level.width > 1:
+            self._levels.append(self._next_level(level))
 
-    def levels(self) -> list[_GameLevel]:
-        out = []
-        lvl: _GameLevel | None = self._root
-        while lvl is not None:
-            out.append(lvl)
-            lvl = lvl.child
-        return out
+    def _next_level(self, level: _GameLevel) -> _GameLevel:
+        raise NotImplementedError
 
     def level_reports(self) -> list[LevelReport]:
-        return [lvl.report() for lvl in self.levels()]
+        return [lvl.report() for lvl in self._levels]
 
 
 class HiddenRealizerStrategy(_StagedStrategy):
@@ -567,71 +512,47 @@ class HiddenRealizerStrategy(_StagedStrategy):
     def __init__(self, w: int):
         check_strategy(self.name, w)
         super().__init__(w)
-        self._root = _HiddenLevel(self.poset, self.colors, w, frozenset(), frozenset())
+        self._levels = [self._new_level(w, frozenset(), frozenset())]
 
     def bound(self) -> float:
         return theorem1_total(self.w)
+
+    def _new_level(self, width: int, extra_below: frozenset[int],
+                   extra_above: frozenset[int]) -> _GameLevel:
+        """A level with its own fresh hidden hosts, one scan and one stack
+        host per chain index; the cross-level relations are the
+        accumulated wrap sets."""
+        specs = [BuilderSpec(family, kk, width)
+                 for family in ("scan", "stack") for kk in range(1, width + 1)]
+        return _GameLevel(self.poset, self.colors, width, [LinearOrder() for _ in specs],
+                          specs, [Region(BOTTOM, TOP)] * len(specs), (1, width),
+                          extra_below=extra_below, extra_above=extra_above)
+
+    def _next_level(self, level):
+        below = set(level.s2_points) - set(level.dual_chains[level.width])
+        above = set(level.s1_points) - set(level.chains[level.t])
+        return self._new_level(level.width - 1, level.extra_below | below,
+                               level.extra_above | above)
 
     # bench/tracing.py wraps level_reports in each concrete class's own namespace.
     level_reports = _StagedStrategy.level_reports
 
     def extract_realizer(self) -> Realizer:
+        """The two hidden orders, assembled deepest level first: each
+        level's separator blocks sandwich the orders of the levels below."""
         if not self.done():
             raise StrategyInvariantError("realizer requested mid-game")
-        first, second = self._root.realizer_pair()
+        first: list[int] = []
+        second: list[int] = []
+        for lvl in reversed(self._levels):
+            a = lvl.hosts[lvl.t - 1]
+            b = lvl.hosts[lvl.width + lvl.t - 1]
+            s1, s2 = set(lvl.s1_points), set(lvl.s2_points)
+            c_t = set(lvl.chains[lvl.t])
+            d_top = set(lvl.dual_chains[lvl.width])
+            first = [*a.restrict(s2), *a.restrict(c_t), *first, *a.restrict(s1 - c_t)]
+            second = [*b.restrict(s2 - d_top), *second, *b.restrict(d_top), *b.restrict(s1)]
         return Realizer([LinearOrder(first), LinearOrder(second)])
-
-
-class _VisibleLevel(_GameLevel):
-    """Level living inside the d global visible orders; cross-level
-    relations come from where its window sits in each order."""
-
-    def __init__(self, poset: Poset, colors: dict[int, int], orders: list[LinearOrder],
-                 width: int, regions: list[Region]):
-        self.d = d = len(orders)
-        specs = [BuilderSpec("scan", width - d + 2 + j, width) for j in range(d - 1)]
-        specs.append(BuilderSpec("stack", width, width))
-        super().__init__(poset, colors, width, orders, specs, regions)
-        self.regions = regions
-
-    def _t_range(self):
-        return max(1, self.width - self.d + 2), self.width
-
-    def _make_child(self):
-        if self.width == 1:
-            return None
-        return _VisibleLevel(self.poset, self.colors, self.hosts, self.width - 1,
-                             self._child_regions())
-
-    def _child_regions(self) -> list[Region]:
-        """Windows for the next level down, one per visible order.
-
-        The windows are chosen so that, by position alone, deeper points
-        land above the mirrored block and below the forcing block in every
-        order -- except across the separator's home orders, which make the
-        separator incomparable to everything deeper.
-        """
-        d = self.d
-        j_t = self.t - (self.width - d + 2)
-        c_t = set(self.chains[self.t])
-        d_top = set(self.dual_chains[self.width])
-        s1, s2 = set(self.s1_points), set(self.s2_points)
-        regions = []
-        for j in range(d):
-            pos = self.hosts[j].positions()
-            if j == j_t:
-                low = max(c_t, key=pos.__getitem__)
-                rest = s1 - c_t
-                high = min(rest, key=pos.__getitem__) if rest else self.regions[j].high
-            elif j == d - 1:
-                rest = s2 - d_top
-                low = max(rest, key=pos.__getitem__) if rest else self.regions[j].low
-                high = min(d_top, key=pos.__getitem__)
-            else:
-                low = max(s2, key=pos.__getitem__)
-                high = min(s1, key=pos.__getitem__)
-            regions.append(Region(low, high))
-        return regions
 
 
 class PresentedRealizerStrategy(_StagedStrategy):
@@ -648,11 +569,47 @@ class PresentedRealizerStrategy(_StagedStrategy):
         super().__init__(w)
         self.d = d
         self.orders = [LinearOrder() for _ in range(d)]
-        self._root = _VisibleLevel(self.poset, self.colors, self.orders, w,
-                                   [Region(BOTTOM, TOP)] * d)
+        self._levels = [self._new_level(w, [Region(BOTTOM, TOP)] * d)]
 
     def bound(self) -> float:
         return theorem2_total(self.w, self.d)
+
+    def _new_level(self, width: int, regions: list[Region]) -> _GameLevel:
+        """A level living inside the d visible orders, one window each;
+        cross-level relations come from where the windows sit."""
+        d = self.d
+        specs = [BuilderSpec("scan", width - d + 2 + j, width) for j in range(d - 1)]
+        specs.append(BuilderSpec("stack", width, width))
+        return _GameLevel(self.poset, self.colors, width, self.orders, specs, regions,
+                          (max(1, width - d + 2), width), d)
+
+    def _next_level(self, level):
+        """The next level down, in windows chosen so that, by position
+        alone, deeper points land above the mirrored block and below the
+        forcing block in every order -- except across the separator's home
+        orders, which make the separator incomparable to everything deeper.
+        """
+        d = self.d
+        j_t = level.t - (level.width - d + 2)
+        c_t = set(level.chains[level.t])
+        d_top = set(level.dual_chains[level.width])
+        s1, s2 = set(level.s1_points), set(level.s2_points)
+        regions = []
+        for j in range(d):
+            pos = self.orders[j].positions()
+            if j == j_t:
+                low = max(c_t, key=pos.__getitem__)
+                rest = s1 - c_t
+                high = min(rest, key=pos.__getitem__) if rest else level.regions[j].high
+            elif j == d - 1:
+                rest = s2 - d_top
+                low = max(rest, key=pos.__getitem__) if rest else level.regions[j].low
+                high = min(d_top, key=pos.__getitem__)
+            else:
+                low = max(s2, key=pos.__getitem__)
+                high = min(s1, key=pos.__getitem__)
+            regions.append(Region(low, high))
+        return self._new_level(level.width - 1, regions)
 
     def realizer_snapshot(self):
         return tuple(order.copy() for order in self.orders)

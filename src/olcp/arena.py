@@ -167,6 +167,8 @@ def _parse_object(raw: str, line: int) -> dict:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise TranscriptError(f"not valid JSON ({exc.msg})", line=line) from exc
+    except RecursionError as exc:
+        raise TranscriptError("not valid JSON (nested too deeply)", line=line) from exc
     if not isinstance(obj, dict):
         raise TranscriptError("each line must be a JSON object", line=line)
     return obj
@@ -192,7 +194,7 @@ def _field_int(obj: dict, key: str, line: int, minimum: int | None = None) -> in
 
 def _id_list(obj: dict, key: str, line: int) -> tuple[int, ...]:
     v = obj[key]
-    if not isinstance(v, list) or any(type(x) is not int or x < 1 for x in v):
+    if not isinstance(v, list) or not set(map(type, v)) <= {int} or min(v, default=1) < 1:
         raise TranscriptError(f"field {key!r} must be a list of ids", line=line)
     if v != sorted(set(v)):
         raise TranscriptError(f"field {key!r} must be sorted and duplicate-free", line=line)

@@ -103,15 +103,19 @@ def _cmd_play(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        text = Path(args.infile).read_text()
+        data = Path(args.infile).read_bytes()
     except OSError as exc:
         print(f"error: cannot read {args.infile}: {exc.strerror}", file=sys.stderr)
         return 2
     try:
-        transcript = Transcript.parse(text)
+        transcript = Transcript.parse(data.decode())
         violations = verify_transcript(transcript)
     except (TranscriptError, OlcpError) as exc:
         print(f"error: {args.infile}: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        print(f"error: {args.infile}: line {line}: not UTF-8 text ({exc.reason})", file=sys.stderr)
         return 1
     for violation in violations:
         print(violation)

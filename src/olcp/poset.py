@@ -377,14 +377,6 @@ class LinearOrder:
     def position(self, x: int) -> int:
         return self.sequence.index(x)
 
-    def before(self, x: int, y: int) -> bool:
-        return self.position(x) < self.position(y)
-
-    def cover_above(self, x: int) -> int | None:
-        """The element directly above x, or None if x is topmost."""
-        i = self.position(x)
-        return self.sequence[i + 1] if i + 1 < len(self.sequence) else None
-
     def restrict(self, keep: Iterable[int]) -> "LinearOrder":
         keep = set(keep)
         return LinearOrder(x for x in self.sequence if x in keep)

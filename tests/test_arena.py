@@ -102,6 +102,14 @@ def test_parse_accepts_ext_rows_in_any_order():
         (lambda L: L[:1] + [L[1].replace('"level":2', '"level":true')] + L[2:], 2, "integer"),
         (lambda L: L[:1] + [L[1].replace(',"stage":1', "")] + L[2:], 2, "missing field"),
         (lambda L: L[:1] + [L[1][:-1] + ',"zap":1}'] + L[2:], 2, "unexpected field"),
+        pytest.param(lambda L: L[:1] + ["[" * 100_000] + L[2:], 2, "not valid JSON",
+                     id="deep-nesting"),
+        pytest.param(lambda L: L[:2] + [L[2].replace('"below":[1]', '"below":[2,0]')] + L[3:],
+                     3, "list of ids", id="zero-id"),
+        pytest.param(lambda L: L[:2] + [L[2].replace('"below":[1]', '"below":[true]')] + L[3:],
+                     3, "list of ids", id="bool-id"),
+        pytest.param(lambda L: L[:2] + [L[2].replace('"below":[1]', '"below":[3,2]')] + L[3:],
+                     3, "sorted", id="unsorted"),
     ],
 )
 def test_parse_errors_carry_line_numbers(mangle, line_no, message_bit):

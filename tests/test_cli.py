@@ -176,9 +176,10 @@ def test_verify_missing_file_exits_2(capsys):
     assert code == 2 and "game.jsonl" in err
 
 
-def test_verify_malformed_file_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("body", [b"not json\n", b"\xff\xfe"], ids=["not-json", "not-utf8"])
+def test_verify_malformed_file_exits_1(tmp_path, capsys, body):
     path = tmp_path / "junk.jsonl"
-    path.write_text("not json\n")
+    path.write_bytes(body)
     code, _, err = run(capsys, "verify", "--in", str(path))
     assert code == 1 and "line 1" in err
 
