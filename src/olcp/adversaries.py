@@ -235,7 +235,7 @@ class _Bank:
 
     def instances(self) -> list[Builder]:
         """The recursion chain, outermost first; every host records the same."""
-        return list(self.builders[0].instances())
+        return self.builders[0].instances()
 
 
 def _bank_chains(p: Poset, bank: _Bank, dual: bool) -> dict[int, list[int]]:

@@ -471,7 +471,13 @@ def verify_transcript(t: Transcript) -> list[str]:
     """Re-run the whole game from the transcript and report every violation.
 
     Empty list means the transcript is a faithful record of a passing game.
+    A game's first stage one runs builders of widths w..1, each placing at
+    least as many points as its width, so fewer rows than w(w+1)/2 cannot
+    hold a complete game; such a transcript is rejected before any replay,
+    whose setup would cost O(w) or O(d) whatever the row count.
     """
+    if len(t.rounds) < t.w * (t.w + 1) // 2:
+        return ["transcript ends before the game is over"]
     masks = _relation_masks(t)
     strategy = make_strategy(t.strategy, t.w, d=t.d)
     v, part = _replay(strategy, t, masks)

@@ -16,23 +16,21 @@ Which rule applies depends on the builder family:
 * family ``"stack"`` -- the mirror partner: scan rule exactly when k < w.
 
 Stage one ends when the w-th distinct color lands on the builder's own
-points; the builder then delegates to a single child in a sub-region, down
-to width zero.  Dual orientation mirrors every direction, so a dual run is
-exactly a primal run reflected.
+points; the recursion then goes on with one instance of width w - 1 in a
+sub-region, down to width one.  Dual orientation mirrors every direction,
+so a dual run is exactly a primal run reflected.
 
-A builder called in stage two hands the call straight to its deepest active
-descendant, which it caches (pointing only downward, so no builder refers
-back to an ancestor and a finished game is freed without the cycle
-collector).  Each builder also keeps where it last saw its region's bounds
-in the host; the host trusts such a position hint only after checking that
-it still holds the bound there.
+A root builder keeps its deeper instances in one list, widest first, and
+acts on the last of them directly, so a call takes one step at any depth.
+No instance refers to an ancestor or to itself, so a finished game is freed
+without the cycle collector.  Each builder also keeps where it last saw its
+region's bounds in the host; the host trusts such a position hint only
+after checking that it still holds the bound there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
-
 from .errors import StrategyInvariantError
 from .poset import LinearOrder
 
@@ -122,58 +120,45 @@ class Done:
 
 
 class Builder:
-    """One recursive builder instance bound to a host order and region."""
+    """One recursive builder instance bound to a host order and region.
+
+    A root builder keeps its deeper instances in ``_deeper``, widest first;
+    the last of them (or the root, while that list is empty) places points.
+    """
 
     __slots__ = (
-        "spec", "region", "host", "stage", "stage1_points", "_in_host_order",
-        "colors_seen", "terminal", "child", "_pending", "_color_by_point",
-        "_leaf", "_bounds",
+        "spec", "region", "host", "done", "stage1_points", "_in_host_order",
+        "colors_seen", "terminal", "_pending", "_color_by_point", "_bounds",
+        "_deeper",
     )
 
     def __init__(self, spec: BuilderSpec, region: Region, host: LinearOrder):
         self.spec = spec
         self.region = region
         self.host = host
-        self.stage = "done" if spec.w == 0 else "one"
+        self.done = spec.w == 0
         self.stage1_points: list[int] = []
         # Own stage-one points (the pending one too), lowest in the host first.
         self._in_host_order: list[int] = []
         self.colors_seen: set[int] = set()
         self.terminal: int | None = None
-        self.child: Builder | None = None
         self._pending: int | None = None
         self._color_by_point: dict[int, int] = {}
-        # Deepest active descendant seen so far; None stands for self, so
-        # that no builder refers to itself.
-        self._leaf: Builder | None = None
         # Where the region's bounds were last seen in the host (hints).
         self._bounds: tuple[int | None, int | None] = (None, None)
+        # Deeper instances, widest first; never this one, so no builder
+        # refers to itself.
+        self._deeper: list[Builder] = []
 
     # -- queries ------------------------------------------------------------
 
-    @property
-    def done(self) -> bool:
-        return self.stage == "done"
-
     def active(self) -> "Builder":
-        """The deepest instance currently placing points.
+        """The deepest instance, the one placing points."""
+        return self._deeper[-1] if self._deeper else self
 
-        The walk resumes from the cached deepest instance, so over a whole
-        game it visits each instance once.
-        """
-        b = self._leaf or self
-        while b.stage == "two":
-            assert b.child is not None
-            b = b.child
-        self._leaf = None if b is self else b
-        return b
-
-    def instances(self) -> Iterator["Builder"]:
-        """This instance and every descendant, outermost first."""
-        b: Builder | None = self
-        while b is not None:
-            yield b
-            b = b.child
+    def instances(self) -> list["Builder"]:
+        """This instance and every deeper one, outermost first."""
+        return [self, *self._deeper]
 
     # -- placement ------------------------------------------------------------
 
@@ -181,21 +166,20 @@ class Builder:
         """Insert fresh element ``e`` into the host; return its anchor.
 
         The anchor is the element ``e`` now sits directly above (None when
-        ``e`` became the new host bottom).  In stage two the active
-        descendant places ``e``.
+        ``e`` became the new host bottom).  The active instance places
+        ``e`` by its stage-one rule.
         """
-        if self.stage != "one":
-            if self.done:
-                raise StrategyInvariantError("placement requested on a finished builder")
-            return self.active().place_next(e)
-        if self._pending is not None:
-            raise StrategyInvariantError(f"point {self._pending} still awaits its color")
-        anchor, at, slot = self._stage1_anchor()
+        if self.done:
+            raise StrategyInvariantError("placement requested on a finished builder")
+        b = self.active()
+        if b._pending is not None:
+            raise StrategyInvariantError(f"point {b._pending} still awaits its color")
+        anchor, at, slot = b._stage1_anchor()
         self.host.insert_above(anchor, e, at)
-        lo, hi = self._bounds
-        self._bounds = (lo, hi + 1)  # e landed inside the region
-        self._in_host_order.insert(slot, e)
-        self._pending = e
+        lo, hi = b._bounds
+        b._bounds = (lo, hi + 1)  # e landed inside the region
+        b._in_host_order.insert(slot, e)
+        b._pending = e
         return anchor
 
     def _stage1_anchor(self) -> tuple[int | None, int | None, int]:
@@ -237,45 +221,35 @@ class Builder:
     def observe_color(self, e: int, color: int) -> list[object]:
         """Record Bertha's color for the point just placed; return events.
 
-        In stage two the active descendant observes it; when that finishes,
-        so does every instance from this one down to it, each adding a
-        ``Done`` to the events.
+        The active instance observes it.  When its stage one ends above
+        width 1, a deeper instance joins the list; at width 1 every
+        instance is finished, each adding a ``Done`` to the events.
         """
-        if self.stage != "one":
-            if self.done:
-                raise StrategyInvariantError("color observed on a finished builder")
-            leaf = self.active()
-            events = leaf.observe_color(e, color)
-            if leaf.done:
-                b = self
-                while b is not leaf:
-                    b.stage = "done"
-                    events.append(Done())
-                    b = b.child
-                self._leaf = None
-            return events
-        if self._pending != e:
+        if self.done:
+            raise StrategyInvariantError("color observed on a finished builder")
+        b = self.active()
+        if b._pending != e:
             raise StrategyInvariantError(
-                f"color for {e} but the pending point is {self._pending}"
+                f"color for {e} but the pending point is {b._pending}"
             )
-        self._pending = None
-        self.stage1_points.append(e)
-        self.colors_seen.add(color)
-        self._color_by_point[e] = color
-        if len(self.stage1_points) > 2 * self.spec.w - 1:
+        b._pending = None
+        b.stage1_points.append(e)
+        b.colors_seen.add(color)
+        b._color_by_point[e] = color
+        if len(b.stage1_points) > 2 * b.spec.w - 1:
             raise StrategyInvariantError(
-                f"stage one exceeded {2 * self.spec.w - 1} points at width {self.spec.w}"
+                f"stage one exceeded {2 * b.spec.w - 1} points at width {b.spec.w}"
             )
-        if len(self.colors_seen) < self.spec.w:
+        if len(b.colors_seen) < b.spec.w:
             return []
-        self.terminal = e
+        b.terminal = e
         events: list[object] = [Stage1Ended(e)]
-        if self.spec.w == 1:
-            self.stage = "done"
-            events.append(Done())
+        if b.spec.w > 1:
+            self._deeper.append(Builder(b.spec.child(), b._child_region(), self.host))
             return events
-        self.child = Builder(self.spec.child(), self._child_region(), self.host)
-        self.stage = "two"
+        for inst in self.instances():
+            inst.done = True
+            events.append(Done())
         return events
 
     def _child_region(self) -> Region:

@@ -92,28 +92,6 @@ class Poset:
         self._elements.append(e)
         return e
 
-    @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Poset":
-        """Build an n-element poset from (x, y) meaning x < y (closure taken)."""
-        p = cls()
-        want: dict[int, set[int]] = {e: set() for e in range(1, n + 1)}
-        for x, y in pairs:
-            want[y].add(x)
-        for e in range(1, n + 1):
-            p.add_element(below={x for x in want[e] if x < e})
-            late = {x for x in want[e] if x >= e}
-            if late:
-                raise RelationError(f"pair ({late.pop()}, {e}) is not id-ascending")
-        return p
-
-    @classmethod
-    def chain(cls, n: int) -> "Poset":
-        return cls.from_pairs(n, ((i, i + 1) for i in range(1, n)))
-
-    @classmethod
-    def antichain(cls, n: int) -> "Poset":
-        return cls.from_pairs(n, ())
-
     # -- queries -----------------------------------------------------------
 
     def __len__(self) -> int:
@@ -174,9 +152,6 @@ class Poset:
     def up_set(self, x: int) -> set[int]:
         return self.above(x) | {x}
 
-    def relation_pairs(self) -> set[tuple[int, int]]:
-        return {(x, y) for y in self._elements for x in _ids(self._below[y])}
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poset):
             return NotImplemented
@@ -209,22 +184,6 @@ class Poset:
             below[e] = self._below[e] & km
             above[e] = self._above[e] & km
         return Poset._of_rows(elements, below, above)
-
-    def check_axioms(self) -> list[str]:
-        """Exhaustively re-verify irreflexivity, antisymmetry, transitivity."""
-        problems = []
-        for y in self._elements:
-            by = self._below[y]
-            if by >> y & 1:
-                problems.append(f"reflexive relation on {y}")
-            for x in sorted(_ids(by)):
-                if self._below[x] >> y & 1:
-                    problems.append(f"antisymmetry broken on ({x}, {y})")
-                if self._below[x] & ~by:
-                    problems.append(f"transitivity broken: {min(_ids(self._below[x] & ~by))} < {x} < {y}")
-                if not self._above[x] >> y & 1:
-                    problems.append(f"below/above tables disagree on ({x}, {y})")
-        return problems
 
     # -- width and chain covers ----------------------------------------------
 

@@ -31,6 +31,8 @@ from olcp import (
 from olcp.adversaries import _Bank
 from olcp.builders import BOTTOM, TOP, Builder, BuilderSpec, Region
 
+from poset_oracles import antichain, chain, from_pairs, relation_pairs
+
 
 # ---------------------------------------------------------------------------
 # bound formulas, pinned to hand-computed literals
@@ -99,7 +101,7 @@ def test_two_host_game_width2_first_fit_trace():
     t, r = run_game(s, FirstFit())
     assert len(s.poset) == 4
     assert [row.color for row in t.rounds] == [1, 1, 2, 3]
-    assert s.poset.relation_pairs() == {(1, 2), (1, 3), (4, 2)}
+    assert relation_pairs(s.poset) == {(1, 2), (1, 3), (4, 2)}
     assert s.scan_host.sequence == [1, 3, 4, 2]
     assert s.stack_host.sequence == [4, 1, 2, 3]
     rb = s.rainbow()
@@ -169,7 +171,7 @@ def test_bank_of_mixed_widths_breaks_lockstep_on_first_color():
 
 def _two_chain_poset() -> Poset:
     # 1 < 2 and 3 incomparable to both
-    return Poset.from_pairs(3, [(1, 2)])
+    return from_pairs(3, [(1, 2)])
 
 
 def _partition(colors: dict[int, int]) -> ChainPartition:
@@ -187,7 +189,7 @@ def test_rainbow_chains_wrong_size():
 
 
 def test_rainbow_chains_not_a_chain():
-    p = Poset.antichain(2)
+    p = antichain(2)
     part = _partition({1: 1, 2: 2})
     rb = RainbowChains({2: [1, 2]}, frozenset({1, 2}))
     assert rb.verify(p, part)
@@ -201,7 +203,7 @@ def test_rainbow_chains_union_must_be_rainbow():
 
 
 def test_rainbow_chains_must_be_mutually_incomparable():
-    p = Poset.chain(3)
+    p = chain(3)
     part = _partition({1: 1, 2: 2, 3: 3})
     rb = RainbowChains({2: [1, 2], 1: [3]}, frozenset({1, 2, 3}))
     assert any("incomparable" in s or "comparable" in s for s in rb.verify(p, part))
@@ -210,7 +212,7 @@ def test_rainbow_chains_must_be_mutually_incomparable():
 def test_rainbow_chains_union_downward_closed():
     # 1 < 2, both in the universe; a certificate containing 2 but not 1
     # is not downward closed within the universe
-    p = Poset.from_pairs(4, [(1, 2), (3, 4)])
+    p = from_pairs(4, [(1, 2), (3, 4)])
     part = _partition({1: 1, 2: 2, 3: 1, 4: 2})
     rb = RainbowChains({2: [3, 4], 1: [2]}, frozenset({1, 2, 3, 4}))
     assert rb.verify(p, part)
@@ -225,7 +227,7 @@ def test_hidden_pair_game_width1_trace():
     t, r = run_game(s, FirstFit())
     assert len(s.poset) == 2
     assert [row.color for row in t.rounds] == [1, 1]
-    assert s.poset.relation_pairs() == {(2, 1)}
+    assert relation_pairs(s.poset) == {(2, 1)}
     rep = r.levels[0]
     assert rep.t == 1 and rep.separator_colors == 1
     realizer = s.extract_realizer()

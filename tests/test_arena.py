@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import time
 import weakref
 from types import SimpleNamespace
 
@@ -389,6 +390,21 @@ def test_faults_of_the_main_replay_are_not_repeated_per_chain_index():
     t, _ = game("szemeredi", 3)
     cut = Transcript(t.strategy, t.w, t.d, t.partitioner, t.seed, t.rounds[:-2], t.version)
     assert verify_transcript(cut) == ["transcript ends before the game is over"]
+
+
+@pytest.mark.parametrize("name, w, d", [
+    ("szemeredi", 10**9, None), ("theorem1", 10**9, None),
+    ("theorem2", 10**9, 2), ("theorem2", 1, 10**9),
+])
+def test_header_only_transcript_costs_nothing_like_its_width(name, w, d):
+    """A complete game has at least w(w+1)/2 rows, so a header-only
+    transcript is rejected before the replay's O(w) or O(d) setup."""
+    header = {"version": 1, "strategy": name, "w": w, "d": d,
+              "partitioner": "first-fit", "seed": None}
+    start = time.perf_counter()
+    t = Transcript.parse(json.dumps(header) + "\n")
+    assert verify_transcript(t) == ["transcript ends before the game is over"]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_wrong_relations_name_the_round():

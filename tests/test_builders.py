@@ -127,8 +127,8 @@ def test_scan_builder_trace():
     events = b.observe_color(3, 2)
     assert events == [Stage1Ended(3)]
     assert host.sequence == [1, 3, 2]
-    assert b.child is not None and b.child.spec == BuilderSpec("scan", 1, 1)
-    assert b.child.region == Region(3, 2)
+    assert b.instances()[1].spec == BuilderSpec("scan", 1, 1)
+    assert b.instances()[1].region == Region(3, 2)
 
     assert b.place_next(4) == 3
     b.observe_color(4, 3)
@@ -149,7 +149,7 @@ def test_stack_builder_trace():
 
     assert b.place_next(3) == 2
     b.observe_color(3, 2)
-    assert b.child is not None and b.child.region == Region(BOTTOM, 1)
+    assert b.instances()[1].region == Region(BOTTOM, 1)
 
     assert b.place_next(4) is None
     b.observe_color(4, 3)
@@ -166,9 +166,8 @@ def test_scan_family_with_low_k_uses_stack_rule_first():
         b.place_next(e)
         b.observe_color(e, color)
     assert host.sequence == [1, 2, 3]
-    assert b.child is not None
-    assert b.child.spec == BuilderSpec("scan", 1, 1)
-    assert b.child.region == Region(BOTTOM, 1)
+    assert b.instances()[1].spec == BuilderSpec("scan", 1, 1)
+    assert b.instances()[1].region == Region(BOTTOM, 1)
 
 
 def test_events_bubble_up_when_the_innermost_child_finishes():
@@ -224,13 +223,13 @@ def test_foreign_insertions_below_the_region_do_not_mislead_the_builder(family):
             assert anchor == host.sequence[hi - 1]
         b.observe_color(e, color)
         twin.observe_color(e, color)
-        if inst.child is not None and family == "scan":
+        if inst.terminal is not None and not b.done and family == "scan":
             # inst's stage one has just ended; its child sits above the terminal
             seq = host.sequence
             i = seq.index(inst.terminal)
             _, hi = inst.region.bounds(host)
             high = seq[i + 1] if i + 1 < hi else inst.region.high
-            assert inst.child.region == Region(inst.terminal, high)
+            assert b.active().region == Region(inst.terminal, high)
         assert [x.region for x in b.instances()] == [x.region for x in twin.instances()]
         assert [x for x in host.sequence if x < 1000] == twin_host.sequence
     assert b.done and twin.done

@@ -4,7 +4,8 @@ The partitioner's legality scan tests each color with one class-mask test,
 so ``ChainPartition.legal`` runs once a round (the arena's check of the
 chosen color), not once per color.  Host orders grow by ``list.index`` and
 a membership set, so no insertion rebuilds a ``positions()`` dict.  A root
-builder hands each call straight to its active descendant, and builders
+builder acts on the last instance of its recursion list itself, so each
+host's ``Builder.place_next`` runs exactly once a round, and builders
 reuse the host positions they already hold, so neither count grows with
 the depth of the builder recursion.  A staged game hands each round to
 its current level alone: one ``place`` and one ``observe`` a round.
@@ -66,7 +67,7 @@ def test_szemeredi_game_keeps_legal_and_positions_off_the_per_color_path(monkeyp
     assert counts["rebuilds_in_insert"] == 0
     assert counts["rebuilds"] == 0
     roots = 2  # one per host: the scan and the stack builder
-    assert counts["place_next"] <= 2 * roots * rounds  # the root, then the active leaf
+    assert counts["place_next"] == roots * rounds  # one call, on the root
     assert counts["position"] <= roots * rounds
 
 

@@ -21,6 +21,8 @@ from olcp import (
     run_game,
 )
 
+from poset_oracles import antichain, from_pairs
+
 
 def view_for(p: Poset, colors: dict[int, int], e: int, realizer=None) -> PartitionerView:
     part = ChainPartition()
@@ -34,20 +36,20 @@ def view_for(p: Poset, colors: dict[int, int], e: int, realizer=None) -> Partiti
 
 
 def test_legal_colors_are_ascending_and_correct():
-    p = Poset.from_pairs(4, [(1, 4), (2, 4), (3, 4)])
+    p = from_pairs(4, [(1, 4), (2, 4), (3, 4)])
     v = view_for(p, {1: 3, 2: 1, 3: 2}, 4)
     assert v.legal_colors() == [1, 2, 3]
     assert v.fresh_color() == 4
 
 
 def test_fresh_color_on_empty_board():
-    v = view_for(Poset.antichain(1), {}, 1)
+    v = view_for(antichain(1), {}, 1)
     assert v.legal_colors() == []
     assert v.fresh_color() == 1
 
 
 def test_incomparable_point_blocks_existing_colors():
-    p = Poset.antichain(2)
+    p = antichain(2)
     v = view_for(p, {1: 1}, 2)
     assert v.legal_colors() == []
     assert v.fresh_color() == 2
@@ -58,13 +60,13 @@ def test_incomparable_point_blocks_existing_colors():
 
 
 def test_first_fit_takes_the_lowest_legal_color():
-    p = Poset.from_pairs(3, [(1, 3), (2, 3)])
+    p = from_pairs(3, [(1, 3), (2, 3)])
     v = view_for(p, {1: 2, 2: 5}, 3)
     assert FirstFit().choose(v) == 2
 
 
 def test_first_fit_opens_a_fresh_color_when_cornered():
-    v = view_for(Poset.antichain(2), {1: 1}, 2)
+    v = view_for(antichain(2), {1: 1}, 2)
     assert FirstFit().choose(v) == 2
 
 
@@ -172,7 +174,7 @@ def test_human_prompt_precedes_every_read():
 
     log: list[str] = []
     human = Human(Tracking("1\n", log), TrackingOut(log))
-    v = view_for(Poset.antichain(1), {}, 1)
+    v = view_for(antichain(1), {}, 1)
     assert human.choose(v) == 1
     assert log.index("flush") < log.index("read")
 

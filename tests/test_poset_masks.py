@@ -28,6 +28,8 @@ from olcp import (
     verify_realizer,
 )
 
+from poset_oracles import check_axioms, from_pairs, relation_pairs
+
 
 def brute_intersection_pairs(orders: list[LinearOrder]) -> set[tuple[int, int]]:
     """x < y iff x precedes y in every order."""
@@ -45,13 +47,13 @@ def brute_is_extension(order: LinearOrder, p: Poset) -> bool:
     seq = order.sequence
     if set(seq) != set(p.elements):
         return False
-    return all(seq.index(x) < seq.index(y) for x, y in p.relation_pairs())
+    return all(seq.index(x) < seq.index(y) for x, y in relation_pairs(p))
 
 
 def brute_verify_realizer(orders: list[LinearOrder], p: Poset) -> bool:
     """Every order extends p and the orders intersect to exactly p."""
     return (all(brute_is_extension(o, p) for o in orders)
-            and brute_intersection_pairs(orders) == p.relation_pairs())
+            and brute_intersection_pairs(orders) == relation_pairs(p))
 
 
 def brute_width(p: Poset) -> int:
@@ -90,8 +92,8 @@ def realizers(draw, max_n: int = 9):
 def test_intersect_matches_definition(case):
     orders, p = case
     assert p.elements == sorted(orders[0].sequence)
-    assert p.relation_pairs() == brute_intersection_pairs(orders)
-    assert p.check_axioms() == []
+    assert relation_pairs(p) == brute_intersection_pairs(orders)
+    assert check_axioms(p) == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -150,7 +152,7 @@ def test_incomparable_pairs_matches_definition(case, data):
 
 
 def test_realizer_checks_reject_mismatched_element_sets():
-    p = Poset.from_pairs(3, [(1, 2)])
+    p = from_pairs(3, [(1, 2)])
     with pytest.raises(RelationError):
         verify_realizer(Realizer([LinearOrder([1, 2]), LinearOrder([2, 1])]), p)
     realizer = Realizer([LinearOrder([1, 2, 3]), LinearOrder([3, 1, 2])])
@@ -211,7 +213,7 @@ def grown_posets(draw, max_n: int = 9):
         if down & up or any((x, y) not in rel for x in down for y in up):
             with pytest.raises(RelationError):
                 p.add_element(below=below, above=above)
-            assert p.elements == old and p.relation_pairs() == rel
+            assert p.elements == old and relation_pairs(p) == rel
             above, up = set(), set()
         assert p.add_element(below=below, above=above) == e
         rel |= {(x, e) for x in down} | {(e, y) for y in up}
@@ -229,7 +231,7 @@ def derived_posets(draw):
         n = draw(st.integers(0, 9))
         pairs = draw(st.sets(st.tuples(st.integers(1, max(n, 1)), st.integers(1, max(n, 1)))
                              .filter(lambda xy: xy[0] < xy[1] <= n), max_size=12))
-        return Poset.from_pairs(n, pairs), closure(n, pairs)
+        return from_pairs(n, pairs), closure(n, pairs)
     p, rel = draw(grown_posets())
     if how == "dual":
         return p.dual(), {(y, x) for x, y in rel}
@@ -258,8 +260,8 @@ def sparse_posets(draw):
 def assert_queries_match(p: Poset, rel: set[tuple[int, int]]) -> None:
     """Every per-element query of p against the pair relation rel."""
     els = p.elements
-    assert p.check_axioms() == []
-    assert p.relation_pairs() == rel
+    assert check_axioms(p) == []
+    assert relation_pairs(p) == rel
     for x in els:
         assert p.below(x) == {u for u, v in rel if v == x}
         assert p.above(x) == {v for u, v in rel if u == x}
@@ -305,7 +307,7 @@ def test_sparse_rows_answer_like_dense_ones(case):
                 with pytest.raises(KeyError):
                     query(x)
     assert p.add_element() == top + 1
-    assert p.relation_pairs() == rel
+    assert relation_pairs(p) == rel
 
 
 @settings(max_examples=100, deadline=None)

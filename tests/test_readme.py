@@ -1,0 +1,16 @@
+"""The README's library example runs as written."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert blocks
+    for code in blocks:
+        exec(compile(code, str(README), "exec"), {"__name__": "readme"})
+    assert "OK" in capsys.readouterr().out
