@@ -145,8 +145,9 @@ class RainbowChains:
             problems.append("chain union repeats a color")
         outside = self.universe - union
         hole = _mask(outside)
+        below = p._rows()[0]
         for c in union:
-            if p._below[c] & hole:
+            if below[c] & hole:
                 gap = outside & p.below(c)
                 problems += [f"union not downward closed: {x} < {c}"
                              for x in self.universe if x in gap]
@@ -170,11 +171,11 @@ class LevelReport:
     stack_hosts: list[LinearOrder] | None = None
 
 
-def _chain_sorted(p: Poset, pts: Iterable[int]) -> list[int]:
-    """Sort a set known to be a chain from bottom to top: along a chain,
-    x < y implies below(x) is a proper subset of below(y)."""
-    below = p._below
-    return sorted(pts, key=lambda x: below[x].bit_count())
+def _chain_sorted(host: LinearOrder, pts: Iterable[int]) -> list[int]:
+    """Sort a set known to be a chain from bottom to top: as it lies in a
+    host order, which extends the presented poset."""
+    pts = set(pts)
+    return [x for x in host.sequence if x in pts]
 
 
 def _intersect_relations(hosts: Sequence[LinearOrder], e: int) -> tuple[set[int], set[int]]:
@@ -240,11 +241,14 @@ class _Bank:
 
 def _bank_chains(p: Poset, bank: _Bank, dual: bool) -> dict[int, list[int]]:
     """Certified chain of each recursion instance, keyed by its width: its
-    stage-one points at or below its terminal (at or above, when dual)."""
+    stage-one points at or below its terminal (at or above, when dual), in
+    host order.  Those points are older than the terminal, so its row as
+    presented holds every relation read."""
+    rows = p._above if dual else p._below
     out = {}
     for inst in bank.instances():
-        reach = p.up_set(inst.terminal) if dual else p.down_set(inst.terminal)
-        out[inst.spec.w] = _chain_sorted(p, reach & set(inst.stage1_points))
+        reach = rows[inst.terminal] | 1 << inst.terminal
+        out[inst.spec.w] = [x for x in inst._in_host_order if reach >> x & 1]
     return out
 
 
@@ -347,6 +351,12 @@ class SzemerediStrategy(Strategy):
         chains = _bank_chains(self.poset, self._bank, dual=False)
         return RainbowChains(chains, frozenset(self.poset.elements))
 
+    def extract_realizer(self) -> Realizer:
+        """The two hidden hosts, whose intersection is the presented poset."""
+        if not self.done():
+            raise StrategyInvariantError("realizer requested mid-game")
+        return Realizer([self.scan_host.copy(), self.stack_host.copy()])
+
 
 # ---------------------------------------------------------------------------
 # staged realizer games
@@ -445,7 +455,7 @@ class _GameLevel:
             if n > best:
                 best_t, best = t, n
         self.t = best_t
-        self.separator = _chain_sorted(self.poset, set(self.chains[best_t]) | top_dual)
+        self.separator = _chain_sorted(self.hosts[0], set(self.chains[best_t]) | top_dual)
         self.separator_colors = best
         threshold, strict = separator_threshold(self.width, self.d)
         if not (best > threshold if strict else best >= threshold):

@@ -356,6 +356,8 @@ def build_report(strategy: Strategy, part: ChainPartition,
     bound = strategy.bound()
     bound_met = colors >= bound
 
+    # Checked first: when it holds, it gives the poset its full rows.
+    realized = verify_realizer(strategy.extract_realizer(), p)
     levels: list[LevelReport] | None = None
     if isinstance(strategy, SzemerediStrategy):
         rb = strategy.rainbow()
@@ -371,9 +373,8 @@ def build_report(strategy: Strategy, part: ChainPartition,
     else:
         levels = strategy.level_reports()
         violations += _check_levels(strategy, part, levels)
-        realizer = strategy.extract_realizer()
-        if not verify_realizer(realizer, p):
-            violations.append("extracted realizer does not realize the presented poset")
+    if not realized:
+        violations.append("extracted realizer does not realize the presented poset")
 
     width = p.width()
     if width != strategy.w:

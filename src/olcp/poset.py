@@ -2,15 +2,21 @@
 
 Elements are positive integer ids (the round an element entered the game).
 A :class:`Poset` keeps one below and one above bitmask per element (bit
-``x`` stands for element ``x``) in two lists indexed by id, transitively
-closed on every insertion, plus the mask of the ids present; a
-:class:`ChainPartition` keeps one mask per color.  Staged games reach
-770-1300 points and about 256k relations, so neither the per-round legality
-scan nor the whole-poset checks (realizer, extension, width) loop over
-pairs of elements in Python.  The legality scan tests each class against
-the non-negative :meth:`Poset.incomparable_mask`, and :meth:`Poset.width`
-seeds its matching greedily from the top of the order down, which leaves
-few augmenting searches to run.
+``x`` stands for element ``x``) in two lists indexed by id, plus the mask
+of the ids present; a :class:`ChainPartition` keeps one mask per color.
+An insertion appends the new element's rows as presented, relating it to
+older ids only, and updates no older row: that would copy an n-bit int per
+relation, time cubic in a game's points.  What the on-line rounds read,
+the newest element's rows and a pair's newer element's row, is complete as
+presented; full rows come once, from the realizer a game's report checks
+(:func:`verify_realizer`, O(n·d) big-int operations), or on demand.
+Staged games reach 770-1300 points and about 256k relations, so neither
+the per-round legality scan nor the whole-poset checks (realizer,
+extension, width) loop over pairs of elements in Python.  The legality
+scan tests each class against the non-negative
+:meth:`Poset.incomparable_mask`, and :meth:`Poset.width` seeds its matching
+greedily from the top of the order down, which leaves few augmenting
+searches to run.
 """
 
 from __future__ import annotations
@@ -21,27 +27,51 @@ from .errors import RelationError
 
 
 class Poset:
-    """A strict partial order over integer ids, grown one element at a time."""
+    """A strict partial order over integer ids, grown one element at a time.
 
-    __slots__ = ("_below", "_above", "_all", "_elements", "__weakref__")
+    Rows are kept as presented until a checked realizer replaces them or a
+    reader of an older element's full row brings them up to date
+    (:meth:`_rows`); every public reader answers for the whole poset.
+    """
+
+    __slots__ = ("_below", "_above", "_all", "_elements", "_fresh", "__weakref__")
 
     def __init__(self) -> None:
         # Rows indexed by id: _below[x] is the mask of the elements below x.
         # Slot 0 is unused and an absent id holds 0; _all masks the present
-        # ids, and the lists end at the largest one.
+        # ids, and the lists end at the largest one.  _elements ascends; the
+        # rows of _elements[_fresh:] relate them to older ids only, and the
+        # older rows do not hold those relations yet.
         self._below: list[int] = [0]
         self._above: list[int] = [0]
         self._all = 0
         self._elements: list[int] = []
+        self._fresh = 0
 
     @classmethod
     def _of_rows(cls, elements: list[int], below: list[int], above: list[int]) -> "Poset":
+        """A poset over ascending ``elements`` with full rows."""
         p = cls()
         p._elements = elements
         p._below = below
         p._above = above
         p._all = _digits_mask(elements, len(below))
+        p._fresh = len(elements)
         return p
+
+    def _rows(self) -> tuple[list[int], list[int]]:
+        """The below and above rows, brought up to date first: each relation
+        held only in the newer element's row is copied into the older one's,
+        an eager insertion's update deferred until a reader needs it."""
+        below, above = self._below, self._above
+        for y in self._elements[self._fresh:]:
+            bit = 1 << y
+            for u in _ids(below[y]):
+                above[u] |= bit
+            for v in _ids(above[y]):
+                below[v] |= bit
+        self._fresh = len(self._elements)
+        return below, above
 
     # -- construction -----------------------------------------------------
 
@@ -59,17 +89,18 @@ class Poset:
         for x in below | above:
             if x not in self:
                 raise RelationError(f"unknown element {x}")
+        rows_below, rows_above = self._rows()
         down = _mask(below)
         for b in below:
-            down |= self._below[b]
+            down |= rows_below[b]
         up = _mask(above)
         for a in above:
-            up |= self._above[a]
+            up |= rows_above[a]
         if down & up:
             clash = min(_ids(down & up))
             raise RelationError(f"element {clash} forced both below and above the new element")
         for x in sorted(_ids(down)):
-            missing = up & ~self._above[x]
+            missing = up & ~rows_above[x]
             if missing:
                 y = min(_ids(missing))
                 raise RelationError(f"the new element would put {x} below {y}, which are unrelated")
@@ -77,18 +108,13 @@ class Poset:
 
     def _add_closed(self, down: Iterable[int], up: Iterable[int]) -> int:
         """Fast path: ``down``/``up`` are already transitively closed and
-        consistent.  The older rows are updated by walking these sets; the
-        new element's own two masks are read from digit strings in linear time."""
-        below, above = self._below, self._above
-        e = len(below)
-        bit = 1 << e
-        for u in down:
-            above[u] |= bit
-        for v in up:
-            below[v] |= bit
-        below.append(_digits_mask(down, e))
-        above.append(_digits_mask(up, e))
-        self._all |= bit
+        consistent.  Appends the new element's rows, read from digit strings
+        in linear time, and touches no older row; having no newer elements,
+        the new one's rows are complete as presented."""
+        e = len(self._below)
+        self._below.append(_digits_mask(down, e))
+        self._above.append(_digits_mask(up, e))
+        self._all |= 1 << e
         self._elements.append(e)
         return e
 
@@ -106,6 +132,13 @@ class Poset:
             return x
         raise KeyError(x)
 
+    def _full(self, x: int) -> int:
+        """x, checked to be an element, with full rows: the newest element's
+        are full as presented, another's may need bringing up to date."""
+        if self._id(x) != self._elements[-1]:
+            self._rows()
+        return x
+
     def __iter__(self) -> Iterator[int]:
         return iter(self._elements)
 
@@ -114,14 +147,14 @@ class Poset:
         return list(self._elements)
 
     def less(self, x: int, y: int) -> bool:
-        return bool(self._below[self._id(y)] >> x & 1)
+        return bool(self._below[self._full(y)] >> x & 1)
 
     def comparable(self, x: int, y: int) -> bool:
         return x == y or bool(self.comparable_mask(y) >> x & 1)
 
     def comparable_mask(self, x: int) -> int:
         """Mask of the elements comparable to x, x itself included."""
-        x = self._id(x)
+        x = self._full(x)
         return self._below[x] | self._above[x] | 1 << x
 
     def incomparable_mask(self, x: int) -> int:
@@ -130,20 +163,24 @@ class Poset:
         return self._all ^ self.comparable_mask(x)
 
     def incomparable_pairs(self, pts: Iterable[int]) -> Iterator[tuple[int, int]]:
-        """Incomparable pairs (x, y) of ``pts``, x listed before y, in listing order."""
+        """Incomparable pairs (x, y) of ``pts``, x listed before y, in listing
+        order.  Each pair is read from its newer element's row, which holds
+        it as presented, so no row needs bringing up to date."""
         pts = list(pts)
+        below, above = self._below, self._above
+        reach = [below[x] | above[x] | 1 << x for x in map(self._id, pts)]
         for i, x in enumerate(pts):
-            reach = self.comparable_mask(x)
-            for y in pts[i + 1 :]:
-                if not reach >> y & 1:
+            for j in range(i + 1, len(pts)):
+                y = pts[j]
+                if not (reach[i] >> y if y < x else reach[j] >> x) & 1:
                     yield x, y
 
     def below(self, x: int) -> set[int]:
         """Elements strictly below x (a fresh set)."""
-        return _ids(self._below[self._id(x)])
+        return _ids(self._below[self._full(x)])
 
     def above(self, x: int) -> set[int]:
-        return _ids(self._above[self._id(x)])
+        return _ids(self._above[self._full(x)])
 
     def down_set(self, x: int) -> set[int]:
         """x together with everything below it."""
@@ -155,14 +192,15 @@ class Poset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poset):
             return NotImplemented
+        mine, theirs = self._rows()[0], other._rows()[0]
         return self._elements == other._elements and all(
-            self._below[e] == other._below[e] for e in self._elements)
+            mine[e] == theirs[e] for e in self._elements)
 
     # -- whole-poset classification ----------------------------------------
 
     def is_completely_below(self, U: Iterable[int], V: Iterable[int]) -> bool:
         vm = _mask(V)
-        return all(self._above[self._id(u)] & vm == vm for u in U)
+        return all(self._above[self._full(u)] & vm == vm for u in U)
 
     def is_completely_incomparable(self, U: Iterable[int], V: Iterable[int]) -> bool:
         vm = _mask(V)
@@ -172,17 +210,19 @@ class Poset:
 
     def dual(self) -> "Poset":
         """The same elements with every relation flipped."""
-        return Poset._of_rows(list(self._elements), list(self._above), list(self._below))
+        below, above = self._rows()
+        return Poset._of_rows(list(self._elements), list(above), list(below))
 
     def restrict(self, keep: Iterable[int]) -> "Poset":
         """Induced sub-poset on ``keep`` (ids preserved)."""
         km = _mask(keep) & self._all
         elements = [e for e in self._elements if km >> e & 1]
         size = max(elements, default=0) + 1
+        rows_below, rows_above = self._rows()
         below, above = [0] * size, [0] * size
         for e in elements:
-            below[e] = self._below[e] & km
-            above[e] = self._above[e] & km
+            below[e] = rows_below[e] & km
+            above[e] = rows_above[e] & km
         return Poset._of_rows(elements, below, above)
 
     # -- width and chain covers ----------------------------------------------
@@ -229,7 +269,7 @@ class Poset:
         maximum.  Every step takes the lowest id first, so the result is
         deterministic for a given poset.
         """
-        above, below = self._above, self._below
+        below, above = self._rows()
         roots = sorted(self._elements, key=lambda u: below[u].bit_count(), reverse=True)
         match_l: dict[int, int] = {}
         match_r: dict[int, int] = {}
@@ -346,7 +386,8 @@ class LinearOrder:
         if set(pos) != set(p._elements):
             return False
         at = pos.__getitem__
-        return all(max(map(at, _ids(p._below[y])), default=-1) < pos[y] for y in p._elements)
+        below = p._rows()[0]
+        return all(max(map(at, _ids(below[y])), default=-1) < pos[y] for y in p._elements)
 
     def copy(self) -> "LinearOrder":
         return LinearOrder(self.sequence)
@@ -389,17 +430,21 @@ def _digits_mask(ids: Iterable[int], size: int) -> int:
     return int(digits, 2)
 
 
-def _common_below(orders: list[LinearOrder]) -> dict[int, int]:
-    """x -> mask of the elements before x in every order (x in orders[0])."""
-    common: dict[int, int] = {}
+def _realized_rows(orders: list[LinearOrder], size: int) -> tuple[list[int], list[int]]:
+    """Full rows, indexed by ids below ``size``, of the intersection of
+    ``orders``, which carry one element set: an element's below row masks
+    what precedes it in every order (a prefix walk of each) and its above
+    row what follows it (a suffix walk), O(n·d) big-int operations in all.
+    A repeated id counts at its last copy, as ``positions()`` keeps it."""
+    below, above = [0] * size, [0] * size
     for i, o in enumerate(orders):
-        pos = o.positions()
-        prefix = 0
-        # positions() keeps the last copy of a repeated id, so walk by it.
-        for x in sorted(pos, key=pos.__getitem__):
-            common[x] = prefix if i == 0 else common[x] & prefix
-            prefix |= 1 << x
-    return common
+        top_down = list(dict.fromkeys(reversed(o.sequence)))
+        for rows, walk in ((below, reversed(top_down)), (above, top_down)):
+            seen = 0
+            for x in walk:
+                rows[x] = seen if i == 0 else rows[x] & seen
+                seen |= 1 << x
+    return below, above
 
 
 def intersect(orders: Iterable[LinearOrder]) -> Poset:
@@ -414,13 +459,7 @@ def intersect(orders: Iterable[LinearOrder]) -> Poset:
     elements = sorted(base)
     if elements and elements[0] < 1:
         raise RelationError(f"element ids are positive integers, got {elements[0]}")
-    common = _common_below(orders)
-    size = max(elements, default=0) + 1
-    below, above = [0] * size, [0] * size
-    for e in elements:
-        below[e] = common[e]
-        for u in _ids(common[e]):
-            above[u] |= 1 << e
+    below, above = _realized_rows(orders, max(elements, default=0) + 1)
     return Poset._of_rows(elements, below, above)
 
 
@@ -449,15 +488,24 @@ def verify_realizer(realizer: Realizer, p: Poset) -> bool:
     """True iff every order extends p and their intersection is exactly p.
 
     The second half implies the first: a relation of p missing from one
-    order is missing from the intersection too.
+    order is missing from the intersection too.  Both row families of the
+    intersection are compared with p's restricted to older ids, which hold
+    every relation once even as presented; when they match, they become
+    p's full rows.
     """
     elements = set(p._elements)
     if set(realizer.orders[0].sequence) != elements:
         raise RelationError("realizer and poset carry different element sets")
     if any(set(o.sequence) != elements for o in realizer.orders[1:]):
         return False
-    common = _common_below(realizer.orders)
-    return all(common[y] == p._below[y] for y in p._elements)
+    below, above = _realized_rows(realizer.orders, len(p._below))
+    for y in p._elements:
+        older = (1 << y) - 1
+        if (below[y] ^ p._below[y]) & older or (above[y] ^ p._above[y]) & older:
+            return False
+    p._below[:], p._above[:] = below, above
+    p._fresh = len(p._elements)
+    return True
 
 
 class ChainPartition:

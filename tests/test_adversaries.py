@@ -335,3 +335,19 @@ def test_random_play_moves_certificates_but_not_guarantees():
         _, r = run_game(s, RandomValid(rng.randint(0, 999)))
         assert r.colors >= szemeredi_bound(w)
         assert r.violations == []
+
+
+# ---------------------------------------------------------------------------
+# forced first-fit counts, pinned exactly
+
+
+@pytest.mark.parametrize("name, d", [("theorem1", None), ("theorem2", 2), ("theorem2", 3),
+                                     ("theorem2", 4)])
+def test_first_fit_is_forced_to_exact_counts(name, d):
+    """First-fit ends with exactly w^2 colors on the staged games, and with
+    exactly C(w+1, 2), the bound, on the two-order visible game: a change to
+    what first-fit sees shows up as a count, not only as a transcript digest."""
+    for w in range(1, 9):
+        _, report = run_game(make_strategy(name, w, d=d), FirstFit())
+        assert report.ok, (w, report.violations[:3])
+        assert report.colors == (szemeredi_bound(w) if d == 2 else w * w), w

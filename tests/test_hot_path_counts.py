@@ -8,7 +8,9 @@ builder acts on the last instance of its recursion list itself, so each
 host's ``Builder.place_next`` runs exactly once a round, and builders
 reuse the host positions they already hold, so neither count grows with
 the depth of the builder recursion.  A staged game hands each round to
-its current level alone: one ``place`` and one ``observe`` a round.
+its current level alone: one ``place`` and one ``observe`` a round.  An
+insertion appends the new element's rows and no on-line round changes the
+row of an older element.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pytest
 from olcp import FirstFit, make_strategy, run_game
 from olcp.adversaries import _GameLevel
 from olcp.builders import Builder
-from olcp.poset import ChainPartition, LinearOrder
+from olcp.poset import ChainPartition, LinearOrder, Poset
 
 
 def test_szemeredi_game_keeps_legal_and_positions_off_the_per_color_path(monkeypatch):
@@ -112,3 +114,28 @@ def test_staged_game_hands_each_round_to_one_level(monkeypatch, name, w, d):
     rounds = len(transcript.rounds)
     assert counts == {"legal": rounds, "rebuilds_in_insert": 0, "place": rounds,
                       "observe": rounds}
+
+
+@pytest.mark.parametrize("name, w, d", [("szemeredi", 8, None), ("theorem2", 4, 3)])
+def test_online_rounds_leave_older_rows_as_they_were(monkeypatch, name, w, d):
+    """Between one insertion and the next -- the insertion itself, the
+    partitioner's scan, the strategy's observation -- no row of an older
+    id changes; only the end-of-game report may complete them."""
+    add_closed = Poset._add_closed
+    seen: list[tuple[list[int], list[int]]] = []
+    insertions = []
+
+    def spy_add_closed(self, down, up):
+        before = (self._below[:], self._above[:])
+        if seen:
+            assert before == seen[-1], f"an older row changed before element {len(self._below)}"
+        e = add_closed(self, down, up)
+        assert (self._below[:e], self._above[:e]) == before, f"inserting {e} changed an older row"
+        seen.append((self._below[:], self._above[:]))
+        insertions.append(e)
+        return e
+
+    monkeypatch.setattr(Poset, "_add_closed", spy_add_closed)
+    transcript, report = run_game(make_strategy(name, w, d=d), FirstFit())
+    assert report.ok
+    assert insertions == list(range(1, len(transcript.rounds) + 1))
