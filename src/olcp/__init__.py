@@ -17,7 +17,6 @@ from .adversaries import (
     STRATEGY_NAMES,
     Strategy,
     SzemerediStrategy,
-    bound_for,
     make_strategy,
     szemeredi_bound,
     theorem1_level_threshold,
@@ -93,7 +92,6 @@ __all__ = [
     "Transcript",
     "TranscriptError",
     "TranscriptRound",
-    "bound_for",
     "build_report",
     "intersect",
     "make_partitioner",

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .builders import BOTTOM, TOP, Builder, BuilderSpec, Region
 from .errors import StrategyInvariantError
@@ -169,13 +169,6 @@ class LevelReport:
     dual_chains: dict[int, list[int]]
     scan_hosts: list[LinearOrder] | None = None
     stack_hosts: list[LinearOrder] | None = None
-
-
-def _chain_sorted(host: LinearOrder, pts: Iterable[int]) -> list[int]:
-    """Sort a set known to be a chain from bottom to top: as it lies in a
-    host order, which extends the presented poset."""
-    pts = set(pts)
-    return [x for x in host.sequence if x in pts]
 
 
 def _intersect_relations(hosts: Sequence[LinearOrder], e: int) -> tuple[set[int], set[int]]:
@@ -455,7 +448,7 @@ class _GameLevel:
             if n > best:
                 best_t, best = t, n
         self.t = best_t
-        self.separator = _chain_sorted(self.hosts[0], set(self.chains[best_t]) | top_dual)
+        self.separator = self.dual_chains[self.width] + self.chains[best_t]
         self.separator_colors = best
         threshold, strict = separator_threshold(self.width, self.d)
         if not (best > threshold if strict else best >= threshold):
@@ -668,7 +661,3 @@ def make_strategy(name: str, w: int, k: int | None = None, d: int | None = None)
     check_strategy(name, w, d=d, k=k)
     given = {key: value for key, value in (("d", d), ("k", k)) if value is not None}
     return STRATEGIES[name](w, **given)
-
-
-def bound_for(name: str, w: int, d: int | None = None) -> float:
-    return make_strategy(name, w, d=d).bound()

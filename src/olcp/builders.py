@@ -127,7 +127,7 @@ class Builder:
     """
 
     __slots__ = (
-        "spec", "region", "host", "done", "stage1_points", "_in_host_order",
+        "spec", "region", "host", "done", "_in_host_order",
         "colors_seen", "terminal", "_pending", "_color_by_point", "_bounds",
         "_deeper",
     )
@@ -137,12 +137,12 @@ class Builder:
         self.region = region
         self.host = host
         self.done = spec.w == 0
-        self.stage1_points: list[int] = []
         # Own stage-one points (the pending one too), lowest in the host first.
         self._in_host_order: list[int] = []
         self.colors_seen: set[int] = set()
         self.terminal: int | None = None
         self._pending: int | None = None
+        # Own stage-one points, in arrival order, to their colors.
         self._color_by_point: dict[int, int] = {}
         # Where the region's bounds were last seen in the host (hints).
         self._bounds: tuple[int | None, int | None] = (None, None)
@@ -195,7 +195,7 @@ class Builder:
                 y = self._in_host_order[i]
                 if self.spec.dual:
                     return y, None, i + 1  # directly above y
-                j = self.host.position(y)
+                j = self.host.locate(y, None)
                 return (seq[j - 1] if j - 1 >= 0 else None), j - 1, i  # directly below y
         # stack rule (also the scan fallback): far end of the region
         if self.spec.dual:
@@ -233,10 +233,9 @@ class Builder:
                 f"color for {e} but the pending point is {b._pending}"
             )
         b._pending = None
-        b.stage1_points.append(e)
         b.colors_seen.add(color)
         b._color_by_point[e] = color
-        if len(b.stage1_points) > 2 * b.spec.w - 1:
+        if len(b._color_by_point) > 2 * b.spec.w - 1:
             raise StrategyInvariantError(
                 f"stage one exceeded {2 * b.spec.w - 1} points at width {b.spec.w}"
             )
@@ -255,18 +254,18 @@ class Builder:
     def _child_region(self) -> Region:
         lo, hi = self.region.bounds(self.host, self._bounds)
         seq = self.host.sequence
-        first = self.stage1_points[0]
+        first = next(iter(self._color_by_point))
         z = self.terminal
         assert z is not None
         under_first = (self.spec.family == "scan") == (self.spec.k < self.spec.w)
         if not self.spec.dual:
             if under_first:
                 return Region(self.region.low, first)
-            i = self.host.position(z)
+            i = self.host.locate(z, None)
             high = seq[i + 1] if i + 1 < hi else self.region.high
             return Region(z, high)
         if under_first:
             return Region(first, self.region.high)
-        i = self.host.position(z)
+        i = self.host.locate(z, None)
         low = seq[i - 1] if i - 1 > lo else self.region.low
         return Region(low, z)

@@ -127,6 +127,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.seeds < 0:
         return _usage_error("--seeds must be non-negative")
     names = [n for item in args.strategies for n in item.split(",") if n]
+    if not names:
+        return _usage_error("--strategies must name at least one strategy")
     try:
         dims = [int(part) for part in args.dims.split(",") if part.strip()]
     except ValueError:

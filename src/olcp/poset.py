@@ -182,13 +182,6 @@ class Poset:
     def above(self, x: int) -> set[int]:
         return _ids(self._above[self._full(x)])
 
-    def down_set(self, x: int) -> set[int]:
-        """x together with everything below it."""
-        return self.below(x) | {x}
-
-    def up_set(self, x: int) -> set[int]:
-        return self.above(x) | {x}
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poset):
             return NotImplemented
@@ -373,9 +366,6 @@ class LinearOrder:
             self._stale = False
         return self._pos
 
-    def position(self, x: int) -> int:
-        return self.sequence.index(x)
-
     def restrict(self, keep: Iterable[int]) -> "LinearOrder":
         keep = set(keep)
         return LinearOrder(x for x in self.sequence if x in keep)
@@ -449,14 +439,8 @@ def _realized_rows(orders: list[LinearOrder], size: int) -> tuple[list[int], lis
 
 def intersect(orders: Iterable[LinearOrder]) -> Poset:
     """The poset x < y iff x precedes y in every given order."""
-    orders = list(orders)
-    if not orders:
-        raise RelationError("intersect needs at least one order")
-    base = set(orders[0].sequence)
-    for o in orders[1:]:
-        if set(o.sequence) != base:
-            raise RelationError("orders carry different element sets")
-    elements = sorted(base)
+    orders = Realizer(orders).orders
+    elements = sorted(set(orders[0].sequence))
     if elements and elements[0] < 1:
         raise RelationError(f"element ids are positive integers, got {elements[0]}")
     below, above = _realized_rows(orders, max(elements, default=0) + 1)
@@ -476,12 +460,6 @@ class Realizer:
         for o in self.orders[1:]:
             if set(o.sequence) != base:
                 raise RelationError("realizer orders carry different element sets")
-
-    def __len__(self) -> int:
-        return len(self.orders)
-
-    def __iter__(self) -> Iterator[LinearOrder]:
-        return iter(self.orders)
 
 
 def verify_realizer(realizer: Realizer, p: Poset) -> bool:
@@ -513,11 +491,10 @@ class ChainPartition:
     maps every color, ascending, to its class's mask and ``top`` is the
     largest color (0 if none), both read-only outside :meth:`assign`."""
 
-    __slots__ = ("color_of", "_classes", "masks", "top")
+    __slots__ = ("color_of", "masks", "top")
 
     def __init__(self) -> None:
         self.color_of: dict[int, int] = {}
-        self._classes: dict[int, set[int]] = {}
         self.masks: dict[int, int] = {}
         self.top = 0
 
@@ -527,19 +504,21 @@ class ChainPartition:
         if color < 1:
             raise RelationError(f"colors are positive integers, got {color}")
         self.color_of[e] = color
-        self._classes.setdefault(color, set()).add(e)
         if color < self.top and color not in self.masks:  # keep masks ascending
             self.masks = dict(sorted({**self.masks, color: 0}.items()))
         self.masks[color] = self.masks.get(color, 0) | 1 << e
         self.top = max(self.top, color)
 
     def classes(self) -> dict[int, set[int]]:
-        return {c: set(s) for c, s in self._classes.items()}
+        out: dict[int, set[int]] = {}
+        for e, c in self.color_of.items():
+            out.setdefault(c, set()).add(e)
+        return out
 
     def distinct_colors(self, elements: Iterable[int] | None = None) -> int:
         """Number of distinct colors on ``elements`` (all, if omitted)."""
         if elements is None:
-            return len(self._classes)
+            return len(self.masks)
         return len({self.color_of[e] for e in elements})
 
     def is_rainbow(self, elements: Iterable[int]) -> bool:
@@ -553,18 +532,15 @@ class ChainPartition:
         Returns (ok, offending_pair) where the pair names an incomparable
         same-color conflict when not ok.  One test of the class mask
         against ``p.incomparable_mask(e)`` clears a legal color; only a
-        class that fails it is walked, to name the pair.
+        class that fails it is walked, to name the pair: the first
+        incomparable member of the class as a set grown in assignment order.
         """
         cls = self.masks.get(color)
         if not cls or not cls & p.incomparable_mask(e):
             return True, None
-        for x in self._classes[color]:
-            if not p.comparable(x, e):
-                return False, (min(x, e), max(x, e))
-        return True, None
-
-    def __len__(self) -> int:
-        return len(self.color_of)
+        as_assigned = {x for x, c in self.color_of.items() if c == color}
+        x = next(x for x in as_assigned if not p.comparable(x, e))
+        return False, (min(x, e), max(x, e))
 
 
 def verify_chain_partition(p: Poset, part: ChainPartition) -> list[str]:

@@ -18,7 +18,6 @@ from olcp import (
     RandomValid,
     StrategyInvariantError,
     SzemerediStrategy,
-    bound_for,
     make_strategy,
     run_game,
     szemeredi_bound,
@@ -87,9 +86,9 @@ def test_theorem2_total_literals():
 
 
 def test_bound_for_dispatch():
-    assert bound_for("szemeredi", 3) == 6
-    assert bound_for("theorem1", 2) == pytest.approx(2.585786437626905)
-    assert bound_for("theorem2", 2, d=3) == 3.5
+    assert make_strategy("szemeredi", 3).bound() == 6
+    assert make_strategy("theorem1", 2).bound() == pytest.approx(2.585786437626905)
+    assert make_strategy("theorem2", 2, d=3).bound() == 3.5
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +148,24 @@ def test_rainbow_requested_mid_game_is_an_error():
     s.next_move()
     with pytest.raises(StrategyInvariantError):
         s.rainbow()
+
+
+@pytest.mark.parametrize("name, d, method", [
+    ("szemeredi", None, "rainbow"),
+    ("szemeredi", None, "extract_realizer"),
+    ("theorem1", None, "extract_realizer"),
+    ("theorem2", 3, "extract_realizer"),
+])
+def test_certificates_requested_mid_game_are_errors(name, d, method):
+    """Between rounds and with a point awaiting its color alike."""
+    s = make_strategy(name, 3, d=d)
+    s.next_move()
+    s.observe(1)
+    with pytest.raises(StrategyInvariantError, match="requested mid-game"):
+        getattr(s, method)()
+    s.next_move()
+    with pytest.raises(StrategyInvariantError, match="requested mid-game"):
+        getattr(s, method)()
 
 
 def test_observe_before_move_is_an_error():

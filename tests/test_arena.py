@@ -95,6 +95,10 @@ def test_parse_accepts_ext_rows_in_any_order():
         (lambda L: [L[0].replace('"version":1', '"version":9')] + L[1:], 1, "version"),
         (lambda L: [L[0].replace("szemeredi", "magic")] + L[1:], 1, "unknown strategy"),
         (lambda L: [L[0].replace('"d":null', '"d":2')] + L[1:], 1, "visible-order"),
+        (lambda L: [L[0].replace('"partitioner":"first-fit"', '"partitioner":7')] + L[1:], 1,
+         "partitioner name must be a string"),
+        (lambda L: [L[0].replace('"seed":null', '"seed":"7"')] + L[1:], 1,
+         "seed must be an integer or null"),
         (lambda L: L[:1] + [L[1].replace('"round":1', '"round":7')] + L[2:], 2, "out of sequence"),
         (lambda L: L[:1] + [L[1].replace('"color":1', '"color":0')] + L[2:], 2, "color"),
         (lambda L: L[:1] + [L[1].replace('"stage":1', '"stage":3')] + L[2:], 2, "stage"),
@@ -154,7 +158,7 @@ def test_parse_rejects_bad_ext_records():
 
     for bad in ([[0, "BOTTOM"]], [[0, "BOTTOM"], [0, "BOTTOM"]],
                 [[0, "BOTTOM"], [2, "BOTTOM"]], [[0, -3], [1, "BOTTOM"]],
-                [[0, "TOP"], [1, "BOTTOM"]]):
+                [[0, "TOP"], [1, "BOTTOM"]], [[0], [1, "BOTTOM"]]):
         with pytest.raises(TranscriptError):
             Transcript.parse(with_ext(bad))
 
@@ -412,6 +416,21 @@ def test_wrong_relations_name_the_round():
     bad = reround(t, 2, below=())
     violations = verify_transcript(bad)
     assert any(v.startswith("round 3: relations below") for v in violations)
+
+
+@pytest.mark.parametrize("name, w, d, idx, tamper, message", [
+    ("szemeredi", 2, None, 2, lambda row: {"element": 9},
+     "round 3: element 3 presented, transcript says 9"),
+    ("theorem1", 2, None, 4, lambda row: {"stage": 1},
+     "round 5: stage annotation 1, re-run says 2"),
+    ("theorem2", 2, 3, 2, lambda row: {"ext": (99, *row.ext[1:])},
+     "round 3: order 0 grew above unknown element 99; insertion-only growth broken"),
+])
+def test_tampered_annotations_name_the_round(name, w, d, idx, tamper, message):
+    """An element id, a stage annotation or an insertion anchor (99 is not
+    yet in any order) that differs from the re-run is the one violation."""
+    t, _ = game(name, w, d)
+    assert verify_transcript(reround(t, idx, **tamper(t.rounds[idx]))) == [message]
 
 
 @pytest.mark.parametrize("side", ["below", "above"])

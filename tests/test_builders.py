@@ -251,7 +251,7 @@ def feasible_script(spec: BuilderSpec, rng: random.Random) -> list[int]:
         inst = b.active()
         b.place_next(e)
         needed = inst.spec.w - len(inst.colors_seen)
-        slots = (2 * inst.spec.w - 1) - len(inst.stage1_points)
+        slots = (2 * inst.spec.w - 1) - len(inst._color_by_point)
         if needed >= slots or not script or rng.random() < 0.4:
             color = max(script, default=0) + 1
         else:

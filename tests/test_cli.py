@@ -222,6 +222,18 @@ def test_table_validates_its_numbers(tmp_path, capsys):
         "--out", str(tmp_path / "x.csv"),
     )
     assert code == 2 and "wizardry" in err
+    for flags, message in [
+        (["--strategies", ","], "--strategies must name at least one strategy"),
+        (["--strategies", "szemeredi", "--seeds", "-1"], "--seeds must be non-negative"),
+        (["--strategies", "szemeredi", "--dims", "x"],
+         "--dims must be comma-separated integers, got 'x'"),
+        (["--strategies", "theorem2", "--dims", ","],
+         "--dims must name at least one dimension for theorem2"),
+    ]:
+        code, out, err = run(capsys, "table", *flags, "--width-max", "2",
+                             "--out", str(tmp_path / "x.csv"))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_table_checks_dims_only_where_theorem2_plays(tmp_path, capsys):

@@ -25,11 +25,11 @@ from olcp.poset import ChainPartition, LinearOrder, Poset
 
 def test_szemeredi_game_keeps_legal_and_positions_off_the_per_color_path(monkeypatch):
     counts = {"legal": 0, "rebuilds": 0, "rebuilds_in_insert": 0, "place_next": 0,
-              "position": 0}
+              "unhinted": 0}
     inserting = []
-    legal, positions, insert_above, place_next, position = (
+    legal, positions, insert_above, place_next, locate = (
         ChainPartition.legal, LinearOrder.positions, LinearOrder.insert_above,
-        Builder.place_next, LinearOrder.position)
+        Builder.place_next, LinearOrder.locate)
 
     def spy_legal(self, p, e, color):
         counts["legal"] += 1
@@ -52,15 +52,15 @@ def test_szemeredi_game_keeps_legal_and_positions_off_the_per_color_path(monkeyp
         counts["place_next"] += 1
         return place_next(self, e)
 
-    def spy_position(self, x):
-        counts["position"] += 1
-        return position(self, x)
+    def spy_locate(self, x, hint):
+        counts["unhinted"] += hint is None
+        return locate(self, x, hint)
 
     monkeypatch.setattr(ChainPartition, "legal", spy_legal)
     monkeypatch.setattr(LinearOrder, "positions", spy_positions)
     monkeypatch.setattr(LinearOrder, "insert_above", spy_insert_above)
     monkeypatch.setattr(Builder, "place_next", spy_place_next)
-    monkeypatch.setattr(LinearOrder, "position", spy_position)
+    monkeypatch.setattr(LinearOrder, "locate", spy_locate)
     transcript, report = run_game(make_strategy("szemeredi", 8), FirstFit())
     assert report.ok
     assert report.colors == 36  # C(w+1, 2) classes for each later point to test
@@ -70,7 +70,7 @@ def test_szemeredi_game_keeps_legal_and_positions_off_the_per_color_path(monkeyp
     assert counts["rebuilds"] == 0
     roots = 2  # one per host: the scan and the stack builder
     assert counts["place_next"] == roots * rounds  # one call, on the root
-    assert counts["position"] <= roots * rounds
+    assert counts["unhinted"] <= roots * rounds
 
 
 @pytest.mark.parametrize("name, w, d", [("theorem2", 4, 3), ("theorem1", 3, None)])

@@ -136,12 +136,6 @@ def test_restrict_keeps_induced_relations():
     assert not q.comparable(1, 5)
 
 
-def test_down_set_and_up_set_include_the_point():
-    p = from_pairs(3, [(1, 2), (2, 3)])
-    assert p.down_set(2) == {1, 2}
-    assert p.up_set(2) == {2, 3}
-
-
 def test_completely_related_blocks():
     p = from_pairs(4, [(1, 3), (1, 4), (2, 3), (2, 4)])
     assert p.is_completely_below({1, 2}, {3, 4})

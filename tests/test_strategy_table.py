@@ -1,6 +1,6 @@
 """Every entry point takes the same (strategy, w, d, k) combinations.
 
-``make_strategy``, ``bound_for``, ``sweep``, ``Transcript.parse`` and
+``make_strategy``, ``sweep``, ``Transcript.parse`` and
 ``olcp play`` all defer to the strategy table's one validator, so each
 combination is accepted by all of them or rejected by all of them.
 """
@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from olcp import Transcript, TranscriptError, bound_for, make_strategy, sweep
+from olcp import Transcript, TranscriptError, make_strategy, sweep
 from olcp.cli import main
 
 COMBOS = [
@@ -58,8 +58,7 @@ def test_every_entry_point_agrees(name, w, d, k, accepted, tmp_path, capsys):
     capsys.readouterr()
     assert code in (0, 2)
     verdicts["olcp play"] = code == 0
-    if k is None:  # neither a bound nor a transcript header names k
-        verdicts["bound_for"] = _accepts(lambda: bound_for(name, w, d=d), ValueError)
+    if k is None:  # a transcript header does not name k
         header = {"version": 1, "strategy": name, "w": w, "d": d,
                   "partitioner": "first-fit", "seed": None}
         verdicts["Transcript.parse"] = _accepts(
