@@ -91,7 +91,8 @@ def separator_threshold(width: int, d: int | None) -> tuple[float, bool]:
 class Move:
     """One presented point: its relations to everything already shown.
 
-    ``below``/``above`` are full strict down-/up-sets.  ``level`` is the
+    ``below``/``above`` are the masks (bit x for id x) of its full strict
+    down-/up-sets among the points already shown.  ``level`` is the
     width of the game level (or sub-game) the point belongs to, ``stage``
     is 1 for forcing points and 2 for the mirrored points underneath.
     ``ext`` is only set when the realizer is public: per visible order,
@@ -99,8 +100,8 @@ class Move:
     """
 
     element: int
-    below: frozenset[int]
-    above: frozenset[int]
+    below: int
+    above: int
     level: int
     stage: int
     ext: tuple[int | None, ...] | None = None
@@ -171,23 +172,19 @@ class LevelReport:
     stack_hosts: list[LinearOrder] | None = None
 
 
-def _intersect_relations(hosts: Sequence[LinearOrder], e: int) -> tuple[set[int], set[int]]:
-    """Strict down-/up-set of e in the intersection of the host orders:
-    the slices on either side of e, intersected host by host.  Each host
-    is asked for e where its last insertion went, the usual case when e
-    has just been placed."""
+def _intersect_relations(hosts: Sequence[LinearOrder], e: int) -> tuple[int, int]:
+    """Masks of e's strict down-/up-set in the intersection of the host
+    orders: the prefix and suffix masks on either side of e, ANDed host by
+    host.  Each host is asked for e where its last insertion went, the
+    usual case when e has just been placed."""
     h = hosts[0]
-    seq = h.sequence
-    i = h.locate(e, h._last)
-    below = set(seq[:i])
-    above = set(seq[i + 1 :])
+    below, above = h.split_masks(h.locate(e, h._last))
     for h in hosts[1:]:
         if not below and not above:
             break
-        seq = h.sequence
-        i = h.locate(e, h._last)
-        below.intersection_update(seq[:i])
-        above.intersection_update(seq[i + 1 :])
+        b, a = h.split_masks(h.locate(e, h._last))
+        below &= b
+        above &= a
     return below, above
 
 
@@ -264,7 +261,7 @@ class Strategy:
     def done(self) -> bool:
         raise NotImplementedError
 
-    def _place(self, e: int) -> tuple[set[int], set[int], int, int, tuple[int | None, ...] | None]:
+    def _place(self, e: int) -> tuple[int, int, int, int, tuple[int | None, ...] | None]:
         raise NotImplementedError
 
     def _after_color(self, e: int, color: int) -> None:
@@ -282,7 +279,6 @@ class Strategy:
             )
         e = len(self.poset) + 1
         below, above, level, stage, ext = self._place(e)
-        below, above = frozenset(below), frozenset(above)
         self.poset._add_closed(below, above)
         move = Move(e, below, above, level, stage, ext)
         self._pending = move
@@ -360,11 +356,12 @@ class _GameLevel:
     then the separator choice, after which ``stage`` is 3.
 
     Stage one runs one root builder per host; the intersection of the
-    hosts, plus the cross-level relations ``extra_below``/``extra_above``,
-    gives the level's relations.  The mirrored stage follows from those
-    builders alone.  ``t_range`` bounds the separator's chain index, and
-    ``d`` is the number of visible orders (None: hidden hosts, scan hosts
-    first).  The strategy lays a level out; the level never sees the next.
+    hosts, plus the masks of cross-level relations
+    ``extra_below``/``extra_above``, gives the level's relations.  The
+    mirrored stage follows from those builders alone.  ``t_range`` bounds
+    the separator's chain index, and ``d`` is the number of visible orders
+    (None: hidden hosts, scan hosts first).  The strategy lays a level out;
+    the level never sees the next.
 
     A level holds the owning strategy's poset and color record, never the
     strategy or another level, so a finished game is freed without the
@@ -374,8 +371,7 @@ class _GameLevel:
     def __init__(self, poset: Poset, colors: dict[int, int], width: int,
                  hosts: Sequence[LinearOrder], specs: Sequence[BuilderSpec],
                  regions: Sequence[Region], t_range: tuple[int, int], d: int | None = None,
-                 extra_below: frozenset[int] = frozenset(),
-                 extra_above: frozenset[int] = frozenset()):
+                 extra_below: int = 0, extra_above: int = 0):
         self.poset = poset
         self.colors = colors
         self.width = width
@@ -396,16 +392,14 @@ class _GameLevel:
         self._bank = _Bank([Builder(*layout) for layout in zip(specs, regions, hosts)])
         self._dual_bank: _Bank | None = None
 
-    def place(self, e: int) -> tuple[set[int], set[int], int, int, tuple[int | None, ...] | None]:
+    def place(self, e: int) -> tuple[int, int, int, int, tuple[int | None, ...] | None]:
         """Place e in this level's hosts: ``Strategy._place``'s move fields."""
         bank = self._bank if self.stage == 1 else self._dual_bank
         assert bank is not None
         anchors = bank.place(e)
         below, above = _intersect_relations(self.hosts, e)
-        below |= self.extra_below
-        above |= self.extra_above
         ext = None if self.d is None else tuple(anchors)  # hidden hosts stay hidden
-        return below, above, self.width, self.stage, ext
+        return below | self.extra_below, above | self.extra_above, self.width, self.stage, ext
 
     def observe(self, e: int, color: int) -> None:
         if self.stage == 1:
@@ -427,12 +421,14 @@ class _GameLevel:
 
     def _make_dual_bank(self) -> _Bank:
         """Under each root builder, in bank order, a dual builder of the
-        other family in the same host, completely below its stage-one points."""
+        other family in the same host, completely below its stage-one points,
+        which lie in the builder's region."""
         w = self.width
         s1 = set(self.s1_points)
         duals = []
         for b in self._bank.builders:
-            lowest = next(x for x in b.host.sequence if x in s1)
+            lo, hi = b.region.bounds(b.host, b._bounds)
+            lowest = next(x for x in b.host.sequence[lo + 1:hi] if x in s1)
             family = "stack" if b.spec.family == "scan" else "scan"
             duals.append(Builder(BuilderSpec(family, w, w, "dual"),
                                  Region(b.region.low, lowest), b.host))
@@ -515,16 +511,15 @@ class HiddenRealizerStrategy(_StagedStrategy):
     def __init__(self, w: int):
         check_strategy(self.name, w)
         super().__init__(w)
-        self._levels = [self._new_level(w, frozenset(), frozenset())]
+        self._levels = [self._new_level(w, 0, 0)]
 
     def bound(self) -> float:
         return theorem1_total(self.w)
 
-    def _new_level(self, width: int, extra_below: frozenset[int],
-                   extra_above: frozenset[int]) -> _GameLevel:
+    def _new_level(self, width: int, extra_below: int, extra_above: int) -> _GameLevel:
         """A level with its own fresh hidden hosts, one scan and one stack
-        host per chain index; the cross-level relations are the
-        accumulated wrap sets."""
+        host per chain index; the cross-level relations are the masks of
+        the accumulated wrap sets."""
         specs = [BuilderSpec(family, kk, width)
                  for family in ("scan", "stack") for kk in range(1, width + 1)]
         return _GameLevel(self.poset, self.colors, width, [LinearOrder() for _ in specs],
@@ -532,8 +527,8 @@ class HiddenRealizerStrategy(_StagedStrategy):
                           extra_below=extra_below, extra_above=extra_above)
 
     def _next_level(self, level):
-        below = set(level.s2_points) - set(level.dual_chains[level.width])
-        above = set(level.s1_points) - set(level.chains[level.t])
+        below = _mask(set(level.s2_points) - set(level.dual_chains[level.width]))
+        above = _mask(set(level.s1_points) - set(level.chains[level.t]))
         return self._new_level(level.width - 1, level.extra_below | below,
                                level.extra_above | above)
 
@@ -591,6 +586,8 @@ class PresentedRealizerStrategy(_StagedStrategy):
         alone, deeper points land above the mirrored block and below the
         forcing block in every order -- except across the separator's home
         orders, which make the separator incomparable to everything deeper.
+        The level's points lie in its window of each order, so positions
+        are read there alone.
         """
         d = self.d
         j_t = level.t - (level.width - d + 2)
@@ -598,8 +595,9 @@ class PresentedRealizerStrategy(_StagedStrategy):
         d_top = set(level.dual_chains[level.width])
         s1, s2 = set(level.s1_points), set(level.s2_points)
         regions = []
-        for j in range(d):
-            pos = self.orders[j].positions()
+        for j, order in enumerate(self.orders):
+            lo, hi = level.regions[j].bounds(order)
+            pos = {x: i for i, x in enumerate(order.sequence[lo + 1:hi])}
             if j == j_t:
                 low = max(c_t, key=pos.__getitem__)
                 rest = s1 - c_t

@@ -11,7 +11,10 @@ the recorded colors — internal orders are re-derived, never trusted — and
 layers every structural check on top: per-round relation equality, chain
 validity, rainbow certificates, separator placement in the keeper orders,
 insertion-only growth of visible orders, thresholds, and realizer
-extraction.
+extraction.  A szemeredi game's other chain indices are checked without a
+strategy: their builders place the recorded points and take the recorded
+colors, and the relations their hosts present are compared once, at the
+end.
 
 Live games and replays share the verification engine: one report builder,
 and one insertion-only checker (``_ExtensionWatch``) that rebuilds the
@@ -24,8 +27,9 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .adversaries import (
     RainbowChains,
@@ -46,7 +50,10 @@ from .partitioners import PartitionerView, make_partitioner
 from .poset import (
     ChainPartition,
     LinearOrder,
+    Poset,
     _digits_mask,
+    _first_difference,
+    _realized_rows,
     verify_chain_partition,
     verify_realizer,
 )
@@ -132,6 +139,7 @@ class Transcript:
             raise TranscriptError("seed must be an integer or null", line=1)
 
         rounds = []
+        pool = list(range(len(lines)))  # one int object per id a row can name
         for n, raw in enumerate(lines[1:], start=2):
             obj = _parse_object(raw, n)
             _expect_keys(
@@ -144,8 +152,8 @@ class Transcript:
             if rnd != n - 1:
                 raise TranscriptError(f"round {rnd} out of sequence", line=n)
             element = _field_int(obj, "element", n, minimum=1)
-            below = _id_list(obj, "below", n)
-            above = _id_list(obj, "above", n)
+            below = _id_list(obj, "below", n, pool)
+            above = _id_list(obj, "above", n, pool)
             color = _field_int(obj, "color", n, minimum=1)
             level = _field_int(obj, "level", n, minimum=1)
             stage = _field_int(obj, "stage", n)
@@ -192,13 +200,15 @@ def _field_int(obj: dict, key: str, line: int, minimum: int | None = None) -> in
     return v
 
 
-def _id_list(obj: dict, key: str, line: int) -> tuple[int, ...]:
+def _id_list(obj: dict, key: str, line: int, pool: list[int]) -> tuple[int, ...]:
+    """The ids of a sorted, duplicate-free list, taken from ``pool`` where
+    it holds them, so that every row shares one int object per id."""
     v = obj[key]
     if not isinstance(v, list) or not set(map(type, v)) <= {int} or min(v, default=1) < 1:
         raise TranscriptError(f"field {key!r} must be a list of ids", line=line)
     if v != sorted(set(v)):
         raise TranscriptError(f"field {key!r} must be sorted and duplicate-free", line=line)
-    return tuple(v)
+    return tuple(map(pool.__getitem__, v)) if not v or v[-1] < len(pool) else tuple(v)
 
 
 def _parse_ext(raw, d: int, line: int) -> tuple[int | None, ...]:
@@ -262,11 +272,13 @@ def run_game(strategy: Strategy, partitioner,
     presented poset included.  The visible orders are checked to realize
     the poset once, at the end: insertion-only growth carries a wrong round
     there.  The partition handed to the partitioner is rechecked whole.
+    A row's ids are the poset's own id objects, picked by the move's masks.
     """
     part = ChainPartition()
     rounds: list[TranscriptRound] = []
     live: list[str] = []
     watch = _ExtensionWatch(strategy)
+    elements = strategy.poset._elements  # ids 1, 2, ...: one per round
     rnd = 0
     while not strategy.done():
         rnd += 1
@@ -287,7 +299,7 @@ def run_game(strategy: Strategy, partitioner,
         rounds.append(
             TranscriptRound(
                 rnd, move.element,
-                tuple(sorted(move.below)), tuple(sorted(move.above)),
+                _row_ids(move.below, elements), _row_ids(move.above, elements),
                 color, move.level, move.stage, move.ext,
             )
         )
@@ -298,6 +310,15 @@ def run_game(strategy: Strategy, partitioner,
     report.partitioner = partitioner.name
     report.seed = seed
     return transcript, report
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _row_ids(mask: int, elements: list[int]) -> tuple[int, ...]:
+    """The ids of ``mask``, ascending, as objects of ``elements`` = 1, 2, ...:
+    its binary digits from bit 1 up select them, in one C-level pass."""
+    return tuple(compress(elements, bin(mask)[-2:1:-1].encode().translate(_BITS)))
 
 
 class _ExtensionWatch:
@@ -488,8 +509,8 @@ def verify_transcript(t: Transcript) -> list[str]:
         # (color-legality faults, a cut transcript) only repeat it.
         main = set(v)
         for k in range(1, t.w):
-            vk, _ = _replay(make_strategy(t.strategy, t.w, k=k), t, masks)
-            s = next((s for s in vk if s not in main), None)
+            s = next((s for s in _chain_index_faults(t, k, masks, strategy.poset)
+                      if s not in main), None)
             if s is not None:
                 v.append(f"chain index {k} presents a different game: {s}")
 
@@ -502,24 +523,23 @@ def verify_transcript(t: Transcript) -> list[str]:
     return out
 
 
-def _relation_masks(t: Transcript) -> list[tuple[int | None, int | None]]:
-    """Each row's below and above sets as masks (bit x for id x), as the
-    poset keeps the relations of the element a replay presents in that
-    round, which is the round's place in the transcript.  A set no such
+def _relation_masks(t: Transcript) -> tuple[list[int | None], list[int | None]]:
+    """The rows' below and above sets as masks (bit x for id x), in two
+    lists indexed like a poset's rows by the element a replay presents in
+    each round, which is the round's place in the transcript.  A set no such
     element can have -- ids not sorted and distinct, or outside 1..round-1
     -- gets None, which no mask equals, and no mask is built from it."""
-    masks = []
+    below: list[int | None] = [0]
+    above: list[int | None] = [0]
     for e, row in enumerate(t.rounds, start=1):
-        masks.append(tuple(
-            _digits_mask(ids, e)
-            if not ids or (ids[0] >= 1 and ids[-1] < e and list(ids) == sorted(set(ids)))
-            else None
-            for ids in (row.below, row.above)))
-    return masks
+        for masks, ids in ((below, row.below), (above, row.above)):
+            valid = not ids or (ids[0] >= 1 and ids[-1] < e and list(ids) == sorted(set(ids)))
+            masks.append(_digits_mask(ids, e) if valid else None)
+    return below, above
 
 
 def _replay(strategy: Strategy, t: Transcript,
-            masks: Sequence[tuple[int | None, int | None]]) -> tuple[list[str], ChainPartition]:
+            masks: tuple[list[int | None], list[int | None]]) -> tuple[list[str], ChainPartition]:
     """Feed the recorded colors to ``strategy`` and compare every move with
     its row.  ``masks`` holds the rows' relation sets as masks
     (``_relation_masks``); each is compared with the new element's rows in
@@ -528,7 +548,7 @@ def _replay(strategy: Strategy, t: Transcript,
     part = ChainPartition()
     watch = _ExtensionWatch(strategy)
     below, above = strategy.poset._below, strategy.poset._above
-    for row, (below_mask, above_mask) in zip(t.rounds, masks):
+    for row, below_mask, above_mask in zip(t.rounds, masks[0][1:], masks[1][1:]):
         if strategy.done():
             v.append(f"round {row.round}: the game was already over")
             break
@@ -565,6 +585,82 @@ def _replay(strategy: Strategy, t: Transcript,
     if not strategy.done():
         v.append("transcript ends before the game is over")
     return v, part
+
+
+def _chain_index_faults(t: Transcript, k: int, masks: tuple[list[int | None], list[int | None]],
+                        main: Poset) -> Iterator[str]:
+    """The faults, in round order, that a szemeredi replay tuned to chain
+    index ``k`` reports on ``t``, found without replaying the strategy.
+
+    The scan-k and stack-k builders place the recorded points and take the
+    recorded colors, which gives each round's level, any derailment and the
+    game's end.  Hosts only grow by insertion, so the relations their final
+    intersection holds among a round's element and older ids are the ones
+    that round presented: one comparison with ``masks`` at the end checks
+    every round.  A color is checked only in a round whose relations differ
+    from the ``main`` replay's, or that the main replay never reached:
+    elsewhere it reported the same fault.
+    """
+    s = SzemerediStrategy(t.w, k)  # for its builders and hosts; its poset stays empty
+    bank = s._bank
+    levels: list[int] = []  # the level of each placed round
+    tail: list[str] = []
+    for e, row in enumerate(t.rounds, start=1):
+        if bank.done:
+            tail.append(f"round {row.round}: the game was already over")
+            break
+        level = bank.active_width()
+        try:
+            bank.place(e)
+            levels.append(level)
+            bank.observe(e, row.color)
+        except StrategyInvariantError as exc:
+            tail.append(f"round {row.round}: recorded colors derail the strategy: {exc}")
+            break
+    if not bank.done:
+        tail.append("transcript ends before the game is over")
+
+    placed = len(levels)
+    # A placement that derailed may have left its point in one host.
+    below, above = _realized_rows([s.scan_host, s.stack_host], placed + 2)
+    rows_below, rows_above = masks
+    main_rows = main._below, main._above
+    both = min(placed, len(main))  # rounds the main replay presented too
+
+    def next_difference(rows, start, stop):
+        return _first_difference(below, above, *rows, range(start, stop + 1))
+
+    recorded = next_difference(masks, 1, placed)
+    other = next_difference(main_rows, 1, both)
+    part = ChainPartition()  # colors of older rounds, filled in when a color is checked
+    p: Poset | None = None  # chain index k's poset, built for the first such check
+    for e, (row, level) in enumerate(zip(t.rounds, levels), start=1):
+        if e != row.element:
+            yield f"round {row.round}: element {e} presented, transcript says {row.element}"
+        if e == recorded:
+            older = (1 << e) - 1
+            if rows_below[e] is None or (below[e] ^ rows_below[e]) & older:
+                yield f"round {row.round}: relations below the new element differ"
+            if rows_above[e] is None or (above[e] ^ rows_above[e]) & older:
+                yield f"round {row.round}: relations above the new element differ"
+            recorded = next_difference(masks, e + 1, placed)
+        if level != row.level:
+            yield f"round {row.round}: level annotation {row.level}, re-run says {level}"
+        if row.stage != 1:
+            yield f"round {row.round}: stage annotation {row.stage}, re-run says 1"
+        if e == other or e > both:
+            if e == other:
+                other = next_difference(main_rows, e + 1, both)
+            for x in range(len(part.color_of) + 1, e):
+                part.assign(x, t.rounds[x - 1].color)
+            if p is None:
+                p = Poset._of_rows(list(range(1, placed + 1)), below, above)
+            ok, pair = part.legal(p, e, row.color)
+            if not ok:
+                assert pair is not None
+                yield (f"round {row.round}: color {row.color} is not a chain: "
+                       f"({pair[0]}, {pair[1]}) incomparable")
+    yield from tail
 
 
 # ---------------------------------------------------------------------------

@@ -104,16 +104,16 @@ class Poset:
             if missing:
                 y = min(_ids(missing))
                 raise RelationError(f"the new element would put {x} below {y}, which are unrelated")
-        return self._add_closed(_ids(down), _ids(up))
+        return self._add_closed(down, up)
 
-    def _add_closed(self, down: Iterable[int], up: Iterable[int]) -> int:
-        """Fast path: ``down``/``up`` are already transitively closed and
-        consistent.  Appends the new element's rows, read from digit strings
-        in linear time, and touches no older row; having no newer elements,
+    def _add_closed(self, down: int, up: int) -> int:
+        """Fast path: the masks ``down``/``up`` of present ids are already
+        transitively closed and consistent.  Appends them as the new
+        element's rows and touches no older row; having no newer elements,
         the new one's rows are complete as presented."""
         e = len(self._below)
-        self._below.append(_digits_mask(down, e))
-        self._above.append(_digits_mask(up, e))
+        self._below.append(down)
+        self._above.append(up)
         self._all |= 1 << e
         self._elements.append(e)
         return e
@@ -308,6 +308,10 @@ class Poset:
         return match_l
 
 
+#: Positions between two neighbouring cuts of a linear order's cut index.
+CUT = 48
+
+
 class LinearOrder:
     """A growing sequence of element ids, lowest first.
 
@@ -322,9 +326,15 @@ class LinearOrder:
     one comparison and a search.  The order remembers where its last
     insertion went, a hint for finding the new element.  Only whole-order
     checks build :meth:`positions`.
+
+    Prefix masks come from a cut index, built on first use: the mask of
+    ``sequence[:j * CUT]`` for every full cut j, and of the whole sequence.
+    An insertion moves one element across each cut above it, one XOR per
+    cut, and :meth:`prefix_mask` reads one cut and ORs in fewer than
+    ``CUT`` ids.
     """
 
-    __slots__ = ("sequence", "_members", "_pos", "_stale", "_last")
+    __slots__ = ("sequence", "_members", "_pos", "_stale", "_last", "_cuts", "_whole")
 
     def __init__(self, sequence: Iterable[int] = ()):
         self.sequence: list[int] = list(sequence)
@@ -332,6 +342,8 @@ class LinearOrder:
         self._pos: dict[int, int] = {}
         self._stale = True
         self._last: int | None = None  # index of the last inserted element
+        self._cuts: list[int] | None = None  # the cut index, once built
+        self._whole = 0  # mask of the sequence, kept with the cut index
 
     def insert_above(self, anchor: int | None, e: int, hint: int | None = None) -> None:
         """Insert ``e`` directly above ``anchor`` (``None`` = new bottom);
@@ -347,10 +359,19 @@ class LinearOrder:
             if anchor not in members:
                 raise RelationError(f"anchor {anchor} is not in the order")
             at = self.locate(anchor, hint) + 1
-        self.sequence.insert(at, e)
+        seq = self.sequence
+        seq.insert(at, e)
         self._last = at
         members.add(e)
         self._stale = True
+        cuts = self._cuts
+        if cuts is not None:
+            bit = 1 << e
+            for j in range(at // CUT + 1, len(cuts)):  # e enters, seq[j * CUT] leaves
+                cuts[j] ^= bit | 1 << seq[j * CUT]
+            self._whole |= bit
+            if len(seq) % CUT == 0:
+                cuts.append(self._whole)
 
     def locate(self, x: int, hint: int | None) -> int:
         """Index of ``x``: ``hint`` if the sequence holds ``x`` there, else
@@ -359,6 +380,32 @@ class LinearOrder:
         if hint is not None and 0 <= hint < len(seq) and seq[hint] == x:
             return hint
         return seq.index(x)
+
+    def prefix_mask(self, i: int) -> int:
+        """Mask of ``sequence[:i]``, for 0 <= i <= len(self)."""
+        cuts = self._cuts
+        if cuts is None:
+            cuts = self._index()
+        j = i // CUT
+        m = cuts[j]
+        for x in self.sequence[j * CUT:i]:
+            m |= 1 << x
+        return m
+
+    def split_masks(self, i: int) -> tuple[int, int]:
+        """Masks of the elements below and above index ``i``."""
+        below = self.prefix_mask(i)
+        return below, self._whole ^ below ^ 1 << self.sequence[i]
+
+    def _index(self) -> list[int]:
+        cuts = self._cuts = [0]
+        m = 0
+        for n, x in enumerate(self.sequence, 1):
+            m |= 1 << x
+            if n % CUT == 0:
+                cuts.append(m)
+        self._whole = m
+        return cuts
 
     def positions(self) -> dict[int, int]:
         if self._stale:
@@ -437,6 +484,19 @@ def _realized_rows(orders: list[LinearOrder], size: int) -> tuple[list[int], lis
     return below, above
 
 
+def _first_difference(below: list[int], above: list[int], rows_below: list[int | None],
+                      rows_above: list[int | None], ids: Iterable[int]) -> int | None:
+    """The first of ``ids`` whose ``below``/``above`` rows differ from
+    ``rows_below``/``rows_above``'s, both restricted to older ids, which
+    hold each relation once; a row of None differs from every row."""
+    for y in ids:
+        older = (1 << y) - 1
+        b, a = rows_below[y], rows_above[y]
+        if b is None or a is None or (below[y] ^ b) & older or (above[y] ^ a) & older:
+            return y
+    return None
+
+
 def intersect(orders: Iterable[LinearOrder]) -> Poset:
     """The poset x < y iff x precedes y in every given order."""
     orders = Realizer(orders).orders
@@ -477,10 +537,8 @@ def verify_realizer(realizer: Realizer, p: Poset) -> bool:
     if any(set(o.sequence) != elements for o in realizer.orders[1:]):
         return False
     below, above = _realized_rows(realizer.orders, len(p._below))
-    for y in p._elements:
-        older = (1 << y) - 1
-        if (below[y] ^ p._below[y]) & older or (above[y] ^ p._above[y]) & older:
-            return False
+    if _first_difference(below, above, p._below, p._above, p._elements) is not None:
+        return False
     p._below[:], p._above[:] = below, above
     p._fresh = len(p._elements)
     return True

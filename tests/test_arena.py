@@ -27,8 +27,8 @@ from olcp import (
     verify_transcript,
 )
 from olcp import arena
-from olcp.adversaries import SzemerediStrategy
 from olcp.arena import TranscriptRound
+from olcp.builders import Builder
 
 
 def game(name: str, w: int, d=None, seed=None):
@@ -349,9 +349,9 @@ def test_live_relations_off_the_visible_orders_fail_the_realizer_check():
     def drop_highest_below(e):
         below, above, level, stage, ext = place(e)
         if below and not dropped:
-            top = max(below, key=lambda x: len(s.poset.below(x)))
+            top = max((x for x in s.poset if below >> x & 1), key=lambda x: len(s.poset.below(x)))
             dropped.append(top)
-            below = below - {top}
+            below ^= 1 << top  # the move's below mask loses one bit
         return below, above, level, stage, ext
 
     s._place = drop_highest_below
@@ -376,15 +376,19 @@ def test_extra_round_after_the_end_is_flagged():
 
 def test_chain_index_that_ends_early_is_flagged(monkeypatch):
     """Every chain index must replay the whole recorded game; a variant
-    that stops one round early is named, and the main replay is clean."""
+    whose builders finish one round early is named, and the main replay is
+    clean."""
     t, _ = game("szemeredi", 4)
-    done = SzemerediStrategy.done
+    observe_color = Builder.observe_color
 
-    def early(self):
-        last = self.k == 1 and self._pending is None and len(self.poset) == len(t.rounds) - 1
-        return last or done(self)
+    def early(self, e, color):
+        events = observe_color(self, e, color)
+        if self.spec.k == 1 and e == len(t.rounds) - 1:  # a k=1 root builder
+            for inst in self.instances():
+                inst.done = True
+        return events
 
-    monkeypatch.setattr(SzemerediStrategy, "done", early)
+    monkeypatch.setattr(Builder, "observe_color", early)
     assert verify_transcript(t) == [
         f"chain index 1 presents a different game: round {len(t.rounds)}: the game was already over"
     ]

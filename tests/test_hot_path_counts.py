@@ -10,14 +10,18 @@ reuse the host positions they already hold, so neither count grows with
 the depth of the builder recursion.  A staged game hands each round to
 its current level alone: one ``place`` and one ``observe`` a round.  An
 insertion appends the new element's rows and no on-line round changes the
-row of an older element.
+row of an older element.  The rows arrive as the masks the hosts give, so
+no on-line round builds a mask from ids, and a szemeredi transcript is
+replayed once, its other chain indices by their builders alone.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from olcp import FirstFit, make_strategy, run_game
+from olcp import FirstFit, make_strategy, run_game, verify_transcript
+from olcp import arena
+from olcp import poset as poset_module
 from olcp.adversaries import _GameLevel
 from olcp.builders import Builder
 from olcp.poset import ChainPartition, LinearOrder, Poset
@@ -139,3 +143,46 @@ def test_online_rounds_leave_older_rows_as_they_were(monkeypatch, name, w, d):
     transcript, report = run_game(make_strategy(name, w, d=d), FirstFit())
     assert report.ok
     assert insertions == list(range(1, len(transcript.rounds) + 1))
+
+
+@pytest.mark.parametrize("name, w, d", [("szemeredi", 6, None), ("theorem1", 3, None),
+                                        ("theorem2", 4, 3)])
+def test_online_rounds_build_no_mask_from_ids(monkeypatch, name, w, d):
+    """Relations reach the poset as the masks the hosts give: no on-line
+    round turns a list of ids into a mask."""
+    calls = []
+    digits_mask = poset_module._digits_mask
+
+    def spy_digits_mask(ids, size):
+        calls.append(size)
+        return digits_mask(ids, size)
+
+    for module in (poset_module, arena):
+        monkeypatch.setattr(module, "_digits_mask", spy_digits_mask)
+    seen = []
+
+    class Counting(FirstFit):
+        def choose(self, view):
+            seen.append(len(calls))
+            return super().choose(view)
+
+    transcript, report = run_game(make_strategy(name, w, d=d), Counting())
+    assert report.ok
+    assert len(seen) == len(transcript.rounds) and seen[-1] == 0
+
+
+@pytest.mark.parametrize("w", [2, 5])
+def test_szemeredi_transcript_is_replayed_once(monkeypatch, w):
+    """Chain indices 1..w-1 run builders only; the one strategy replay is
+    the main one."""
+    transcript, _ = run_game(make_strategy("szemeredi", w), FirstFit())
+    replay = arena._replay
+    replays = []
+
+    def spy_replay(strategy, t, rows):
+        replays.append(strategy.k)
+        return replay(strategy, t, rows)
+
+    monkeypatch.setattr(arena, "_replay", spy_replay)
+    assert verify_transcript(transcript) == []
+    assert replays == [w]

@@ -27,6 +27,7 @@ from olcp import (
     intersect,
     verify_realizer,
 )
+from olcp.poset import CUT
 
 from poset_oracles import check_axioms, from_pairs, relation_pairs
 
@@ -399,3 +400,36 @@ def test_linear_order_matches_a_plain_list(start, steps):
         assert order.positions() == {x: i for i, x in enumerate(model)}
     copy = order.copy()
     assert copy == order and all(x in copy for x in model)
+
+
+def _plain_mask(ids) -> int:
+    return sum(1 << x for x in ids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3 * CUT), st.lists(st.tuples(st.integers(0, 10**6), st.booleans(),
+                                                   st.integers(0, 10**6)), max_size=4 * CUT))
+def test_prefix_masks_follow_insertions_across_cuts(start, steps):
+    """``prefix_mask(i)`` is the mask of ``sequence[:i]`` on an order built
+    from a sequence, after insertions that cross several cuts, and on a
+    copy that goes on growing; ``split_masks`` splits the order around one
+    element."""
+    order = LinearOrder(range(1, start + 1))
+    fresh = start + 1
+    for n, (where, read, at) in enumerate(steps):
+        seq = order.sequence
+        anchor = seq[where % len(seq)] if seq and where % (len(seq) + 1) else None
+        order.insert_above(anchor, fresh)
+        fresh += 1
+        if read:  # the cut index is built here, on first use, or already kept current
+            i = at % (len(order) + 1)
+            assert order.prefix_mask(i) == _plain_mask(order.sequence[:i])
+        if n == len(steps) // 2:
+            order = order.copy()
+    seq = order.sequence
+    prefix = 0
+    for i, x in enumerate(seq):  # every index, so every cut is read alone too
+        assert order.prefix_mask(i) == prefix
+        assert order.split_masks(i) == (prefix, _plain_mask(seq[i + 1:]))
+        prefix |= 1 << x
+    assert order.prefix_mask(len(seq)) == prefix
