@@ -217,11 +217,8 @@ class _Bank:
         return [b.place_next(e) for b in self.builders]
 
     def observe(self, e: int, color: int) -> None:
-        streams = set()
-        for b in self.builders:
-            events = b.observe_color(e, color)
-            streams.add(tuple((type(ev).__name__, getattr(ev, "terminal", None)) for ev in events))
-        if len(streams) > 1:
+        streams = [b.observe_color(e, color) for b in self.builders]
+        if streams.count(streams[0]) != len(streams):  # events compare by value
             raise StrategyInvariantError("builders disagreed about stage transitions")
 
     def instances(self) -> list[Builder]:

@@ -24,8 +24,10 @@ A root builder keeps its deeper instances in one list, widest first, and
 acts on the last of them directly, so a call takes one step at any depth.
 No instance refers to an ancestor or to itself, so a finished game is freed
 without the cycle collector.  Each builder also keeps where it last saw its
-region's bounds in the host; the host trusts such a position hint only
-after checking that it still holds the bound there.
+region's bounds in the host, and its scan target as colors arrive: a new
+point lands just before the target in walk order, so each color updates it
+in one step, and the target, the host's last insertion or its neighbour,
+gives the anchor's position hint.  The host checks a hint before using it.
 """
 
 from __future__ import annotations
@@ -124,12 +126,14 @@ class Builder:
 
     A root builder keeps its deeper instances in ``_deeper``, widest first;
     the last of them (or the root, while that list is empty) places points.
+    A scan-rule instance keeps its target current in ``observe_color`` and
+    takes the anchor's host index from a hint, so a placement walks nothing.
     """
 
     __slots__ = (
         "spec", "region", "host", "done", "_in_host_order",
         "colors_seen", "terminal", "_pending", "_color_by_point", "_bounds",
-        "_deeper",
+        "_deeper", "_scan", "_target", "_walked",
     )
 
     def __init__(self, spec: BuilderSpec, region: Region, host: LinearOrder):
@@ -149,6 +153,11 @@ class Builder:
         # Deeper instances, widest first; never this one, so no builder
         # refers to itself.
         self._deeper: list[Builder] = []
+        # Scan rule: the slot of the first own point in walk order whose color
+        # repeats an earlier one (None: none does), and the colors before it.
+        self._scan = (spec.family == "scan") == (spec.k == spec.w)
+        self._target: int | None = None
+        self._walked: set[int] = set()
 
     # -- queries ------------------------------------------------------------
 
@@ -186,35 +195,20 @@ class Builder:
         """The next stage-one point's anchor, a hint at the anchor's host
         index, and its slot among the builder's own points in host order;
         records the region's bounds."""
-        use_scan = (self.spec.family == "scan") == (self.spec.k == self.spec.w)
         lo, hi = self._bounds = self.region.bounds(self.host, self._bounds)
         seq = self.host.sequence
-        if use_scan:
-            i = self._scan_target()
-            if i is not None:
-                y = self._in_host_order[i]
-                if self.spec.dual:
-                    return y, None, i + 1  # directly above y
-                j = self.host.locate(y, None)
-                return (seq[j - 1] if j - 1 >= 0 else None), j - 1, i  # directly below y
+        i = self._target
+        if i is not None:  # scan rule; the target is the last insertion or next to it
+            y = self._in_host_order[i]
+            last = self.host._last
+            if self.spec.dual:
+                return y, last - (seq[last] != y), i + 1  # directly above y
+            j = self.host.locate(y, last + (seq[last] != y))
+            return (seq[j - 1] if j - 1 >= 0 else None), j - 1, i  # directly below y
         # stack rule (also the scan fallback): far end of the region
         if self.spec.dual:
             return (None if self.region.low is BOTTOM else self.region.low), lo, 0
         return (seq[hi - 1] if hi - 1 >= 0 else None), hi - 1, len(self._in_host_order)
-
-    def _scan_target(self) -> int | None:
-        """Walk own stage-one points from the near end of the region and
-        return the host-order slot of the first whose color repeats an
-        earlier one; None if the colors seen so far are all distinct."""
-        pts = self._in_host_order
-        walk = range(len(pts) - 1, -1, -1) if self.spec.dual else range(len(pts))
-        seen: set[int] = set()
-        for i in walk:
-            c = self._color_by_point[pts[i]]
-            if c in seen:
-                return i
-            seen.add(c)
-        return None
 
     # -- color observation ------------------------------------------------------
 
@@ -235,6 +229,14 @@ class Builder:
         b._pending = None
         b.colors_seen.add(color)
         b._color_by_point[e] = color
+        if b._scan:  # e went just before the target in walk order, or at the walk's end
+            t, dual = b._target, b.spec.dual
+            if color in b._walked:  # e is the new target
+                b._target = (0 if dual else len(b._in_host_order) - 1) if t is None else t + dual
+            else:
+                b._walked.add(color)
+                if t is not None and not dual:
+                    b._target = t + 1  # e sits below it
         if len(b._color_by_point) > 2 * b.spec.w - 1:
             raise StrategyInvariantError(
                 f"stage one exceeded {2 * b.spec.w - 1} points at width {b.spec.w}"

@@ -1,10 +1,13 @@
-"""Insertion-machine behavior: placement rules, stage changes, mirroring."""
+"""Insertion-machine behavior: placement rules, stage changes, mirroring,
+and the kept scan target against a brute-force walk."""
 
 from __future__ import annotations
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from olcp import (
     BOTTOM,
@@ -286,3 +289,57 @@ def test_dual_mirror_holds_for_every_k():
             p = Builder(spec, Region(BOTTOM, TOP), LinearOrder())
             d = Builder(BuilderSpec("scan", k, w, "dual"), Region(BOTTOM, TOP), LinearOrder())
             assert drive(d, iter(script)) == drive(p, iter(script))[::-1]
+
+
+# ---------------------------------------------------------------------------
+# the kept scan target against the walk it replaces
+
+
+def walked_scan_target(b: Builder) -> tuple[int | None, set[int]]:
+    """Oracle: walk the instance's own stage-one points from the near end
+    of its region; return the host-order slot of the first whose color
+    repeats an earlier one (None if all are distinct) and the colors walked
+    before it."""
+    pts = b._in_host_order
+    walk = range(len(pts) - 1, -1, -1) if b.spec.dual else range(len(pts))
+    seen: set[int] = set()
+    for i in walk:
+        c = b._color_by_point[pts[i]]
+        if c in seen:
+            return i, seen
+        seen.add(c)
+    return None, seen
+
+
+@st.composite
+def scan_rule_specs(draw) -> BuilderSpec:
+    """Root specs that start on the scan rule: family scan with k = w, or
+    family stack with k < w."""
+    family = draw(st.sampled_from(FAMILIES))
+    w = draw(st.integers(1 if family == "scan" else 2, 6))
+    k = w if family == "scan" else draw(st.integers(1, w - 1))
+    return BuilderSpec(family, k, w, draw(st.sampled_from(["primal", "dual"])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_rule_specs(), st.integers(0, 2**32 - 1), st.booleans())
+def test_kept_scan_target_matches_the_walk(spec, seed, foreign):
+    """After every color, the active instance's kept target and walked
+    colors are what the walk over its points gives.  With ``foreign``, an
+    element lands at the host's bottom before every placement, so the
+    anchor hints taken from the host's last insertion are always stale."""
+    script = feasible_script(spec, random.Random(seed))
+    host, twin_host = LinearOrder([90, 91]), LinearOrder([90, 91])
+    b = Builder(spec, Region(90, 91), host)
+    twin = Builder(spec, Region(90, 91), twin_host)
+    for e, color in enumerate(script, start=1):
+        if foreign:
+            host.insert_above(None, 1000 + e)
+        inst = b.active()
+        assert b.place_next(e) == twin.place_next(e)
+        b.observe_color(e, color)
+        twin.observe_color(e, color)
+        if (inst.spec.family == "scan") == (inst.spec.k == inst.spec.w):  # the scan rule
+            assert (inst._target, inst._walked) == walked_scan_target(inst)
+        assert [x for x in host.sequence if x < 1000] == twin_host.sequence
+    assert b.done and twin.done

@@ -5,9 +5,11 @@ so ``ChainPartition.legal`` runs once a round (the arena's check of the
 chosen color), not once per color.  Host orders grow by ``list.index`` and
 a membership set, so no insertion rebuilds a ``positions()`` dict.  A root
 builder acts on the last instance of its recursion list itself, so each
-host's ``Builder.place_next`` runs exactly once a round, and builders
-reuse the host positions they already hold, so neither count grows with
-the depth of the builder recursion.  A staged game hands each round to
+host's ``Builder.place_next`` runs exactly once a round, however deep the
+builder recursion.  Builders find their region's bounds and their anchors
+by checked position hints, so an instance searches its host only on its
+first placement and when its stage one ends: searches grow with the
+width, not with the rounds.  A staged game hands each round to
 its current level alone: one ``place`` and one ``observe`` a round.  An
 insertion appends the new element's rows and no on-line round changes the
 row of an older element.  The rows arrive as the masks the hosts give, so
@@ -22,18 +24,17 @@ import pytest
 from olcp import FirstFit, make_strategy, run_game, verify_transcript
 from olcp import arena
 from olcp import poset as poset_module
-from olcp.adversaries import _GameLevel
+from olcp.adversaries import _Bank, _GameLevel
 from olcp.builders import Builder
 from olcp.poset import ChainPartition, LinearOrder, Poset
 
 
 def test_szemeredi_game_keeps_legal_and_positions_off_the_per_color_path(monkeypatch):
-    counts = {"legal": 0, "rebuilds": 0, "rebuilds_in_insert": 0, "place_next": 0,
-              "unhinted": 0}
+    counts = {"legal": 0, "rebuilds": 0, "rebuilds_in_insert": 0, "place_next": 0}
     inserting = []
-    legal, positions, insert_above, place_next, locate = (
+    legal, positions, insert_above, place_next = (
         ChainPartition.legal, LinearOrder.positions, LinearOrder.insert_above,
-        Builder.place_next, LinearOrder.locate)
+        Builder.place_next)
 
     def spy_legal(self, p, e, color):
         counts["legal"] += 1
@@ -56,15 +57,10 @@ def test_szemeredi_game_keeps_legal_and_positions_off_the_per_color_path(monkeyp
         counts["place_next"] += 1
         return place_next(self, e)
 
-    def spy_locate(self, x, hint):
-        counts["unhinted"] += hint is None
-        return locate(self, x, hint)
-
     monkeypatch.setattr(ChainPartition, "legal", spy_legal)
     monkeypatch.setattr(LinearOrder, "positions", spy_positions)
     monkeypatch.setattr(LinearOrder, "insert_above", spy_insert_above)
     monkeypatch.setattr(Builder, "place_next", spy_place_next)
-    monkeypatch.setattr(LinearOrder, "locate", spy_locate)
     transcript, report = run_game(make_strategy("szemeredi", 8), FirstFit())
     assert report.ok
     assert report.colors == 36  # C(w+1, 2) classes for each later point to test
@@ -74,7 +70,40 @@ def test_szemeredi_game_keeps_legal_and_positions_off_the_per_color_path(monkeyp
     assert counts["rebuilds"] == 0
     roots = 2  # one per host: the scan and the stack builder
     assert counts["place_next"] == roots * rounds  # one call, on the root
-    assert counts["unhinted"] <= roots * rounds
+
+
+@pytest.mark.parametrize("name, w, d", [("szemeredi", 8, None), ("theorem2", 4, 3)])
+def test_host_searches_grow_with_the_width_not_the_rounds(monkeypatch, name, w, d):
+    """A search is a ``locate`` without a hint or whose hint misses.  An
+    instance searches for its region's bounds on its first placement only,
+    and once more for its terminal when its stage one ends; every later
+    placement finds its bounds and its anchor by hint."""
+    searches, repeat_searches, root_widths = [0], [0], []
+    locate, place_next, bank_init = LinearOrder.locate, Builder.place_next, _Bank.__init__
+
+    def spy_locate(self, x, hint):
+        seq = self.sequence
+        searches[0] += hint is None or not (0 <= hint < len(seq) and seq[hint] == x)
+        return locate(self, x, hint)
+
+    def spy_place_next(self, e):
+        first = not self.active()._in_host_order
+        before = searches[0]
+        anchor = place_next(self, e)
+        repeat_searches[0] += 0 if first else searches[0] - before
+        return anchor
+
+    def spy_bank_init(self, builders):
+        root_widths.extend(b.spec.w for b in builders)
+        bank_init(self, builders)
+
+    monkeypatch.setattr(LinearOrder, "locate", spy_locate)
+    monkeypatch.setattr(Builder, "place_next", spy_place_next)
+    monkeypatch.setattr(_Bank, "__init__", spy_bank_init)
+    transcript, report = run_game(make_strategy(name, w, d=d), FirstFit())
+    assert report.ok
+    assert repeat_searches[0] == 0
+    assert searches[0] <= 4 * sum(root_widths)
 
 
 @pytest.mark.parametrize("name, w, d", [("theorem2", 4, 3), ("theorem1", 3, None)])
