@@ -425,10 +425,12 @@ class _GameLevel:
         duals = []
         for b in self._bank.builders:
             lo, hi = b.region.bounds(b.host, b._bounds)
-            lowest = next(x for x in b.host.sequence[lo + 1:hi] if x in s1)
+            seq = b.host.sequence
+            i = next(i for i in range(lo + 1, hi) if seq[i] in s1)  # its lowest point
             family = "stack" if b.spec.family == "scan" else "scan"
-            duals.append(Builder(BuilderSpec(family, w, w, "dual"),
-                                 Region(b.region.low, lowest), b.host))
+            dual = Builder(BuilderSpec(family, w, w, "dual"), Region(b.region.low, seq[i]), b.host)
+            dual._bounds = (lo, i)  # hints for its first placement
+            duals.append(dual)
         return _Bank(duals)
 
     def _choose_separator(self) -> None:

@@ -54,6 +54,7 @@ from .poset import (
     _digits_mask,
     _first_difference,
     _realized_rows,
+    _two_order_width,
     verify_chain_partition,
     verify_realizer,
 )
@@ -90,6 +91,16 @@ class Transcript:
     version: int = FORMAT_VERSION
 
     def serialize(self) -> str:
+        """The transcript as JSON lines, byte for byte what ``json.dumps``
+        writes.
+
+        The header goes through ``json.dumps``, because its strings need
+        escaping.  Each round line is an f-string.  Its ids take their text
+        from one table of ids, built once per transcript, so no id is
+        turned into a string of its own.  A row the table cannot render
+        exactly (an id outside it, a value that is not an int) keeps its
+        ``json.dumps`` text.
+        """
         header = {
             "version": self.version,
             "strategy": self.strategy,
@@ -99,20 +110,14 @@ class Transcript:
             "seed": self.seed,
         }
         lines = [json.dumps(header, separators=(",", ":"))]
+        text = {x: str(x) for x in range(2, len(self.rounds) + 1)}
         for r in self.rounds:
-            obj: dict = {
-                "round": r.round,
-                "element": r.element,
-                "below": list(r.below),
-                "above": list(r.above),
-            }
-            if r.ext is not None:
-                obj["ext"] = [[j, "BOTTOM" if a is None else a] for j, a in enumerate(r.ext)]
-            obj["color"] = r.color
-            obj["level"] = r.level
-            obj["stage"] = r.stage
-            lines.append(json.dumps(obj, separators=(",", ":")))
-        return "\n".join(lines) + "\n"
+            try:
+                lines.append(_round_line(r, text))
+            except (KeyError, TypeError):
+                lines.append(_round_json(r))
+        lines.append("")  # the final newline, joined on rather than added to a copy
+        return "\n".join(lines)
 
     @classmethod
     def parse(cls, text: str) -> "Transcript":
@@ -168,6 +173,58 @@ class Transcript:
                 raise TranscriptError("ext belongs only to visible-order games", line=n)
             rounds.append(TranscriptRound(rnd, element, below, above, color, level, stage, ext))
         return cls(strategy, w, d, partitioner, seed, rounds, version)
+
+
+_ONE = 1  # CPython keeps one object per small int: ``x is _ONE`` is x being the int 1
+_BOTTOM_TEXT = '"BOTTOM"'
+
+
+def _round_line(r: TranscriptRound, text: dict[int, str]) -> str:
+    """Row ``r`` as ``_round_json`` writes it, its ids' text read from
+    ``text``; KeyError or TypeError for a value it cannot render exactly."""
+    if not type(r.round) is type(r.element) is type(r.color) is type(r.level) is type(r.stage) is int:
+        raise TypeError("a round field is not an int")
+    ext = ""
+    if r.ext is not None:
+        ext = ",".join(f"[{j},{_BOTTOM_TEXT if a is None else _ids_text((a,), text)}]"
+                       for j, a in enumerate(r.ext))
+        ext = f'"ext":[{ext}],'
+    return (f'{{"round":{r.round},"element":{r.element},'
+            f'"below":[{_ids_text(r.below, text)}],"above":[{_ids_text(r.above, text)}],'
+            f'{ext}"color":{r.color},"level":{r.level},"stage":{r.stage}}}')
+
+
+def _ids_text(ids: tuple[int, ...], text: dict[int, str]) -> str:
+    """``ids`` comma-separated, each as ``json.dumps`` writes it.
+
+    ``text`` holds ids 2..n.  It lacks 1 because ``True`` equals 1, so
+    ``True`` raises KeyError, as every value but an id 2..n does.  A
+    leading int 1, where a sorted row holds it, is written directly.  A
+    float, Fraction or Decimal equal to an id would be found in ``text``,
+    but it makes the sum a non-int, and that raises TypeError.  So does a
+    value that is not a tuple, which might be an iterator the sum uses up.
+    """
+    if type(ids) is not tuple or type(sum(ids)) is not int:
+        raise TypeError("not a tuple of ints")
+    if ids and ids[0] is _ONE:
+        return ",".join(("1", *map(text.__getitem__, ids[1:])))
+    return ",".join(map(text.__getitem__, ids))
+
+
+def _round_json(r: TranscriptRound) -> str:
+    """Row ``r`` through ``json.dumps``: the text every round line must equal."""
+    obj: dict = {
+        "round": r.round,
+        "element": r.element,
+        "below": list(r.below),
+        "above": list(r.above),
+    }
+    if r.ext is not None:
+        obj["ext"] = [[j, "BOTTOM" if a is None else a] for j, a in enumerate(r.ext)]
+    obj["color"] = r.color
+    obj["level"] = r.level
+    obj["stage"] = r.stage
+    return json.dumps(obj, separators=(",", ":"))
 
 
 def _parse_object(raw: str, line: int) -> dict:
@@ -370,7 +427,13 @@ class _ExtensionWatch:
 def build_report(strategy: Strategy, part: ChainPartition,
                  extra_violations: Iterable[str] = ()) -> GameReport:
     """Check a finished game's certificates, realizer and width; the chain
-    partition is the caller's to check (a replay does it round by round)."""
+    partition is the caller's to check (a replay does it round by round).
+
+    When the extracted realizer holds exactly two orders and its check
+    passes, the width is the longest run that rises in one order and falls
+    in the other (patience sorting, O(n log n)); otherwise, with d >= 3
+    orders or a realizer that failed, it is ``Poset.width``'s matching.
+    """
     violations = list(extra_violations)
     p = strategy.poset
     colors = part.distinct_colors()
@@ -378,7 +441,8 @@ def build_report(strategy: Strategy, part: ChainPartition,
     bound_met = colors >= bound
 
     # Checked first: when it holds, it gives the poset its full rows.
-    realized = verify_realizer(strategy.extract_realizer(), p)
+    realizer = strategy.extract_realizer()
+    realized = verify_realizer(realizer, p)
     levels: list[LevelReport] | None = None
     if isinstance(strategy, SzemerediStrategy):
         rb = strategy.rainbow()
@@ -397,7 +461,8 @@ def build_report(strategy: Strategy, part: ChainPartition,
     if not realized:
         violations.append("extracted realizer does not realize the presented poset")
 
-    width = p.width()
+    orders = realizer.orders
+    width = _two_order_width(*orders) if realized and len(orders) == 2 else p.width()
     if width != strategy.w:
         violations.append(f"presented poset has width {width}, the game promises {strategy.w}")
 

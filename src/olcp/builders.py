@@ -24,7 +24,8 @@ A root builder keeps its deeper instances in one list, widest first, and
 acts on the last of them directly, so a call takes one step at any depth.
 No instance refers to an ancestor or to itself, so a finished game is freed
 without the cycle collector.  Each builder also keeps where it last saw its
-region's bounds in the host, and its scan target as colors arrive: a new
+region's bounds in the host (a deeper instance starts with the bounds its
+parent found), and its scan target as colors arrive: a new
 point lands just before the target in walk order, so each color updates it
 in one step, and the target, the host's last insertion or its neighbour,
 gives the anchor's position hint.  The host checks a hint before using it.
@@ -246,28 +247,37 @@ class Builder:
         b.terminal = e
         events: list[object] = [Stage1Ended(e)]
         if b.spec.w > 1:
-            self._deeper.append(Builder(b.spec.child(), b._child_region(), self.host))
+            self._deeper.append(b._child())
             return events
         for inst in self.instances():
             inst.done = True
             events.append(Done())
         return events
 
-    def _child_region(self) -> Region:
+    def _child(self) -> "Builder":
+        """The stage-two instance, with its region's bounds as position
+        hints, so that its first placement need not search the host.
+        Under the scan rule the region borders the terminal, the host's
+        last insertion.  Under the stack rule it lies between the near bound
+        and the first point, which every later point was piled beyond."""
         lo, hi = self.region.bounds(self.host, self._bounds)
         seq = self.host.sequence
         first = next(iter(self._color_by_point))
         z = self.terminal
         assert z is not None
-        under_first = (self.spec.family == "scan") == (self.spec.k < self.spec.w)
-        if not self.spec.dual:
-            if under_first:
-                return Region(self.region.low, first)
-            i = self.host.locate(z, None)
-            high = seq[i + 1] if i + 1 < hi else self.region.high
-            return Region(z, high)
-        if under_first:
-            return Region(first, self.region.high)
-        i = self.host.locate(z, None)
-        low = seq[i - 1] if i - 1 > lo else self.region.low
-        return Region(low, z)
+        if not self._scan:
+            if not self.spec.dual:
+                region, bounds = Region(self.region.low, first), (lo, lo + 1)
+            else:
+                region, bounds = Region(first, self.region.high), (hi - 1, hi)
+        else:
+            i = self.host.locate(z, self.host._last)
+            if not self.spec.dual:
+                region = Region(z, seq[i + 1] if i + 1 < hi else self.region.high)
+                bounds = (i, i + 1)
+            else:
+                region = Region(seq[i - 1] if i - 1 > lo else self.region.low, z)
+                bounds = (i - 1, i)
+        child = Builder(self.spec.child(), region, self.host)
+        child._bounds = bounds
+        return child

@@ -21,6 +21,7 @@ searches to run.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator
 
 from .errors import RelationError
@@ -482,6 +483,24 @@ def _realized_rows(orders: list[LinearOrder], size: int) -> tuple[list[int], lis
                 rows[x] = seen if i == 0 else rows[x] & seen
                 seen |= 1 << x
     return below, above
+
+
+def _two_order_width(first: LinearOrder, second: LinearOrder) -> int:
+    """Width of the intersection of two orders on one element set: its
+    antichains are the sequences that rise in ``first`` and fall in
+    ``second``, so the width is the longest decreasing run of ``second``
+    positions read in ``first`` order, found by patience sorting in
+    O(n log n).  A repeated id counts at its last copy, as in
+    :func:`_realized_rows`."""
+    at = {x: i for i, x in enumerate(second.sequence)}
+    tails: list[int] = []  # tails[k]: least last position of a rising run of k + 1
+    for i in map(at.__getitem__, dict.fromkeys(reversed(first.sequence))):
+        k = bisect_left(tails, i)
+        if k == len(tails):
+            tails.append(i)
+        else:
+            tails[k] = i
+    return len(tails)
 
 
 def _first_difference(below: list[int], above: list[int], rows_below: list[int | None],

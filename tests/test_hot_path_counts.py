@@ -7,9 +7,9 @@ a membership set, so no insertion rebuilds a ``positions()`` dict.  A root
 builder acts on the last instance of its recursion list itself, so each
 host's ``Builder.place_next`` runs exactly once a round, however deep the
 builder recursion.  Builders find their region's bounds and their anchors
-by checked position hints, so an instance searches its host only on its
-first placement and when its stage one ends: searches grow with the
-width, not with the rounds.  A staged game hands each round to
+by checked position hints, so only a root instance searches its host, on
+its first placement: a deeper instance starts with the hints its parent
+found.  Searches grow with the width, not with the rounds.  A staged game hands each round to
 its current level alone: one ``place`` and one ``observe`` a round.  An
 insertion appends the new element's rows and no on-line round changes the
 row of an older element.  The rows arrive as the masks the hosts give, so
@@ -74,11 +74,11 @@ def test_szemeredi_game_keeps_legal_and_positions_off_the_per_color_path(monkeyp
 
 @pytest.mark.parametrize("name, w, d", [("szemeredi", 8, None), ("theorem2", 4, 3)])
 def test_host_searches_grow_with_the_width_not_the_rounds(monkeypatch, name, w, d):
-    """A search is a ``locate`` without a hint or whose hint misses.  An
-    instance searches for its region's bounds on its first placement only,
-    and once more for its terminal when its stage one ends; every later
-    placement finds its bounds and its anchor by hint."""
-    searches, repeat_searches, root_widths = [0], [0], []
+    """A search is a ``locate`` without a hint or whose hint misses.  A
+    root instance may search for its region's bounds on its first placement;
+    a deeper instance starts with its parent's hints and, like every later
+    placement, finds its bounds and its anchor by hint."""
+    searches, repeat_searches, deeper_first_searches, root_widths = [0], [0], [0], []
     locate, place_next, bank_init = LinearOrder.locate, Builder.place_next, _Bank.__init__
 
     def spy_locate(self, x, hint):
@@ -87,10 +87,14 @@ def test_host_searches_grow_with_the_width_not_the_rounds(monkeypatch, name, w, 
         return locate(self, x, hint)
 
     def spy_place_next(self, e):
-        first = not self.active()._in_host_order
+        active = self.active()
+        first = not active._in_host_order
         before = searches[0]
         anchor = place_next(self, e)
-        repeat_searches[0] += 0 if first else searches[0] - before
+        if not first:
+            repeat_searches[0] += searches[0] - before
+        elif active is not self:
+            deeper_first_searches[0] += searches[0] - before
         return anchor
 
     def spy_bank_init(self, builders):
@@ -103,6 +107,7 @@ def test_host_searches_grow_with_the_width_not_the_rounds(monkeypatch, name, w, 
     transcript, report = run_game(make_strategy(name, w, d=d), FirstFit())
     assert report.ok
     assert repeat_searches[0] == 0
+    assert deeper_first_searches[0] == 0
     assert searches[0] <= 4 * sum(root_widths)
 
 
