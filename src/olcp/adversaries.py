@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .builders import BOTTOM, TOP, Builder, BuilderSpec, Region
+from .builders import BOTTOM, TOP, Builder, BuilderSpec, Region, splice
 from .errors import StrategyInvariantError
 from .poset import ChainPartition, LinearOrder, Poset, Realizer, _mask
 
@@ -357,8 +357,10 @@ class _GameLevel:
     ``extra_below``/``extra_above``, gives the level's relations.  The
     mirrored stage follows from those builders alone.  ``t_range`` bounds
     the separator's chain index, and ``d`` is the number of visible orders
-    (None: hidden hosts, scan hosts first).  The strategy lays a level out;
-    the level never sees the next.
+    (None: two hidden hosts, the scan and the stack host tuned to chain
+    index ``width``; the hosts tuned to each other index are spliced from
+    them when the level is reported, see ``tuned_hosts``).  The strategy
+    lays a level out; the level never sees the next.
 
     A level holds the owning strategy's poset and color record, never the
     strategy or another level, so a finished game is freed without the
@@ -452,8 +454,17 @@ class _GameLevel:
                 f"needs {'above' if strict else 'at least'} {threshold}"
             )
 
+    def tuned_hosts(self, k: int) -> tuple[LinearOrder, LinearOrder]:
+        """The hidden scan and stack hosts tuned to chain index k, spliced
+        from the two tuned to k = width.  The mirrored block sits at the
+        bottom of both, so it joins the points of widths up to k."""
+        low = {x for inst in self._bank.instances() if inst.spec.w <= k
+               for x in inst._in_host_order}
+        return splice(*self.hosts, low.union(self.s2_points))
+
     def report(self) -> LevelReport:
         hidden = self.d is None
+        tuned = [self.tuned_hosts(k) for k in range(1, self.width + 1)] if hidden else []
         return LevelReport(
             width=self.width,
             t=self.t,
@@ -464,8 +475,8 @@ class _GameLevel:
             s2_points=list(self.s2_points),
             chains={k: list(v) for k, v in self.chains.items()},
             dual_chains={k: list(v) for k, v in self.dual_chains.items()},
-            scan_hosts=list(self.hosts[: self.width]) if hidden else None,
-            stack_hosts=list(self.hosts[self.width :]) if hidden else None,
+            scan_hosts=[scan for scan, _ in tuned] if hidden else None,
+            stack_hosts=[stack for _, stack in tuned] if hidden else None,
         )
 
 
@@ -516,13 +527,12 @@ class HiddenRealizerStrategy(_StagedStrategy):
         return theorem1_total(self.w)
 
     def _new_level(self, width: int, extra_below: int, extra_above: int) -> _GameLevel:
-        """A level with its own fresh hidden hosts, one scan and one stack
-        host per chain index; the cross-level relations are the masks of
-        the accumulated wrap sets."""
-        specs = [BuilderSpec(family, kk, width)
-                 for family in ("scan", "stack") for kk in range(1, width + 1)]
-        return _GameLevel(self.poset, self.colors, width, [LinearOrder() for _ in specs],
-                          specs, [Region(BOTTOM, TOP)] * len(specs), (1, width),
+        """A level with two fresh hidden hosts, the scan and the stack host
+        tuned to chain index ``width``; the cross-level relations are the
+        masks of the accumulated wrap sets."""
+        specs = [BuilderSpec(family, width, width) for family in ("scan", "stack")]
+        return _GameLevel(self.poset, self.colors, width, [LinearOrder(), LinearOrder()],
+                          specs, [Region(BOTTOM, TOP)] * 2, (1, width),
                           extra_below=extra_below, extra_above=extra_above)
 
     def _next_level(self, level):
@@ -542,8 +552,7 @@ class HiddenRealizerStrategy(_StagedStrategy):
         first: list[int] = []
         second: list[int] = []
         for lvl in reversed(self._levels):
-            a = lvl.hosts[lvl.t - 1]
-            b = lvl.hosts[lvl.width + lvl.t - 1]
+            a, b = lvl.tuned_hosts(lvl.t)
             s1, s2 = set(lvl.s1_points), set(lvl.s2_points)
             c_t = set(lvl.chains[lvl.t])
             d_top = set(lvl.dual_chains[lvl.width])

@@ -12,9 +12,10 @@ layers every structural check on top: per-round relation equality, chain
 validity, rainbow certificates, separator placement in the keeper orders,
 insertion-only growth of visible orders, thresholds, and realizer
 extraction.  A szemeredi game's other chain indices are checked without a
-strategy: their builders place the recorded points and take the recorded
-colors, and the relations their hosts present are compared once, at the
-end.
+builder: their hosts are spliced from the main replay's two
+(``builders.splice``), and the relations they present are compared with
+the rows once, at the end.  A ``theorem1`` level's spliced hosts are
+checked the same way against the level's rows.
 
 Live games and replays share the verification engine: one report builder,
 and one insertion-only checker (``_ExtensionWatch``) that rebuilds the
@@ -40,6 +41,7 @@ from .adversaries import (
     make_strategy,
     separator_threshold,
 )
+from .builders import splice
 from .errors import (
     IllegalMoveError,
     OlcpError,
@@ -50,7 +52,6 @@ from .partitioners import PartitionerView, make_partitioner
 from .poset import (
     ChainPartition,
     LinearOrder,
-    Poset,
     _digits_mask,
     _first_difference,
     _realized_rows,
@@ -508,6 +509,14 @@ def _check_levels(strategy: Strategy, part: ChainPartition,
         if deeper and not p.is_completely_incomparable(sep, deeper):
             v.append(f"{tag}: separator is comparable to a deeper point")
 
+        if rep.scan_hosts is not None and rep.stack_hosts is not None:
+            # Each chain index's hidden host pair presents the level's rows.
+            level = p.restrict(rep.s1_points + rep.s2_points)
+            for k, pair in enumerate(zip(rep.scan_hosts, rep.stack_hosts), start=1):
+                rows = _realized_rows([h.restrict(level._elements) for h in pair], len(level._below))
+                y = _first_difference(*rows, level._below, level._above, level._elements)
+                if y is not None:
+                    v.append(f"{tag}: hosts tuned to chain index {k} present other relations at {y}")
         v += _check_order_separation(strategy, rep, tag)
 
     for i in range(len(sep_colors)):
@@ -562,6 +571,9 @@ def verify_transcript(t: Transcript) -> list[str]:
     least as many points as its width, so fewer rows than w(w+1)/2 cannot
     hold a complete game; such a transcript is rejected before any replay,
     whose setup would cost O(w) or O(d) whatever the row count.
+
+    A szemeredi transcript is replayed once, tuned to chain index w; the
+    other chain indices' hosts are spliced (``_chain_index_faults``).
     """
     if len(t.rounds) < t.w * (t.w + 1) // 2:
         return ["transcript ends before the game is over"]
@@ -569,12 +581,11 @@ def verify_transcript(t: Transcript) -> list[str]:
     strategy = make_strategy(t.strategy, t.w, d=t.d)
     v, part = _replay(strategy, t, masks)
     if isinstance(strategy, SzemerediStrategy):
-        # Every chain index must replay the same game.  Its first fault that
-        # the main replay did not report shows a different one; the others
-        # (color-legality faults, a cut transcript) only repeat it.
+        # Every chain index must present the same game.  Its first fault
+        # that the main replay did not report shows a different one.
         main = set(v)
         for k in range(1, t.w):
-            s = next((s for s in _chain_index_faults(t, k, masks, strategy.poset)
+            s = next((s for s in _chain_index_faults(t, k, masks, strategy)
                       if s not in main), None)
             if s is not None:
                 v.append(f"chain index {k} presents a different game: {s}")
@@ -653,79 +664,25 @@ def _replay(strategy: Strategy, t: Transcript,
 
 
 def _chain_index_faults(t: Transcript, k: int, masks: tuple[list[int | None], list[int | None]],
-                        main: Poset) -> Iterator[str]:
-    """The faults, in round order, that a szemeredi replay tuned to chain
-    index ``k`` reports on ``t``, found without replaying the strategy.
+                        main: SzemerediStrategy) -> Iterator[str]:
+    """The relation faults, in round order, that a szemeredi replay tuned to
+    chain index ``k`` reports on ``t``, found without running a builder.
 
-    The scan-k and stack-k builders place the recorded points and take the
-    recorded colors, which gives each round's level, any derailment and the
-    game's end.  Hosts only grow by insertion, so the relations their final
-    intersection holds among a round's element and older ids are the ones
-    that round presented: one comparison with ``masks`` at the end checks
-    every round.  A color is checked only in a round whose relations differ
-    from the ``main`` replay's, or that the main replay never reached:
-    elsewhere it reported the same fault.
+    Its hosts are spliced from the ``main`` replay's, restricted to the
+    points its poset holds.  Hosts only grow by insertion, so one comparison
+    of their intersection with ``masks``, restricted to older ids, checks
+    every round.  Its other faults depend on the colors alone, so the main
+    replay has reported them.
     """
-    s = SzemerediStrategy(t.w, k)  # for its builders and hosts; its poset stays empty
-    bank = s._bank
-    levels: list[int] = []  # the level of each placed round
-    tail: list[str] = []
-    for e, row in enumerate(t.rounds, start=1):
-        if bank.done:
-            tail.append(f"round {row.round}: the game was already over")
-            break
-        level = bank.active_width()
-        try:
-            bank.place(e)
-            levels.append(level)
-            bank.observe(e, row.color)
-        except StrategyInvariantError as exc:
-            tail.append(f"round {row.round}: recorded colors derail the strategy: {exc}")
-            break
-    if not bank.done:
-        tail.append("transcript ends before the game is over")
-
-    placed = len(levels)
-    # A placement that derailed may have left its point in one host.
-    below, above = _realized_rows([s.scan_host, s.stack_host], placed + 2)
-    rows_below, rows_above = masks
-    main_rows = main._below, main._above
-    both = min(placed, len(main))  # rounds the main replay presented too
-
-    def next_difference(rows, start, stop):
-        return _first_difference(below, above, *rows, range(start, stop + 1))
-
-    recorded = next_difference(masks, 1, placed)
-    other = next_difference(main_rows, 1, both)
-    part = ChainPartition()  # colors of older rounds, filled in when a color is checked
-    p: Poset | None = None  # chain index k's poset, built for the first such check
-    for e, (row, level) in enumerate(zip(t.rounds, levels), start=1):
-        if e != row.element:
-            yield f"round {row.round}: element {e} presented, transcript says {row.element}"
-        if e == recorded:
-            older = (1 << e) - 1
-            if rows_below[e] is None or (below[e] ^ rows_below[e]) & older:
-                yield f"round {row.round}: relations below the new element differ"
-            if rows_above[e] is None or (above[e] ^ rows_above[e]) & older:
-                yield f"round {row.round}: relations above the new element differ"
-            recorded = next_difference(masks, e + 1, placed)
-        if level != row.level:
-            yield f"round {row.round}: level annotation {row.level}, re-run says {level}"
-        if row.stage != 1:
-            yield f"round {row.round}: stage annotation {row.stage}, re-run says 1"
-        if e == other or e > both:
-            if e == other:
-                other = next_difference(main_rows, e + 1, both)
-            for x in range(len(part.color_of) + 1, e):
-                part.assign(x, t.rounds[x - 1].color)
-            if p is None:
-                p = Poset._of_rows(list(range(1, placed + 1)), below, above)
-            ok, pair = part.legal(p, e, row.color)
-            if not ok:
-                assert pair is not None
-                yield (f"round {row.round}: color {row.color} is not a chain: "
-                       f"({pair[0]}, {pair[1]}) incomparable")
-    yield from tail
+    elements = main.poset._elements
+    low = {x for inst in main._bank.instances() if inst.spec.w <= k for x in inst._in_host_order}
+    hosts = splice(main.scan_host.restrict(elements), main.stack_host.restrict(elements), low)
+    rows = _realized_rows(list(hosts), len(elements) + 1)
+    e = 0
+    while (e := _first_difference(*rows, *masks, range(e + 1, len(elements) + 1))) is not None:
+        for side, got, recorded in zip(("below", "above"), rows, masks):
+            if recorded[e] is None or (got[e] ^ recorded[e]) & (1 << e) - 1:
+                yield f"round {t.rounds[e - 1].round}: relations {side} the new element differ"
 
 
 # ---------------------------------------------------------------------------

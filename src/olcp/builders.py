@@ -20,6 +20,17 @@ points; the recursion then goes on with one instance of width w - 1 in a
 sub-region, down to width one.  Dual orientation mirrors every direction,
 so a dual run is exactly a primal run reflected.
 
+Hosts tuned to any k splice blocks of the two tuned to k = w.  The colors
+alone decide which points each instance owns, so every k sees the same
+instances.  Tuned to k, a scan root takes the stack rule above width k and
+the scan rule at k and below; a stack root the reverse.  A stack-rule
+child region lies below its parent's first point, a scan-rule one just
+above its parent's terminal, so the points of widths up to k form one
+block: at the bottom of the scan host, and where the all-scan host has
+them in the stack host.  :func:`splice` reads each block's order from the
+all-scan or the all-stack host; a prefix of the colors gives a prefix of
+each game, so it holds mid-game too.
+
 A root builder keeps its deeper instances in one list, widest first, and
 acts on the last of them directly, so a call takes one step at any depth.
 No instance refers to an ancestor or to itself, so a finished game is freed
@@ -281,3 +292,18 @@ class Builder:
         child = Builder(self.spec.child(), region, self.host)
         child._bounds = bounds
         return child
+
+
+def splice(scan: LinearOrder, stack: LinearOrder, low: set[int]) -> tuple[LinearOrder, LinearOrder]:
+    """The scan and stack hosts tuned to chain index k, from ``scan`` and
+    ``stack``, the hosts tuned to k = w, and ``low``, the points of the
+    instances of width at most k (see the module docstring).  The scan host
+    is ``scan`` restricted to ``low``, then ``stack`` restricted to the
+    rest; the stack host is ``scan`` with the positions of ``low`` refilled,
+    in order, by ``stack`` restricted to ``low``.  A block at the bottom of
+    every host, such as a level's mirrored block, may join ``low``."""
+    scan_low = [x for x in scan.sequence if x in low]
+    stack_rest = [x for x in stack.sequence if x not in low]
+    refill = iter([x for x in stack.sequence if x in low])
+    return (LinearOrder(scan_low + stack_rest),
+            LinearOrder(next(refill) if x in low else x for x in scan.sequence))

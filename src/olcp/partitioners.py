@@ -36,7 +36,7 @@ class PartitionerView:
         """Existing colors the new element may join, ascending: those whose
         class mask misses the element's incomparability mask."""
         outside = self.poset.incomparable_mask(self.element)
-        return [c for c, cls in self.partition.masks.items() if not cls & outside]
+        return sorted(c for c, cls in self.partition.masks.items() if not cls & outside)
 
     def fresh_color(self) -> int:
         return self.partition.top + 1

@@ -565,8 +565,9 @@ def verify_realizer(realizer: Realizer, p: Poset) -> bool:
 
 class ChainPartition:
     """An assignment of colors (opaque positive ints) to elements; ``masks``
-    maps every color, ascending, to its class's mask and ``top`` is the
-    largest color (0 if none), both read-only outside :meth:`assign`."""
+    maps every color, in order of first use, to its class's mask and
+    ``top`` is the largest color (0 if none), both read-only outside
+    :meth:`assign`."""
 
     __slots__ = ("color_of", "masks", "top")
 
@@ -581,8 +582,6 @@ class ChainPartition:
         if color < 1:
             raise RelationError(f"colors are positive integers, got {color}")
         self.color_of[e] = color
-        if color < self.top and color not in self.masks:  # keep masks ascending
-            self.masks = dict(sorted({**self.masks, color: 0}.items()))
         self.masks[color] = self.masks.get(color, 0) | 1 << e
         self.top = max(self.top, color)
 

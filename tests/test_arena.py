@@ -28,7 +28,6 @@ from olcp import (
 )
 from olcp import arena
 from olcp.arena import TranscriptRound
-from olcp.builders import Builder
 
 
 def game(name: str, w: int, d=None, seed=None):
@@ -375,22 +374,24 @@ def test_extra_round_after_the_end_is_flagged():
 
 
 def test_chain_index_that_ends_early_is_flagged(monkeypatch):
-    """Every chain index must replay the whole recorded game; a variant
-    whose builders finish one round early is named, and the main replay is
-    clean."""
-    t, _ = game("szemeredi", 4)
-    observe_color = Builder.observe_color
+    """Every chain index must present the whole recorded game; a chain
+    index whose spliced hosts end one round early is named at that round,
+    and the main replay is clean."""
+    s = make_strategy("szemeredi", 4)
+    t, _ = run_game(s, FirstFit())
+    n = len(t.rounds)
+    low_1 = set(s._bank.instances()[-1]._in_host_order)  # the width-1 instance's points
+    splice = arena.splice
 
-    def early(self, e, color):
-        events = observe_color(self, e, color)
-        if self.spec.k == 1 and e == len(t.rounds) - 1:  # a k=1 root builder
-            for inst in self.instances():
-                inst.done = True
-        return events
+    def early(scan, stack, low):
+        hosts = splice(scan, stack, low)
+        return tuple(h.restrict(range(1, n)) for h in hosts) if low == low_1 else hosts
 
-    monkeypatch.setattr(Builder, "observe_color", early)
+    monkeypatch.setattr(arena, "splice", early)
+    side = "below" if t.rounds[-1].below else "above"
+    assert getattr(t.rounds[-1], side)
     assert verify_transcript(t) == [
-        f"chain index 1 presents a different game: round {len(t.rounds)}: the game was already over"
+        f"chain index 1 presents a different game: round {n}: relations {side} the new element differ"
     ]
 
 

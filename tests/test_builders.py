@@ -1,5 +1,6 @@
 """Insertion-machine behavior: placement rules, stage changes, mirroring,
-and the kept scan target against a brute-force walk."""
+the kept scan target against a brute-force walk, and hosts tuned to any
+chain index against their splice from the two tuned to k = w."""
 
 from __future__ import annotations
 
@@ -14,11 +15,16 @@ from olcp import (
     TOP,
     Builder,
     BuilderSpec,
+    FirstFit,
     LinearOrder,
+    RandomValid,
     Region,
     StrategyInvariantError,
+    make_strategy,
+    run_game,
 )
-from olcp.builders import FAMILIES, Done, Stage1Ended
+from olcp.adversaries import HiddenRealizerStrategy, _GameLevel
+from olcp.builders import FAMILIES, Done, Stage1Ended, splice
 
 
 def drive(builder: Builder, colors) -> list[int]:
@@ -343,3 +349,91 @@ def test_kept_scan_target_matches_the_walk(spec, seed, foreign):
             assert (inst._target, inst._walked) == walked_scan_target(inst)
         assert [x for x in host.sequence if x < 1000] == twin_host.sequence
     assert b.done and twin.done
+
+
+# ---------------------------------------------------------------------------
+# hosts tuned to any k, spliced from the two tuned to k = w
+
+
+def tuned_runs(w: int, colors) -> dict[int, list[Builder]]:
+    """Root builders of both families tuned to each k = 1..w, each fed
+    ``colors`` until the script ends, the game does, or it derails."""
+    runs = {}
+    for k in range(1, w + 1):
+        runs[k] = []
+        for family in FAMILIES:
+            b = Builder(BuilderSpec(family, k, w), Region(BOTTOM, TOP), LinearOrder())
+            for e, color in enumerate(colors, start=1):
+                if b.done:
+                    break
+                try:
+                    b.place_next(e)
+                    b.observe_color(e, color)
+                except StrategyInvariantError:
+                    break
+            runs[k].append(b)
+    return runs
+
+
+def assert_splices_match(w: int, colors) -> None:
+    runs = tuned_runs(w, colors)
+    scan, stack = runs[w]
+    for k in range(1, w + 1):
+        low = {x for inst in scan.instances() if inst.spec.w <= k for x in inst._in_host_order}
+        assert splice(scan.host, stack.host, low) == (runs[k][0].host, runs[k][1].host), k
+
+
+@st.composite
+def color_scripts(draw) -> tuple[int, list[int]]:
+    """A width and a color script: a complete game's colors cut anywhere,
+    or arbitrary colors, which may overrun a stage one and derail."""
+    w = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        colors = feasible_script(BuilderSpec("scan", w, w), rng)
+        return w, colors[: draw(st.integers(0, len(colors)))]
+    return w, draw(st.lists(st.integers(1, w + 1), max_size=w * w))
+
+
+@settings(max_examples=300, deadline=None)
+@given(color_scripts())
+def test_spliced_hosts_equal_builders_tuned_to_k_on_scripts(script):
+    """A prefix of the colors gives a prefix of every game, so the splice
+    holds mid-game and up to a derailment, as a partial replay needs."""
+    assert_splices_match(*script)
+
+
+@pytest.mark.parametrize("opponent", ["first-fit", 0, 1, 2, 3])
+@pytest.mark.parametrize("w", range(1, 9))
+def test_spliced_hosts_equal_builders_tuned_to_k_in_games(w, opponent):
+    partitioner = FirstFit() if opponent == "first-fit" else RandomValid(opponent)
+    t, _ = run_game(make_strategy("szemeredi", w), partitioner)
+    assert_splices_match(w, [row.color for row in t.rounds])
+
+
+class EveryChainIndex(HiddenRealizerStrategy):
+    """theorem1 played with one scan and one stack host per chain index,
+    each grown by its own builders; it is only driven, never reported."""
+
+    def _new_level(self, width, extra_below, extra_above):
+        specs = [BuilderSpec(family, k, width) for family in FAMILIES for k in range(1, width + 1)]
+        return _GameLevel(self.poset, self.colors, width, [LinearOrder() for _ in specs],
+                          specs, [Region(BOTTOM, TOP)] * len(specs), (1, width),
+                          extra_below=extra_below, extra_above=extra_above)
+
+
+@pytest.mark.parametrize("opponent", ["first-fit", 0, 1, 2])
+@pytest.mark.parametrize("w", range(1, 7))
+def test_spliced_level_hosts_equal_builders_tuned_to_k(w, opponent):
+    """A theorem1 level's hosts tuned to each k, mirrored block included,
+    are its two hosts spliced."""
+    s = make_strategy("theorem1", w)
+    t, _ = run_game(s, FirstFit() if opponent == "first-fit" else RandomValid(opponent))
+    oracle = EveryChainIndex(w)
+    for row in t.rounds:
+        oracle.next_move()
+        oracle.observe(row.color)
+    assert len(s._levels) == len(oracle._levels) == w
+    for lvl, every in zip(s._levels, oracle._levels):
+        for k in range(1, lvl.width + 1):
+            assert lvl.tuned_hosts(k) == (every.hosts[k - 1], every.hosts[lvl.width + k - 1])

@@ -1,11 +1,13 @@
 """A szemeredi transcript's chain indices, checked once at the end.
 
-``verify_transcript`` checks chain indices 1..w-1 by running their builders
-over the recorded points and colors and comparing their hosts' relations
-with the rows once, at the end of the game.  The oracle here is the check
-it replaced: one full strategy replay per chain index, compared with the
-rows round by round.  Both must report the same violations, in the same
-order, on played and tampered transcripts alike.
+``verify_transcript`` checks chain indices 1..w-1 by splicing their hosts
+from the main replay's two (``builders.splice``) and comparing the
+relations they present with the rows once, at the end of the game.  The
+oracle here is the check it replaced: one full strategy replay per chain
+index, compared with the rows round by round.  Both must report the same
+violations, in the same order, on played and tampered transcripts alike.
+A fault injected into one chain index's spliced hosts is named by its
+round.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from olcp import FirstFit, RandomValid, Transcript, make_strategy, run_game, ver
 from olcp import arena
 from olcp.builders import Builder
 from olcp.errors import StrategyInvariantError
+from olcp.poset import LinearOrder
 
 
 def verify_with_a_replay_per_chain_index(t: Transcript) -> list[str]:
@@ -105,20 +108,6 @@ def _misplace(k, target):
     return "place_next", place
 
 
-def _finish(k, target, done):
-    """Chain index k's builders end (or, with ``done`` False, never end)
-    when they observe point ``target``."""
-    observe_color = Builder.observe_color
-
-    def observe(self, e, color):
-        events = observe_color(self, e, color)
-        if self.spec.k == k and e == target:
-            for inst in self.instances():
-                inst.done = done
-        return events
-    return "observe_color", observe
-
-
 def _derail(k, target):
     observe_color = Builder.observe_color
 
@@ -132,34 +121,61 @@ def _derail(k, target):
 W = 4
 
 
-@pytest.mark.parametrize("kind, k, late", [
-    ("misplace", 1, False), ("misplace", 3, True), ("early", 1, False),
-    ("never done", 2, False), ("derail", 2, False), ("derail", W, False),
-])
+@pytest.mark.parametrize("kind, k, late", [("derail", W, False)])
 def test_injected_chain_index_faults_are_reported_as_a_replay_per_chain_index_did(
         monkeypatch, kind, k, late):
-    """Builder faults injected into one chain index, or into the main
-    replay's index w, give the same violations either way."""
+    """A builder fault injected into the main replay's index w gives the
+    same violations either way."""
     t, _ = run_game(make_strategy("szemeredi", W), FirstFit())
     n = len(t.rounds)
     target = n - 3 if late else n // 2
-    attr, patched = {
-        "misplace": lambda: _misplace(k, target),
-        "early": lambda: _finish(k, n - 1, True),
-        "never done": lambda: _finish(k, n, False),
-        "derail": lambda: _derail(k, target),
-    }[kind]()
-    monkeypatch.setattr(Builder, attr, patched)
+    monkeypatch.setattr(Builder, *_derail(k, target))
     got = verify_transcript(t)
     assert got == verify_with_a_replay_per_chain_index(t)
     assert got
-    if k < W:
-        assert got[0].startswith(f"chain index {k} presents a different game: ")
 
 
-def test_a_color_the_main_replay_never_reached_is_checked_per_chain_index(monkeypatch):
-    """The main replay derails halfway; a color recorded after that, which
-    breaks a chain, is reported by the chain indices that still run."""
+def _moved(low_k: set[int], target: int):
+    """``arena.splice``, except that the stack host of the chain index
+    whose low block is ``low_k`` holds ``target`` at its top."""
+    splice = arena.splice
+
+    def moved(scan, stack, low):
+        tuned_scan, tuned_stack = splice(scan, stack, low)
+        if low == low_k:
+            rest = [x for x in tuned_stack.sequence if x != target]
+            tuned_stack = LinearOrder([*rest, target])
+        return tuned_scan, tuned_stack
+    return moved
+
+
+@pytest.mark.parametrize("k, late", [(1, False), (3, True)])
+def test_a_point_moved_in_one_spliced_host_is_named_by_its_round(monkeypatch, k, late):
+    """Chain index k's stack host holds one point at its top, not where
+    the splice puts it.  Older points lie above it in the rows but not in
+    that pair of hosts, so the check names chain index k and the point's
+    round, and nothing else: the main replay is clean.  (Older points below
+    it in the scan host may come below it in the pair too.)"""
+    s = make_strategy("szemeredi", W)
+    t, _ = run_game(s, FirstFit())
+    n = len(t.rounds)
+    target = n - 3 if late else n // 2
+    assert t.rounds[target - 1].above
+    low_k = {x for inst in s._bank.instances() if inst.spec.w <= k for x in inst._in_host_order}
+    monkeypatch.setattr(arena, "splice", _moved(low_k, target))
+    got = verify_transcript(t)
+    assert len(got) == 1
+    assert got[0].startswith(f"chain index {k} presents a different game: "
+                             f"round {target}: relations ")
+    assert got[0].endswith(" the new element differ")
+
+
+def test_rounds_the_main_replay_never_reached_are_left_to_it(monkeypatch):
+    """The main replay derails halfway, its point placed in the scan host
+    alone; a color recorded after that breaks a chain.  Every chain index
+    derails where the main replay does, so the spliced hosts hold the main
+    poset's points only, and the rounds after it are the main replay's to
+    report: the game was cut short."""
     s = make_strategy("szemeredi", W)
     t, _ = run_game(s, FirstFit())
     n = len(t.rounds)
@@ -168,25 +184,33 @@ def test_a_color_the_main_replay_never_reached_is_checked_per_chain_index(monkey
     rows = list(t.rounds)
     rows[r - 1] = dataclasses.replace(rows[r - 1], color=rows[x - 1].color)
     bad = _with_rows(t, rows)
-    monkeypatch.setattr(Builder, *_derail(W, n // 2))
-    got = verify_transcript(bad)
-    assert got == verify_with_a_replay_per_chain_index(bad)
-    assert any(v.startswith(f"chain index 1 presents a different game: round {r}: color ")
-               for v in got)
+    place_next = Builder.place_next
+
+    def place(self, e):
+        if self.spec.family == "stack" and e == n // 2:
+            raise StrategyInvariantError("injected fault")
+        return place_next(self, e)
+
+    monkeypatch.setattr(Builder, "place_next", place)
+    assert verify_transcript(bad) == [
+        f"round {n // 2}: recorded colors derail the strategy: injected fault",
+        "transcript ends before the game is over",
+    ]
 
 
-def test_a_color_is_checked_in_a_chain_index_poset_that_differs_from_the_main_one(monkeypatch):
+def test_a_game_played_by_a_faulty_chain_index_is_named_by_the_main_replay(monkeypatch):
     """A transcript played by chain index 1 with a misplaced point, then
-    recolored there: the main replay's relations differ from the rows and
-    its poset takes the color, while chain index 1 presents the rows and its
-    own poset rejects the color."""
+    recolored there.  The main replay's relations differ from the rows
+    there.  Chain index 1, spliced from the main replay's hosts, presents
+    the main replay's game, so it adds nothing, as a replay tuned to it
+    adds nothing."""
     monkeypatch.setattr(Builder, *_misplace(1, 11))
     t, _ = run_game(make_strategy("szemeredi", W, k=1), FirstFit())
+    monkeypatch.undo()
     rows = list(t.rounds)
     rows[10] = dataclasses.replace(rows[10], color=6)
     bad = _with_rows(t, rows)
     got = verify_transcript(bad)
     assert got == verify_with_a_replay_per_chain_index(bad)
-    assert not any(v.startswith("round 11: color") for v in got)
-    assert any(v.startswith("chain index 1 presents a different game: round 11: color 6 ")
-               for v in got)
+    assert any(v.startswith("round 11: relations") for v in got)
+    assert not any(v.startswith("chain index") for v in got)

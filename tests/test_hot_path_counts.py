@@ -13,8 +13,9 @@ found.  Searches grow with the width, not with the rounds.  A staged game hands 
 its current level alone: one ``place`` and one ``observe`` a round.  An
 insertion appends the new element's rows and no on-line round changes the
 row of an older element.  The rows arrive as the masks the hosts give, so
-no on-line round builds a mask from ids, and a szemeredi transcript is
-replayed once, its other chain indices by their builders alone.
+no on-line round builds a mask from ids.  A szemeredi transcript is
+replayed once, and a theorem1 level runs two roots and two dual roots:
+hosts tuned to other chain indices are spliced, by no builder.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from olcp import FirstFit, make_strategy, run_game, verify_transcript
 from olcp import arena
 from olcp import poset as poset_module
 from olcp.adversaries import _Bank, _GameLevel
-from olcp.builders import Builder
+from olcp.builders import FAMILIES, ORIENTATIONS, Builder
 from olcp.poset import ChainPartition, LinearOrder, Poset
 
 
@@ -220,3 +221,54 @@ def test_szemeredi_transcript_is_replayed_once(monkeypatch, w):
     monkeypatch.setattr(arena, "_replay", spy_replay)
     assert verify_transcript(transcript) == []
     assert replays == [w]
+
+
+def _spy_builders(monkeypatch) -> list[Builder]:
+    """Every builder instance made from here on, in order of creation."""
+    made: list[Builder] = []
+    init = Builder.__init__
+
+    def spy_init(self, spec, region, host):
+        made.append(self)
+        init(self, spec, region, host)
+
+    monkeypatch.setattr(Builder, "__init__", spy_init)
+    return made
+
+
+def _roots(made: list[Builder]) -> list[tuple[int, str, str]]:
+    """Width, family and orientation of each builder no other one holds."""
+    deeper = {id(x) for b in made for x in b._deeper}
+    return sorted((b.spec.w, b.spec.family, b.spec.orientation) for b in made if id(b) not in deeper)
+
+
+def test_a_hidden_level_runs_two_roots_and_two_dual_roots(monkeypatch):
+    """A theorem1 level grows two hosts, tuned to k = width: one scan and
+    one stack root, and under them one dual root each, in play and in
+    verify.  Its hosts tuned to the other chain indices are spliced, by no
+    builder."""
+    w = 5
+    made = _spy_builders(monkeypatch)
+    transcript, report = run_game(make_strategy("theorem1", w), FirstFit())
+    assert report.ok
+    per_level = sorted((width, family, orientation) for width in range(1, w + 1)
+                       for family in FAMILIES for orientation in ORIENTATIONS)
+    assert _roots(made) == per_level
+    assert all(b.spec.k == b.spec.w for b in made)
+    made.clear()
+    assert verify_transcript(transcript) == []
+    assert _roots(made) == per_level
+
+
+def test_szemeredi_verify_runs_only_the_main_replays_builders(monkeypatch):
+    """Chain indices 1..w-1 are spliced from the main replay's hosts: the
+    only builders a verify makes are the main replay's two roots, tuned to
+    k = w, and their deeper instances."""
+    w = 6
+    transcript, report = run_game(make_strategy("szemeredi", w), FirstFit())
+    assert report.ok
+    made = _spy_builders(monkeypatch)
+    assert verify_transcript(transcript) == []
+    assert _roots(made) == [(w, "scan", "primal"), (w, "stack", "primal")]
+    assert all(b.spec.k == b.spec.w for b in made)
+    assert len(made) == 2 * w
