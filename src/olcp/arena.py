@@ -6,10 +6,12 @@ validates the color against the chain constraint and records the round.
 
 Transcripts are JSON-lines: a header object, then one object per round
 with sorted relation lists, so files diff cleanly and reruns are
-byte-comparable.  ``verify_transcript`` re-runs the named strategy against
-the recorded colors — internal orders are re-derived, never trusted — and
-layers every structural check on top: per-round relation equality, chain
-validity, rainbow certificates, separator placement in the keeper orders,
+byte-comparable.  The rows of played and parsed games keep those lists as
+the masks that strategies present and the verifier compares.
+``verify_transcript`` re-runs the named strategy against the recorded
+colors — internal orders are re-derived, never trusted — and layers every
+structural check on top: per-round relation equality, chain validity,
+rainbow certificates, separator placement in the keeper orders,
 insertion-only growth of visible orders, thresholds, and realizer
 extraction.  A szemeredi game's other chain indices are checked without a
 builder: their hosts are spliced from the main replay's two
@@ -52,8 +54,10 @@ from .partitioners import PartitionerView, make_partitioner
 from .poset import (
     ChainPartition,
     LinearOrder,
+    _BITS,
     _digits_mask,
     _first_difference,
+    _mask_ids,
     _realized_rows,
     _two_order_width,
     verify_chain_partition,
@@ -67,14 +71,32 @@ FORMAT_VERSION = 1
 # transcripts
 
 
+class _Ids:
+    """A row's ``below``/``above`` field, kept in its ``__dict__``: an int is
+    a mask and reads as a tuple of ids, anything else as given.  A new value,
+    as ``dataclasses.replace`` passes for every field, replaces a kept mask."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, row, owner=None):
+        ids = row.__dict__[self.name]  # AttributeError on the class: no default
+        return tuple(_mask_ids(ids)) if type(ids) is int else ids
+
+    def __set__(self, row, value) -> None:
+        row.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class TranscriptRound:
-    """One recorded round; ``ext`` holds per-visible-order insertion anchors."""
+    """One recorded round; ``ext`` holds per-visible-order insertion anchors.
+    Rows made by ``run_game`` and ``Transcript.parse`` keep ``below`` and
+    ``above`` as masks (``_Ids``), and compare, hash and print as tuples."""
 
     round: int
     element: int
-    below: tuple[int, ...]
-    above: tuple[int, ...]
+    below: tuple[int, ...] = _Ids()
+    above: tuple[int, ...] = _Ids()
     color: int
     level: int
     stage: int
@@ -93,15 +115,11 @@ class Transcript:
 
     def serialize(self) -> str:
         """The transcript as JSON lines, byte for byte what ``json.dumps``
-        writes.
-
-        The header goes through ``json.dumps``, because its strings need
-        escaping.  Each round line is an f-string.  Its ids take their text
-        from one table of ids, built once per transcript, so no id is
-        turned into a string of its own.  A row the table cannot render
-        exactly (an id outside it, a value that is not an int) keeps its
-        ``json.dumps`` text.
-        """
+        writes.  The header goes through ``json.dumps``, as its strings need
+        escaping.  A round line is an f-string whose ids take their text
+        from one table built per transcript, picked out by the row's mask.
+        A row the table cannot render exactly (an id outside it, a value
+        that is not an int) keeps its ``json.dumps`` text."""
         header = {
             "version": self.version,
             "strategy": self.strategy,
@@ -111,17 +129,19 @@ class Transcript:
             "seed": self.seed,
         }
         lines = [json.dumps(header, separators=(",", ":"))]
-        text = {x: str(x) for x in range(2, len(self.rounds) + 1)}
+        texts = list(map(str, range(len(self.rounds) + 1)))  # id x's text at index x
         for r in self.rounds:
             try:
-                lines.append(_round_line(r, text))
-            except (KeyError, TypeError):
+                lines.append(_round_line(r, texts))
+            except TypeError:
                 lines.append(_round_json(r))
         lines.append("")  # the final newline, joined on rather than added to a copy
         return "\n".join(lines)
 
     @classmethod
     def parse(cls, text: str) -> "Transcript":
+        """The transcript ``text`` holds, each row's id lists checked and kept
+        as masks; ``TranscriptError`` names the first line at fault."""
         lines = text.splitlines()
         if not lines:
             raise TranscriptError("empty transcript")
@@ -145,7 +165,6 @@ class Transcript:
             raise TranscriptError("seed must be an integer or null", line=1)
 
         rounds = []
-        pool = list(range(len(lines)))  # one int object per id a row can name
         for n, raw in enumerate(lines[1:], start=2):
             obj = _parse_object(raw, n)
             _expect_keys(
@@ -158,8 +177,8 @@ class Transcript:
             if rnd != n - 1:
                 raise TranscriptError(f"round {rnd} out of sequence", line=n)
             element = _field_int(obj, "element", n, minimum=1)
-            below = _id_list(obj, "below", n, pool)
-            above = _id_list(obj, "above", n, pool)
+            below = _id_list(obj, "below", n, len(lines))
+            above = _id_list(obj, "above", n, len(lines))
             color = _field_int(obj, "color", n, minimum=1)
             level = _field_int(obj, "level", n, minimum=1)
             stage = _field_int(obj, "stage", n)
@@ -176,40 +195,35 @@ class Transcript:
         return cls(strategy, w, d, partitioner, seed, rounds, version)
 
 
-_ONE = 1  # CPython keeps one object per small int: ``x is _ONE`` is x being the int 1
 _BOTTOM_TEXT = '"BOTTOM"'
 
 
-def _round_line(r: TranscriptRound, text: dict[int, str]) -> str:
+def _round_line(r: TranscriptRound, texts: list[str]) -> str:
     """Row ``r`` as ``_round_json`` writes it, its ids' text read from
-    ``text``; KeyError or TypeError for a value it cannot render exactly."""
+    ``texts``; TypeError for a value it cannot render exactly."""
     if not type(r.round) is type(r.element) is type(r.color) is type(r.level) is type(r.stage) is int:
         raise TypeError("a round field is not an int")
     ext = ""
     if r.ext is not None:
-        ext = ",".join(f"[{j},{_BOTTOM_TEXT if a is None else _ids_text((a,), text)}]"
+        ext = ",".join(f"[{j},{_BOTTOM_TEXT if a is None else _ids_text((a,), texts)}]"
                        for j, a in enumerate(r.ext))
         ext = f'"ext":[{ext}],'
+    kept = r.__dict__  # the stored masks, not the tuples they read as
     return (f'{{"round":{r.round},"element":{r.element},'
-            f'"below":[{_ids_text(r.below, text)}],"above":[{_ids_text(r.above, text)}],'
+            f'"below":[{_ids_text(kept["below"], texts)}],"above":[{_ids_text(kept["above"], texts)}],'
             f'{ext}"color":{r.color},"level":{r.level},"stage":{r.stage}}}')
 
 
-def _ids_text(ids: tuple[int, ...], text: dict[int, str]) -> str:
-    """``ids`` comma-separated, each as ``json.dumps`` writes it.
-
-    ``text`` holds ids 2..n.  It lacks 1 because ``True`` equals 1, so
-    ``True`` raises KeyError, as every value but an id 2..n does.  A
-    leading int 1, where a sorted row holds it, is written directly.  A
-    float, Fraction or Decimal equal to an id would be found in ``text``,
-    but it makes the sum a non-int, and that raises TypeError.  So does a
-    value that is not a tuple, which might be an iterator the sum uses up.
-    """
-    if type(ids) is not tuple or type(sum(ids)) is not int:
-        raise TypeError("not a tuple of ints")
-    if ids and ids[0] is _ONE:
-        return ",".join(("1", *map(text.__getitem__, ids[1:])))
-    return ",".join(map(text.__getitem__, ids))
+def _ids_text(ids: int | tuple[int, ...], texts: list[str]) -> str:
+    """The ids of a mask or a tuple of ints comma-separated, as ``json.dumps``
+    writes them: a mask's digits pick their text out of ``texts`` in one
+    C-level pass.  TypeError for anything else, a mask past ``texts``, a
+    ``True`` or ``1.0`` among the ints, or an iterator, which would be used up."""
+    if type(ids) is int and not ids >> len(texts):
+        return ",".join(compress(texts, bin(ids)[:1:-1].encode().translate(_BITS)))
+    if type(ids) is not tuple or not set(map(type, ids)) <= {int}:
+        raise TypeError("neither a mask nor a tuple of ints")
+    return ",".join(map(str, ids))
 
 
 def _round_json(r: TranscriptRound) -> str:
@@ -258,15 +272,23 @@ def _field_int(obj: dict, key: str, line: int, minimum: int | None = None) -> in
     return v
 
 
-def _id_list(obj: dict, key: str, line: int, pool: list[int]) -> tuple[int, ...]:
-    """The ids of a sorted, duplicate-free list, taken from ``pool`` where
-    it holds them, so that every row shares one int object per id."""
+def _id_list(obj: dict, key: str, line: int, size: int) -> int | tuple[int, ...]:
+    """A sorted, duplicate-free list of ids as its mask (bit x for id x); a
+    list naming an id of ``size`` or more stays a tuple, as its mask could be huge."""
     v = obj[key]
     if not isinstance(v, list) or not set(map(type, v)) <= {int} or min(v, default=1) < 1:
         raise TranscriptError(f"field {key!r} must be a list of ids", line=line)
-    if v != sorted(set(v)):
-        raise TranscriptError(f"field {key!r} must be sorted and duplicate-free", line=line)
-    return tuple(map(pool.__getitem__, v)) if not v or v[-1] < len(pool) else tuple(v)
+    if v == sorted(v):
+        if not v or v[-1] < size:
+            digits = bytearray(b"0") * (v[-1] + 1 if v else 1)
+            for x in v:
+                digits[x] = 49  # "1" for id x, read from the end
+            mask = int(digits[::-1], 2)
+            if mask.bit_count() == len(v):
+                return mask
+        elif len(set(v)) == len(v):
+            return tuple(v)
+    raise TranscriptError(f"field {key!r} must be sorted and duplicate-free", line=line)
 
 
 def _parse_ext(raw, d: int, line: int) -> tuple[int | None, ...]:
@@ -330,18 +352,17 @@ def run_game(strategy: Strategy, partitioner,
     presented poset included.  The visible orders are checked to realize
     the poset once, at the end: insertion-only growth carries a wrong round
     there.  The partition handed to the partitioner is rechecked whole.
-    A row's ids are the poset's own id objects, picked by the move's masks.
+    A row keeps the move's masks.
     """
     part = ChainPartition()
     rounds: list[TranscriptRound] = []
     live: list[str] = []
     watch = _ExtensionWatch(strategy)
-    elements = strategy.poset._elements  # ids 1, 2, ...: one per round
     rnd = 0
     while not strategy.done():
         rnd += 1
         move = strategy.next_move()
-        view = PartitionerView(strategy.poset, part, move.element, strategy.realizer_snapshot())
+        view = PartitionerView(strategy.poset, part, move.element, strategy.realizer_snapshot)
         color = partitioner.choose(view)
         if type(color) is not int or color < 1:
             raise IllegalMoveError(f"partitioner returned {color!r}; colors are positive integers")
@@ -354,13 +375,8 @@ def run_game(strategy: Strategy, partitioner,
             )
         part.assign(move.element, color)
         strategy.observe(color)
-        rounds.append(
-            TranscriptRound(
-                rnd, move.element,
-                _row_ids(move.below, elements), _row_ids(move.above, elements),
-                color, move.level, move.stage, move.ext,
-            )
-        )
+        rounds.append(TranscriptRound(rnd, move.element, move.below, move.above,
+                                      color, move.level, move.stage, move.ext))
         watch.check(rnd, move.element, move.ext, live)
     live += verify_chain_partition(strategy.poset, part)
     transcript = Transcript(strategy.name, strategy.w, strategy.d, partitioner.name, seed, rounds)
@@ -368,15 +384,6 @@ def run_game(strategy: Strategy, partitioner,
     report.partitioner = partitioner.name
     report.seed = seed
     return transcript, report
-
-
-_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _row_ids(mask: int, elements: list[int]) -> tuple[int, ...]:
-    """The ids of ``mask``, ascending, as objects of ``elements`` = 1, 2, ...:
-    its binary digits from bit 1 up select them, in one C-level pass."""
-    return tuple(compress(elements, bin(mask)[-2:1:-1].encode().translate(_BITS)))
 
 
 class _ExtensionWatch:
@@ -602,13 +609,16 @@ def verify_transcript(t: Transcript) -> list[str]:
 def _relation_masks(t: Transcript) -> tuple[list[int | None], list[int | None]]:
     """The rows' below and above sets as masks (bit x for id x), in two
     lists indexed like a poset's rows by the element a replay presents in
-    each round, which is the round's place in the transcript.  A set no such
-    element can have -- ids not sorted and distinct, or outside 1..round-1
-    -- gets None, which no mask equals, and no mask is built from it."""
+    each round, which is the round's place in the transcript.  A kept mask
+    is read as it is.  A set no such element can have -- ids not sorted and
+    distinct, or outside 1..round-1 -- gets None, which no mask equals."""
     below: list[int | None] = [0]
     above: list[int | None] = [0]
     for e, row in enumerate(t.rounds, start=1):
-        for masks, ids in ((below, row.below), (above, row.above)):
+        for masks, ids in ((below, row.__dict__["below"]), (above, row.__dict__["above"])):
+            if type(ids) is int:
+                masks.append(None if ids >> e else ids)
+                continue
             valid = not ids or (ids[0] >= 1 and ids[-1] < e and list(ids) == sorted(set(ids)))
             masks.append(_digits_mask(ids, e) if valid else None)
     return below, above

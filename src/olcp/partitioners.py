@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
 from typing import IO
 
 from .errors import OlcpError
@@ -23,14 +22,20 @@ from .poset import ChainPartition, LinearOrder, Poset
 PARTITIONER_NAMES = ("first-fit", "random", "human")
 
 
-@dataclass
 class PartitionerView:
-    """Everything a partitioner is allowed to see in one round."""
+    """Everything a partitioner is allowed to see in one round.  The arena
+    gives ``realizer`` as the strategy's ``realizer_snapshot``, called on
+    first read: only a partitioner that reads the orders has them copied."""
 
-    poset: Poset
-    partition: ChainPartition
-    element: int
-    realizer: tuple[LinearOrder, ...] | None = None
+    def __init__(self, poset: Poset, partition: ChainPartition, element: int, realizer=None):
+        self.poset, self.partition, self.element = poset, partition, element
+        self._realizer = realizer
+
+    @property
+    def realizer(self) -> tuple[LinearOrder, ...] | None:
+        if callable(self._realizer):
+            self._realizer = self._realizer()
+        return self._realizer
 
     def legal_colors(self) -> list[int]:
         """Existing colors the new element may join, ascending: those whose

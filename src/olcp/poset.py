@@ -22,6 +22,7 @@ searches to run.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import compress, count
 from typing import Iterable, Iterator
 
 from .errors import RelationError
@@ -67,9 +68,9 @@ class Poset:
         below, above = self._below, self._above
         for y in self._elements[self._fresh:]:
             bit = 1 << y
-            for u in _ids(below[y]):
+            for u in _mask_ids(below[y]):
                 above[u] |= bit
-            for v in _ids(above[y]):
+            for v in _mask_ids(above[y]):
                 below[v] |= bit
         self._fresh = len(self._elements)
         return below, above
@@ -98,12 +99,12 @@ class Poset:
         for a in above:
             up |= rows_above[a]
         if down & up:
-            clash = min(_ids(down & up))
+            clash = next(_mask_ids(down & up))
             raise RelationError(f"element {clash} forced both below and above the new element")
-        for x in sorted(_ids(down)):
+        for x in _mask_ids(down):
             missing = up & ~rows_above[x]
             if missing:
-                y = min(_ids(missing))
+                y = next(_mask_ids(missing))
                 raise RelationError(f"the new element would put {x} below {y}, which are unrelated")
         return self._add_closed(down, up)
 
@@ -178,10 +179,10 @@ class Poset:
 
     def below(self, x: int) -> set[int]:
         """Elements strictly below x (a fresh set)."""
-        return _ids(self._below[self._full(x)])
+        return set(_mask_ids(self._below[self._full(x)]))
 
     def above(self, x: int) -> set[int]:
-        return _ids(self._above[self._full(x)])
+        return set(_mask_ids(self._above[self._full(x)]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poset):
@@ -425,7 +426,7 @@ class LinearOrder:
             return False
         at = pos.__getitem__
         below = p._rows()[0]
-        return all(max(map(at, _ids(below[y])), default=-1) < pos[y] for y in p._elements)
+        return all(max(map(at, _mask_ids(below[y])), default=-1) < pos[y] for y in p._elements)
 
     def copy(self) -> "LinearOrder":
         return LinearOrder(self.sequence)
@@ -455,8 +456,12 @@ def _mask(ids: Iterable[int]) -> int:
     return m
 
 
-def _ids(mask: int) -> set[int]:
-    return {i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"}
+_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits as compress() selectors
+
+
+def _mask_ids(mask: int) -> Iterator[int]:
+    """The ids of ``mask``, ascending, picked by its binary digits in one C-level pass."""
+    return compress(count(), bin(mask)[:1:-1].encode().translate(_BITS))
 
 
 def _digits_mask(ids: Iterable[int], size: int) -> int:
@@ -464,8 +469,8 @@ def _digits_mask(ids: Iterable[int], size: int) -> int:
     linear pass, where OR-ing bit by bit copies the growing mask each time."""
     digits = bytearray(b"0") * size
     for x in ids:
-        digits[~x] = 49  # "1" at place value 2**x
-    return int(digits, 2)
+        digits[x] = 49  # "1" for id x, read from the end
+    return int(digits[::-1], 2)
 
 
 def _realized_rows(orders: list[LinearOrder], size: int) -> tuple[list[int], list[int]]:

@@ -15,17 +15,20 @@ insertion appends the new element's rows and no on-line round changes the
 row of an older element.  The rows arrive as the masks the hosts give, so
 no on-line round builds a mask from ids.  A szemeredi transcript is
 replayed once, and a theorem1 level runs two roots and two dual roots:
-hosts tuned to other chain indices are spliced, by no builder.
+hosts tuned to other chain indices are spliced, by no builder.  Transcript
+rows stay masks from the move to the text and from the text to the
+verifier, and the visible orders are copied only for a partitioner that
+reads them.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from olcp import FirstFit, make_strategy, run_game, verify_transcript
+from olcp import FirstFit, Transcript, make_strategy, run_game, verify_transcript
 from olcp import arena
 from olcp import poset as poset_module
-from olcp.adversaries import _Bank, _GameLevel
+from olcp.adversaries import PresentedRealizerStrategy, _Bank, _GameLevel
 from olcp.builders import FAMILIES, ORIENTATIONS, Builder
 from olcp.poset import ChainPartition, LinearOrder, Poset
 
@@ -204,6 +207,56 @@ def test_online_rounds_build_no_mask_from_ids(monkeypatch, name, w, d):
     transcript, report = run_game(make_strategy(name, w, d=d), Counting())
     assert report.ok
     assert len(seen) == len(transcript.rounds) and seen[-1] == 0
+
+
+@pytest.mark.parametrize("name, w", [("theorem1", 4), ("szemeredi", 8)])
+def test_transcript_rows_stay_masks_from_the_poset_to_the_verifier(monkeypatch, name, w):
+    """Playing and serializing a game, then parsing and verifying its text,
+    turns no mask into ids and no ids into a mask.  The spies sit on the
+    arena's bindings, which the transcript path calls; ``Poset.restrict``
+    builds its element masks through the poset module's own."""
+    calls = []
+
+    def spy(helper):
+        def counted(*args):
+            calls.append(helper.__name__)
+            return helper(*args)
+        return counted
+
+    for module, helper in ((arena, "_mask_ids"), (arena, "_digits_mask"),
+                           (poset_module, "_mask_ids")):
+        monkeypatch.setattr(module, helper, spy(getattr(module, helper)))
+    transcript, report = run_game(make_strategy(name, w), FirstFit())
+    text = transcript.serialize()
+    assert report.ok
+    assert verify_transcript(Transcript.parse(text)) == []
+    assert calls == []
+
+
+def test_visible_orders_are_copied_only_for_a_partitioner_that_reads_them(monkeypatch):
+    snapshot = PresentedRealizerStrategy.realizer_snapshot
+    copies = []
+
+    def spy_snapshot(self):
+        copies.append(len(self.poset))
+        return snapshot(self)
+
+    monkeypatch.setattr(PresentedRealizerStrategy, "realizer_snapshot", spy_snapshot)
+    transcript, report = run_game(make_strategy("theorem2", 4, d=3), FirstFit())
+    assert report.ok and copies == []
+
+    class Reading(FirstFit):
+        def choose(self, view):
+            orders = view.realizer
+            assert view.realizer is orders  # one copy a round, however often read
+            assert [o.sequence for o in orders] == [o.sequence for o in strategy.orders]
+            assert all(o is not live for o, live in zip(orders, strategy.orders))
+            return super().choose(view)
+
+    strategy = make_strategy("theorem2", 4, d=3)
+    transcript, report = run_game(strategy, Reading())
+    assert report.ok
+    assert copies == list(range(1, len(transcript.rounds) + 1))
 
 
 @pytest.mark.parametrize("w", [2, 5])
