@@ -74,7 +74,8 @@ FORMAT_VERSION = 1
 class _Ids:
     """A row's ``below``/``above`` field, kept in its ``__dict__``: an int is
     a mask and reads as a tuple of ids, anything else as given.  A new value,
-    as ``dataclasses.replace`` passes for every field, replaces a kept mask."""
+    as ``dataclasses.replace`` passes for every field, replaces a kept mask.
+    Having ``__set__``, the field outranks the row's ``__dict__`` on reads."""
 
     def __set_name__(self, owner: type, name: str) -> None:
         self.name = name
@@ -87,7 +88,7 @@ class _Ids:
         row.__dict__[self.name] = value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TranscriptRound:
     """One recorded round; ``ext`` holds per-visible-order insertion anchors.
     Rows made by ``run_game`` and ``Transcript.parse`` keep ``below`` and
@@ -101,6 +102,13 @@ class TranscriptRound:
     level: int
     stage: int
     ext: tuple[int | None, ...] | None = None
+
+    def __init__(self, round: int, element: int, below, above, color: int, level: int,
+                 stage: int, ext: tuple[int | None, ...] | None = None) -> None:
+        # One update of __dict__, where a frozen dataclass's own __init__
+        # makes one object.__setattr__ call per field.
+        self.__dict__.update(round=round, element=element, below=below, above=above,
+                             color=color, level=level, stage=stage, ext=ext)
 
 
 @dataclass

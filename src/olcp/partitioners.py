@@ -38,10 +38,9 @@ class PartitionerView:
         return self._realizer
 
     def legal_colors(self) -> list[int]:
-        """Existing colors the new element may join, ascending: those whose
-        class mask misses the element's incomparability mask."""
-        outside = self.poset.incomparable_mask(self.element)
-        return sorted(c for c, cls in self.partition.masks.items() if not cls & outside)
+        """Existing colors the new element may join, ascending, found from
+        the partition's bottom index (:meth:`ChainPartition.legal_colors`)."""
+        return self.partition.legal_colors(self.poset, self.element)
 
     def fresh_color(self) -> int:
         return self.partition.top + 1

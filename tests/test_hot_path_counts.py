@@ -1,7 +1,8 @@
 """Call counts on the on-line loop's hot path, counted rather than timed.
 
-The partitioner's legality scan tests each color with one class-mask test,
-so ``ChainPartition.legal`` runs once a round (the arena's check of the
+The partitioner's legal colors come from the classes' bottoms: only a
+class whose bottom lies below the new point has its mask tested, and
+``ChainPartition.legal`` runs once a round (the arena's check of the
 chosen color), not once per color.  Host orders grow by ``list.index`` and
 a membership set, so no insertion rebuilds a ``positions()`` dict.  A root
 builder acts on the last instance of its recursion list itself, so each
@@ -74,6 +75,46 @@ def test_szemeredi_game_keeps_legal_and_positions_off_the_per_color_path(monkeyp
     assert counts["rebuilds"] == 0
     roots = 2  # one per host: the scan and the stack builder
     assert counts["place_next"] == roots * rounds  # one call, on the root
+
+
+def test_rainbow_game_tests_a_few_class_masks_a_round():
+    """A szemeredi game forces C(w+1, 2) colors, about one of them legal a
+    round: the partitioner's legal colors read under a tenth of the class
+    masks, rather than every one."""
+    reads, tested, classes = [0], [0], [0]
+
+    class Counted(dict):
+        def __getitem__(self, color):
+            reads[0] += 1
+            return super().__getitem__(color)
+
+        def get(self, color, default=None):
+            reads[0] += 1
+            return super().get(color, default)
+
+        def items(self):
+            for item in super().items():
+                reads[0] += 1
+                yield item
+
+        def values(self):
+            for _, cls in self.items():
+                yield cls
+
+    class Counting(FirstFit):
+        def choose(self, view):
+            part = view.partition
+            if type(part.masks) is not Counted:
+                part.masks = Counted(part.masks)
+            classes[0] += len(part.masks)
+            before = reads[0]
+            color = super().choose(view)
+            tested[0] += reads[0] - before
+            return color
+
+    transcript, report = run_game(make_strategy("szemeredi", 36), Counting())
+    assert report.ok and report.colors == 666
+    assert tested[0] < classes[0] / 10
 
 
 @pytest.mark.parametrize("name, w, d", [("szemeredi", 8, None), ("theorem2", 4, 3)])

@@ -18,6 +18,7 @@ from olcp import (
     RandomValid,
     SzemerediStrategy,
     make_partitioner,
+    make_strategy,
     run_game,
 )
 
@@ -91,6 +92,35 @@ def test_random_choices_are_always_legal():
         s = SzemerediStrategy(w)
         _, r = run_game(s, RandomValid(rng.randint(0, 10_000)))
         assert r.violations == []
+
+
+class _BottomsAgainstScan:
+    """Wraps a partitioner: every round, checks the bottom index's answer,
+    taken whatever ``legal_colors`` would pick, against one mask test per
+    class, and the view's answer against both."""
+
+    def __init__(self, inner):
+        self.inner, self.name, self.rounds = inner, inner.name, 0
+
+    def choose(self, view):
+        p, part, e = view.poset, view.partition, view.element
+        outside = p.incomparable_mask(e)
+        scan = sorted(c for c, cls in part.masks.items() if not cls & outside)
+        part._fold(p)
+        assert part._legal_by_bottoms(p, e, p.comparable_mask(e)) == scan, f"element {e}"
+        assert view.legal_colors() == scan, f"element {e}"
+        self.rounds += 1
+        return self.inner.choose(view)
+
+
+@pytest.mark.parametrize("name, d", [("szemeredi", None), ("theorem1", None),
+                                     ("theorem2", 2), ("theorem2", 3)])
+def test_bottom_index_answers_like_the_scan_on_every_round(name, d):
+    for w in range(1, 9):
+        for inner in (FirstFit(), RandomValid(0), RandomValid(1), RandomValid(2)):
+            checked = _BottomsAgainstScan(inner)
+            transcript, report = run_game(make_strategy(name, w, d=d), checked)
+            assert report.ok and checked.rounds == len(transcript.rounds)
 
 
 # ---------------------------------------------------------------------------

@@ -349,15 +349,28 @@ def test_legal_colors_and_legal_match_a_set_based_reference(case, data):
         color = data.draw(st.integers(1, 6))  # any order, gaps included
         part.assign(x, color)
         classes.setdefault(color, set()).add(x)
+        if data.draw(st.booleans()):
+            part._fold(p)  # the bottom index, brought up to date part way
     assert sorted(part.masks) == sorted(classes)
     assert part.top == max(classes, default=0)
     for e in els:
         for color in range(1, 8):
             assert part.legal(p, e, color) == reference_legal(rel, classes, e, color)
         view = PartitionerView(p, part, e)
-        assert view.legal_colors() == [c for c in sorted(classes)
-                                       if reference_legal(rel, classes, e, c)[0]]
+        legal = [c for c in sorted(classes) if reference_legal(rel, classes, e, c)[0]]
+        assert view.legal_colors() == legal
+        part._fold(p)  # the bottom index, used whatever legal_colors would pick
+        assert part._legal_by_bottoms(p, e, p.comparable_mask(e)) == legal
         assert view.fresh_color() == max(classes, default=0) + 1
+    chains = {c for c, members in classes.items()
+              if all(x == y or (x, y) in rel or (y, x) in rel for x in members for y in members)}
+    assert not chains & part._unindexed  # a chain keeps its bottom, however it grew
+    dual = p.dual()  # the same comparabilities, every relation flipped: indexed afresh
+    for e in els:
+        legal = PartitionerView(p, part, e).legal_colors()
+        assert PartitionerView(dual, part, e).legal_colors() == legal
+        part._fold(dual)
+        assert part._legal_by_bottoms(dual, e, dual.comparable_mask(e)) == legal
 
 
 def test_assigning_descending_colors_takes_linear_time():
