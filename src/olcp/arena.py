@@ -7,7 +7,9 @@ validates the color against the chain constraint and records the round.
 Transcripts are JSON-lines: a header object, then one object per round
 with sorted relation lists, so files diff cleanly and reruns are
 byte-comparable.  The rows of played and parsed games keep those lists as
-the masks that strategies present and the verifier compares.
+the masks that strategies present and the verifier compares.  Such a row
+is written from an id-text table (``_round_line``), any other by
+``json.dumps`` (``_round_json``); a line's fields are checked in line order.
 ``verify_transcript`` re-runs the named strategy against the recorded
 colors — internal orders are re-derived, never trusted — and layers every
 structural check on top: per-round relation equality, chain validity,
@@ -54,7 +56,7 @@ from .partitioners import PartitionerView, make_partitioner
 from .poset import (
     ChainPartition,
     LinearOrder,
-    _BITS,
+    _digits,
     _digits_mask,
     _first_difference,
     _mask_ids,
@@ -65,6 +67,10 @@ from .poset import (
 )
 
 FORMAT_VERSION = 1
+
+# Field names in the order they are written, checked and reported.
+_HEADER_FIELDS = ("version", "strategy", "w", "d", "partitioner", "seed")
+_ROUND_FIELDS = ("round", "element", "below", "above", "color", "level", "stage")
 
 
 # ---------------------------------------------------------------------------
@@ -124,24 +130,24 @@ class Transcript:
     def serialize(self) -> str:
         """The transcript as JSON lines, byte for byte what ``json.dumps``
         writes.  The header goes through ``json.dumps``, as its strings need
-        escaping.  A round line is an f-string whose ids take their text
-        from one table built per transcript, picked out by the row's mask.
-        A row the table cannot render exactly (an id outside it, a value
-        that is not an int) keeps its ``json.dumps`` text."""
-        header = {
-            "version": self.version,
-            "strategy": self.strategy,
-            "w": self.w,
-            "d": self.d,
-            "partitioner": self.partitioner,
-            "seed": self.seed,
-        }
+        escaping.  A row of five int fields, kept ``below``/``above`` masks and
+        ``ext`` anchors of None or ids, all ids in one table, is written by
+        ``_round_line``; every other row, a hand-built tuple row included, by
+        ``_round_json``."""
+        header = {key: getattr(self, key) for key in _HEADER_FIELDS}
         lines = [json.dumps(header, separators=(",", ":"))]
-        texts = list(map(str, range(len(self.rounds) + 1)))  # id x's text at index x
+        n = len(self.rounds) + 1
+        texts = list(map(str, range(n)))  # id x's text at index x
         for r in self.rounds:
-            try:
-                lines.append(_round_line(r, texts))
-            except TypeError:
+            kept = r.__dict__  # the stored masks, not the tuples they read as
+            below, above, ext = kept["below"], kept["above"], r.ext
+            if (type(below) is type(above) is int and not (below | above) >> n
+                    and type(r.round) is type(r.element) is type(r.color) is int
+                    and type(r.level) is type(r.stage) is int
+                    and (ext is None or type(ext) is tuple and all(
+                        a is None or type(a) is int and 0 <= a < n for a in ext))):
+                lines.append(_round_line(r, below, above, texts))
+            else:
                 lines.append(_round_json(r))
         lines.append("")  # the final newline, joined on rather than added to a copy
         return "\n".join(lines)
@@ -154,7 +160,7 @@ class Transcript:
         if not lines:
             raise TranscriptError("empty transcript")
         header = _parse_object(lines[0], 1)
-        _expect_keys(header, {"version", "strategy", "w", "d", "partitioner", "seed"}, set(), 1)
+        _expect_keys(header, _HEADER_FIELDS, (), 1)
         version = _field_int(header, "version", 1)
         if version != FORMAT_VERSION:
             raise TranscriptError(f"unsupported format version {version}", line=1)
@@ -175,12 +181,7 @@ class Transcript:
         rounds = []
         for n, raw in enumerate(lines[1:], start=2):
             obj = _parse_object(raw, n)
-            _expect_keys(
-                obj,
-                {"round", "element", "below", "above", "color", "level", "stage"},
-                {"ext"},
-                n,
-            )
+            _expect_keys(obj, _ROUND_FIELDS, ("ext",), n)
             rnd = _field_int(obj, "round", n, minimum=1)
             if rnd != n - 1:
                 raise TranscriptError(f"round {rnd} out of sequence", line=n)
@@ -206,47 +207,28 @@ class Transcript:
 _BOTTOM_TEXT = '"BOTTOM"'
 
 
-def _round_line(r: TranscriptRound, texts: list[str]) -> str:
-    """Row ``r`` as ``_round_json`` writes it, its ids' text read from
-    ``texts``; TypeError for a value it cannot render exactly."""
-    if not type(r.round) is type(r.element) is type(r.color) is type(r.level) is type(r.stage) is int:
-        raise TypeError("a round field is not an int")
+def _round_line(r: TranscriptRound, below: int, above: int, texts: list[str]) -> str:
+    """Row ``r`` as ``_round_json`` writes it, for the rows ``serialize``
+    hands it: its masks ``below`` and ``above`` pick their ids' text out of
+    ``texts`` in one C-level pass, and its anchors read theirs as ``texts[a]``."""
     ext = ""
     if r.ext is not None:
-        ext = ",".join(f"[{j},{_BOTTOM_TEXT if a is None else _ids_text((a,), texts)}]"
+        ext = ",".join(f"[{j},{_BOTTOM_TEXT if a is None else texts[a]}]"
                        for j, a in enumerate(r.ext))
         ext = f'"ext":[{ext}],'
-    kept = r.__dict__  # the stored masks, not the tuples they read as
     return (f'{{"round":{r.round},"element":{r.element},'
-            f'"below":[{_ids_text(kept["below"], texts)}],"above":[{_ids_text(kept["above"], texts)}],'
+            f'"below":[{",".join(compress(texts, _digits(below)))}],'
+            f'"above":[{",".join(compress(texts, _digits(above)))}],'
             f'{ext}"color":{r.color},"level":{r.level},"stage":{r.stage}}}')
-
-
-def _ids_text(ids: int | tuple[int, ...], texts: list[str]) -> str:
-    """The ids of a mask or a tuple of ints comma-separated, as ``json.dumps``
-    writes them: a mask's digits pick their text out of ``texts`` in one
-    C-level pass.  TypeError for anything else, a mask past ``texts``, a
-    ``True`` or ``1.0`` among the ints, or an iterator, which would be used up."""
-    if type(ids) is int and not ids >> len(texts):
-        return ",".join(compress(texts, bin(ids)[:1:-1].encode().translate(_BITS)))
-    if type(ids) is not tuple or not set(map(type, ids)) <= {int}:
-        raise TypeError("neither a mask nor a tuple of ints")
-    return ",".join(map(str, ids))
 
 
 def _round_json(r: TranscriptRound) -> str:
     """Row ``r`` through ``json.dumps``: the text every round line must equal."""
-    obj: dict = {
-        "round": r.round,
-        "element": r.element,
-        "below": list(r.below),
-        "above": list(r.above),
-    }
+    obj: dict = {"round": r.round, "element": r.element,
+                 "below": list(r.below), "above": list(r.above)}
     if r.ext is not None:
         obj["ext"] = [[j, "BOTTOM" if a is None else a] for j, a in enumerate(r.ext)]
-    obj["color"] = r.color
-    obj["level"] = r.level
-    obj["stage"] = r.stage
+    obj.update(color=r.color, level=r.level, stage=r.stage)
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -262,7 +244,8 @@ def _parse_object(raw: str, line: int) -> dict:
     return obj
 
 
-def _expect_keys(obj: dict, required: set[str], optional: set[str], line: int) -> None:
+def _expect_keys(obj: dict, required: Sequence[str], optional: Sequence[str], line: int) -> None:
+    """Names the line's first unexpected field, else the first of ``required`` missing."""
     for key in obj:
         if key not in required and key not in optional:
             raise TranscriptError(f"unexpected field {key!r}", line=line)
@@ -284,9 +267,10 @@ def _id_list(obj: dict, key: str, line: int, size: int) -> int | tuple[int, ...]
     """A sorted, duplicate-free list of ids as its mask (bit x for id x); a
     list naming an id of ``size`` or more stays a tuple, as its mask could be huge."""
     v = obj[key]
-    if not isinstance(v, list) or not set(map(type, v)) <= {int} or min(v, default=1) < 1:
+    if (not isinstance(v, list) or not set(map(type, v)) <= {int}
+            or (ordered := sorted(v)) and ordered[0] < 1):
         raise TranscriptError(f"field {key!r} must be a list of ids", line=line)
-    if v == sorted(v):
+    if v == ordered:
         if not v or v[-1] < size:
             digits = bytearray(b"0") * (v[-1] + 1 if v else 1)
             for x in v:
@@ -618,8 +602,8 @@ def _relation_masks(t: Transcript) -> tuple[list[int | None], list[int | None]]:
     """The rows' below and above sets as masks (bit x for id x), in two
     lists indexed like a poset's rows by the element a replay presents in
     each round, which is the round's place in the transcript.  A kept mask
-    is read as it is.  A set no such element can have -- ids not sorted and
-    distinct, or outside 1..round-1 -- gets None, which no mask equals."""
+    is read as it is.  A set no such element can have -- not all ints, as in
+    ``_id_list``, not sorted and distinct, or outside 1..round-1 -- gets None."""
     below: list[int | None] = [0]
     above: list[int | None] = [0]
     for e, row in enumerate(t.rounds, start=1):
@@ -627,7 +611,8 @@ def _relation_masks(t: Transcript) -> tuple[list[int | None], list[int | None]]:
             if type(ids) is int:
                 masks.append(None if ids >> e else ids)
                 continue
-            valid = not ids or (ids[0] >= 1 and ids[-1] < e and list(ids) == sorted(set(ids)))
+            valid = set(map(type, ids)) <= {int} and (
+                not ids or ids[0] >= 1 and ids[-1] < e and list(ids) == sorted(set(ids)))
             masks.append(_digits_mask(ids, e) if valid else None)
     return below, above
 

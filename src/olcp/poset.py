@@ -459,9 +459,14 @@ def _mask(ids: Iterable[int]) -> int:
 _BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits as compress() selectors
 
 
+def _digits(mask: int) -> bytes:
+    """The bits of a non-negative ``mask``, lowest first, as ``compress()`` selectors."""
+    return bin(mask)[:1:-1].encode().translate(_BITS)
+
+
 def _mask_ids(mask: int) -> Iterator[int]:
-    """The ids of ``mask``, ascending, picked by its binary digits in one C-level pass."""
-    return compress(count(), bin(mask)[:1:-1].encode().translate(_BITS))
+    """The ids of ``mask``, ascending, picked by its digits in one C-level pass."""
+    return compress(count(), _digits(mask))
 
 
 def _digits_mask(ids: Iterable[int], size: int) -> int:
@@ -577,10 +582,11 @@ class ChainPartition:
     A bottom index serves :meth:`legal_colors`: for each color, a member at
     or below every member of its class, its bottom, and the mask of the
     bottoms.  A member incomparable to its class's bottom leaves the class
-    unindexed, tested by mask from then on; a chain never is.  ``assign``
-    takes no poset, so new members queue, and the next ``legal_colors``
-    call folds them in against its poset, each pair read from its newer
-    element's row, which holds it as presented.
+    unindexed, tested by mask from then on; a chain never is.  The first
+    ``legal_colors`` call indexes every member; ``assign`` takes no poset,
+    so later members queue, and the next call folds them in against its
+    poset, each pair read from its newer element's row, which holds it as
+    presented.  A replay's partition, never asked, queues nothing.
     """
 
     __slots__ = ("color_of", "masks", "top", "_poset", "_queued", "_bottom", "_bottoms",
@@ -594,6 +600,8 @@ class ChainPartition:
         self._queued: list[int] = []  # members assigned since the index was last brought up to date
 
     def assign(self, e: int, color: int) -> None:
+        if type(e) is not int or e < 1:
+            raise RelationError(f"element ids are positive integers, got {e!r}")
         if e in self.color_of:
             raise RelationError(f"element {e} already colored")
         if color < 1:
@@ -601,7 +609,8 @@ class ChainPartition:
         self.color_of[e] = color
         self.masks[color] = self.masks.get(color, 0) | 1 << e
         self.top = max(self.top, color)
-        self._queued.append(e)
+        if self._poset is not None:  # else the first fold indexes every member
+            self._queued.append(e)
 
     def _fold(self, p: Poset) -> None:
         """Fold the queued members into the bottom index, read from ``p``:

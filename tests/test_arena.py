@@ -5,8 +5,12 @@ from __future__ import annotations
 import dataclasses
 import gc
 import json
+import os
+import subprocess
+import sys
 import time
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -84,6 +88,54 @@ def test_parse_accepts_ext_rows_in_any_order():
     lines[2] = json.dumps(obj, separators=(",", ":"))
     parsed = Transcript.parse("\n".join(lines) + "\n")
     assert parsed == t
+
+
+@pytest.mark.parametrize("name, w, d", [("theorem2", 4, 3), ("szemeredi", 8, None)])
+def test_played_rows_are_written_from_the_id_table(monkeypatch, name, w, d):
+    """Every played row takes ``_round_line``; a row rebuilt with an id
+    tuple is the one that ``json.dumps`` writes."""
+    calls = []
+    round_json = arena._round_json
+
+    def spy(r):
+        calls.append(r.round)
+        return round_json(r)
+
+    monkeypatch.setattr(arena, "_round_json", spy)
+    t, report = game(name, w, d=d)
+    assert report.ok
+    t.serialize()
+    assert calls == []
+    reround(t, 4, below=(1, 2)).serialize()
+    assert calls == [5]
+
+
+_PARSE_ERRORS = """
+import json, sys
+from olcp import Transcript, TranscriptError
+for text in json.load(sys.stdin):
+    try:
+        Transcript.parse(text)
+    except TranscriptError as exc:
+        print(exc)
+"""
+
+
+def test_a_line_missing_fields_names_the_first_in_line_order():
+    """The error is the same under every string hash seed."""
+    t, _ = game("szemeredi", 2)
+    lines = t.serialize().splitlines()
+    row = json.loads(lines[1])
+    for key in ("stage", "color", "level"):
+        del row[key]
+    texts = ["\n".join([lines[0], json.dumps(row), *lines[2:]]) + "\n", '{"version":1}\n']
+    src = str(Path(arena.__file__).resolve().parents[1])
+    for seed in range(6):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", _PARSE_ERRORS], input=json.dumps(texts),
+                             env=env, capture_output=True, text=True, check=True).stdout
+        assert out.splitlines() == ["line 2: missing field 'color'",
+                                    "line 1: missing field 'strategy'"], f"PYTHONHASHSEED={seed}"
 
 
 @pytest.mark.parametrize(

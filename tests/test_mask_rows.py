@@ -114,3 +114,15 @@ def test_a_row_naming_a_huge_id_is_parsed_and_verified_as_a_tuple(side):
     assert vars(back.rounds[r - 1])[side] == huge
     assert violations == [f"round {r}: relations {side} the new element differ"]
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("ids", [(1.0,), (True,)], ids=["float", "bool"])
+def test_a_hand_built_id_that_is_not_an_int_differs(ids):
+    """A hand-built tuple counts as ids only when every entry is an int, as
+    ``Transcript.parse`` requires: ``1.0`` and ``True`` stand for no id,
+    though both equal 1, the only id below round 2's element."""
+    t = played("szemeredi", 3)
+    row = t.rounds[1]
+    assert row.below == (1,)
+    bad = with_row(t, 1, replace(row, below=ids))
+    assert verify_transcript(bad) == [f"round {row.round}: relations below the new element differ"]

@@ -21,6 +21,7 @@ from olcp import (
     make_strategy,
     run_game,
 )
+from olcp import arena
 
 from poset_oracles import antichain, from_pairs
 
@@ -121,6 +122,31 @@ def test_bottom_index_answers_like_the_scan_on_every_round(name, d):
             checked = _BottomsAgainstScan(inner)
             transcript, report = run_game(make_strategy(name, w, d=d), checked)
             assert report.ok and checked.rounds == len(transcript.rounds)
+
+
+def test_only_an_indexed_partition_queues_its_members():
+    """A replay asks for no legal colors, so its partition queues nothing;
+    the first ``legal_colors`` call indexes every member and answers like
+    one mask test per class, and only members assigned after it queue."""
+    t, report = run_game(make_strategy("szemeredi", 12), FirstFit())
+    strategy = make_strategy("szemeredi", 12)
+    violations, replayed = arena._replay(strategy, t, arena._relation_masks(t))
+    assert report.ok and violations == []
+    assert len(replayed.color_of) == 144 and replayed._queued == []
+
+    p = strategy.poset
+    part = ChainPartition()
+    for x, c in list(replayed.color_of.items())[:100]:
+        part.assign(x, c)
+    assert part._queued == []
+    for e in p.elements:
+        outside = p.incomparable_mask(e)
+        scan = sorted(c for c, cls in part.masks.items() if not cls & outside)
+        assert part.legal_colors(p, e) == scan, f"element {e}"
+    later = list(replayed.color_of.items())[100:]
+    for x, c in later:
+        part.assign(x, c)
+    assert part._queued == [x for x, _ in later]
 
 
 # ---------------------------------------------------------------------------

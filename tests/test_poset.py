@@ -250,6 +250,11 @@ def test_assign_rejects_recolor_and_bad_colors():
         part.assign(1, 2)
     with pytest.raises(RelationError):
         part.assign(2, 0)
+    for e in (-1, 0):
+        for _ in range(2):  # a rejected id leaves nothing behind to trip a retry
+            with pytest.raises(RelationError, match=f"element ids are positive integers, got {e}"):
+                part.assign(e, 1)
+    assert (part.color_of, part.masks, part.top, part._queued) == ({1: 1}, {1: 2}, 1, [])
 
 
 def test_legal_names_the_offending_pair():
