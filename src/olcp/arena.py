@@ -10,6 +10,8 @@ byte-comparable.  The rows of played and parsed games keep those lists as
 the masks that strategies present and the verifier compares.  Such a row
 is written from an id-text table (``_round_line``), any other by
 ``json.dumps`` (``_round_json``); a line's fields are checked in line order.
+Most lists repeat one of the previous row's two lists, so such a list is
+written from that list's text and read as its mask.
 ``verify_transcript`` re-runs the named strategy against the recorded
 colors — internal orders are re-derived, never trusted — and layers every
 structural check on top: per-round relation equality, chain validity,
@@ -133,11 +135,16 @@ class Transcript:
         escaping.  A row of five int fields, kept ``below``/``above`` masks and
         ``ext`` anchors of None or ids, all ids in one table, is written by
         ``_round_line``; every other row, a hand-built tuple row included, by
-        ``_round_json``."""
+        ``_round_json``.  A mask equal to one of the previous table-path row's
+        two masks reuses its text; any other is rendered from the table."""
         header = {key: getattr(self, key) for key in _HEADER_FIELDS}
         lines = [json.dumps(header, separators=(",", ":"))]
         n = len(self.rounds) + 1
         texts = list(map(str, range(n)))  # id x's text at index x
+        # The previous table-path row's masks and their texts: most lists
+        # repeat one of them, and then reuse its text.
+        last_below = last_above = None
+        below_text = above_text = ""
         for r in self.rounds:
             kept = r.__dict__  # the stored masks, not the tuples they read as
             below, above, ext = kept["below"], kept["above"], r.ext
@@ -146,7 +153,13 @@ class Transcript:
                     and type(r.level) is type(r.stage) is int
                     and (ext is None or type(ext) is tuple and all(
                         a is None or type(a) is int and 0 <= a < n for a in ext))):
-                lines.append(_round_line(r, below, above, texts))
+                below_text, above_text = (
+                    below_text if below == last_below else
+                    above_text if below == last_above else ",".join(compress(texts, _digits(below))),
+                    above_text if above == last_above else
+                    below_text if above == last_below else ",".join(compress(texts, _digits(above))))
+                last_below, last_above = below, above
+                lines.append(_round_line(r, below_text, above_text, texts))
             else:
                 lines.append(_round_json(r))
         lines.append("")  # the final newline, joined on rather than added to a copy
@@ -155,7 +168,9 @@ class Transcript:
     @classmethod
     def parse(cls, text: str) -> "Transcript":
         """The transcript ``text`` holds, each row's id lists checked and kept
-        as masks; ``TranscriptError`` names the first line at fault."""
+        as masks; ``TranscriptError`` names the first line at fault.  A list
+        of ints equal to one of the previous row's two lists takes its mask
+        (``_repeated_mask``) without being checked again."""
         lines = text.splitlines()
         if not lines:
             raise TranscriptError("empty transcript")
@@ -179,6 +194,7 @@ class Transcript:
             raise TranscriptError("seed must be an integer or null", line=1)
 
         rounds = []
+        last: tuple = ()  # the previous row's (list, mask) pairs
         for n, raw in enumerate(lines[1:], start=2):
             obj = _parse_object(raw, n)
             _expect_keys(obj, _ROUND_FIELDS, ("ext",), n)
@@ -186,8 +202,13 @@ class Transcript:
             if rnd != n - 1:
                 raise TranscriptError(f"round {rnd} out of sequence", line=n)
             element = _field_int(obj, "element", n, minimum=1)
-            below = _id_list(obj, "below", n, len(lines))
-            above = _id_list(obj, "above", n, len(lines))
+            below = _repeated_mask(obj["below"], last)
+            if below is None:
+                below = _id_list(obj, "below", n, len(lines))
+            above = _repeated_mask(obj["above"], last)
+            if above is None:
+                above = _id_list(obj, "above", n, len(lines))
+            last = ((obj["below"], below), (obj["above"], above))
             color = _field_int(obj, "color", n, minimum=1)
             level = _field_int(obj, "level", n, minimum=1)
             stage = _field_int(obj, "stage", n)
@@ -207,18 +228,17 @@ class Transcript:
 _BOTTOM_TEXT = '"BOTTOM"'
 
 
-def _round_line(r: TranscriptRound, below: int, above: int, texts: list[str]) -> str:
+def _round_line(r: TranscriptRound, below: str, above: str, texts: list[str]) -> str:
     """Row ``r`` as ``_round_json`` writes it, for the rows ``serialize``
-    hands it: its masks ``below`` and ``above`` pick their ids' text out of
-    ``texts`` in one C-level pass, and its anchors read theirs as ``texts[a]``."""
+    hands it with the text of its ``below`` and ``above`` lists; its anchors
+    read their ids' text as ``texts[a]``."""
     ext = ""
     if r.ext is not None:
         ext = ",".join(f"[{j},{_BOTTOM_TEXT if a is None else texts[a]}]"
                        for j, a in enumerate(r.ext))
         ext = f'"ext":[{ext}],'
     return (f'{{"round":{r.round},"element":{r.element},'
-            f'"below":[{",".join(compress(texts, _digits(below)))}],'
-            f'"above":[{",".join(compress(texts, _digits(above)))}],'
+            f'"below":[{below}],"above":[{above}],'
             f'{ext}"color":{r.color},"level":{r.level},"stage":{r.stage}}}')
 
 
@@ -281,6 +301,17 @@ def _id_list(obj: dict, key: str, line: int, size: int) -> int | tuple[int, ...]
         elif len(set(v)) == len(v):
             return tuple(v)
     raise TranscriptError(f"field {key!r} must be sorted and duplicate-free", line=line)
+
+
+def _repeated_mask(v, last: tuple) -> int | None:
+    """The int mask of the list in ``last`` that ``v`` repeats, else None.
+    ``1.0`` and ``True`` equal 1 but are no ids, so ``v`` must also hold
+    ints: a float makes its sum a float, and ``True`` can equal an id only
+    at index 0, where id 1 sits."""
+    for ids, mask in last:
+        if type(mask) is int and v == ids and type(sum(v)) is int and (not v or type(v[0]) is int):
+            return mask
+    return None
 
 
 def _parse_ext(raw, d: int, line: int) -> tuple[int | None, ...]:
@@ -602,8 +633,9 @@ def _relation_masks(t: Transcript) -> tuple[list[int | None], list[int | None]]:
     """The rows' below and above sets as masks (bit x for id x), in two
     lists indexed like a poset's rows by the element a replay presents in
     each round, which is the round's place in the transcript.  A kept mask
-    is read as it is.  A set no such element can have -- not all ints, as in
-    ``_id_list``, not sorted and distinct, or outside 1..round-1 -- gets None."""
+    is read as it is.  A set no such element can have -- not a tuple or list,
+    not all ints, as in ``_id_list``, not sorted and distinct, or outside
+    1..round-1 -- gets None."""
     below: list[int | None] = [0]
     above: list[int | None] = [0]
     for e, row in enumerate(t.rounds, start=1):
@@ -611,7 +643,7 @@ def _relation_masks(t: Transcript) -> tuple[list[int | None], list[int | None]]:
             if type(ids) is int:
                 masks.append(None if ids >> e else ids)
                 continue
-            valid = set(map(type, ids)) <= {int} and (
+            valid = isinstance(ids, (tuple, list)) and set(map(type, ids)) <= {int} and (
                 not ids or ids[0] >= 1 and ids[-1] < e and list(ids) == sorted(set(ids)))
             masks.append(_digits_mask(ids, e) if valid else None)
     return below, above
@@ -647,6 +679,8 @@ def _replay(strategy: Strategy, t: Transcript,
             v.append(f"round {row.round}: level annotation {row.level}, re-run says {move.level}")
         if move.stage != row.stage:
             v.append(f"round {row.round}: stage annotation {row.stage}, re-run says {move.stage}")
+        if row.ext is not None and t.d is None:
+            v.append(f"round {row.round}: ext belongs only to visible-order games")
         ok, pair = part.legal(strategy.poset, move.element, row.color)
         if not ok:
             assert pair is not None

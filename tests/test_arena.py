@@ -320,6 +320,14 @@ def test_round_without_extension_record_breaks_insertion_only_growth():
     ]
 
 
+@pytest.mark.parametrize("name", ["szemeredi", "theorem1"])
+def test_ext_on_a_game_without_visible_orders_is_reported(name):
+    """``parse`` rejects such a line; the verifier reports such a row."""
+    t, _ = game(name, 2)
+    bad = reround(t, 2, ext=(1,))
+    assert verify_transcript(bad) == ["round 3: ext belongs only to visible-order games"]
+
+
 def test_live_and_replayed_games_agree_on_bad_anchors():
     s = make_strategy("theorem2", 3, d=2)
     place = s._place

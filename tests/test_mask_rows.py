@@ -126,3 +126,13 @@ def test_a_hand_built_id_that_is_not_an_int_differs(ids):
     assert row.below == (1,)
     bad = with_row(t, 1, replace(row, below=ids))
     assert verify_transcript(bad) == [f"round {row.round}: relations below the new element differ"]
+
+
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_a_hand_built_id_field_that_is_no_tuple_or_list_differs(side):
+    """An iterator over the right ids is reported, not raised on."""
+    t = played("szemeredi", 3)
+    i = next(i for i, r in enumerate(t.rounds) if getattr(r, side))
+    row = t.rounds[i]
+    bad = with_row(t, i, replace(row, **{side: iter(getattr(row, side))}))
+    assert verify_transcript(bad) == [f"round {row.round}: relations {side} the new element differ"]
