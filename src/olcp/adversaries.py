@@ -180,8 +180,6 @@ def _intersect_relations(hosts: Sequence[LinearOrder], e: int) -> tuple[int, int
     h = hosts[0]
     below, above = h.split_masks(h.locate(e, h._last))
     for h in hosts[1:]:
-        if not below and not above:
-            break
         b, a = h.split_masks(h.locate(e, h._last))
         below &= b
         above &= a

@@ -257,6 +257,8 @@ def _parse_object(raw: str, line: int) -> dict:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise TranscriptError(f"not valid JSON ({exc.msg})", line=line) from exc
+    except ValueError as exc:  # an integer past sys.get_int_max_str_digits()
+        raise TranscriptError("an integer has too many digits to read", line=line) from exc
     except RecursionError as exc:
         raise TranscriptError("not valid JSON (nested too deeply)", line=line) from exc
     if not isinstance(obj, dict):

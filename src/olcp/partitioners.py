@@ -39,7 +39,7 @@ class PartitionerView:
 
     def legal_colors(self) -> list[int]:
         """Existing colors the new element may join, ascending, found from
-        the partition's bottom index (:meth:`ChainPartition.legal_colors`)."""
+        each class's first member (:meth:`ChainPartition.legal_colors`)."""
         return self.partition.legal_colors(self.poset, self.element)
 
     def fresh_color(self) -> int:

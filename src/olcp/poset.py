@@ -13,8 +13,8 @@ presented; full rows come once, from the realizer a game's report checks
 Staged games reach 770-1300 points and about 256k relations, so neither
 the per-round legal colors nor the whole-poset checks (realizer,
 extension, width) loop over pairs of elements in Python.  Legal colors
-come from each class's bottom, and only a class whose bottom lies below
-the new point is tested against the non-negative
+come from each class's first member: only a class whose first member is
+not incomparable to the new point is tested against the non-negative
 :meth:`Poset.incomparable_mask`; :meth:`Poset.width` seeds its matching
 greedily from the top of the order down, which leaves few augmenting
 searches to run.
@@ -579,25 +579,21 @@ class ChainPartition:
     ``top`` is the largest color (0 if none), both read-only outside
     :meth:`assign`.
 
-    A bottom index serves :meth:`legal_colors`: for each color, a member at
-    or below every member of its class, its bottom, and the mask of the
-    bottoms.  A member incomparable to its class's bottom leaves the class
-    unindexed, tested by mask from then on; a chain never is.  The first
-    ``legal_colors`` call indexes every member; ``assign`` takes no poset,
-    so later members queue, and the next call folds them in against its
-    poset, each pair read from its newer element's row, which holds it as
-    presented.  A replay's partition, never asked, queues nothing.
+    ``_firsts`` masks the first member assigned to each color, set when the
+    color is new.  A class that a new point may join has every member
+    comparable to it, its first member included, so :meth:`legal_colors`
+    need test only the classes whose first member is not incomparable to
+    the point.  The rule holds for any partition and poset, so there is
+    nothing to keep up to date.
     """
 
-    __slots__ = ("color_of", "masks", "top", "_poset", "_queued", "_bottom", "_bottoms",
-                 "_unindexed")
+    __slots__ = ("color_of", "masks", "top", "_firsts")
 
     def __init__(self) -> None:
         self.color_of: dict[int, int] = {}
         self.masks: dict[int, int] = {}
         self.top = 0
-        self._poset: Poset | None = None  # the poset the bottom index was read from
-        self._queued: list[int] = []  # members assigned since the index was last brought up to date
+        self._firsts = 0
 
     def assign(self, e: int, color: int) -> None:
         if type(e) is not int or e < 1:
@@ -607,68 +603,38 @@ class ChainPartition:
         if color < 1:
             raise RelationError(f"colors are positive integers, got {color}")
         self.color_of[e] = color
-        self.masks[color] = self.masks.get(color, 0) | 1 << e
+        cls = self.masks.get(color, 0)
+        if not cls:
+            self._firsts |= 1 << e
+        self.masks[color] = cls | 1 << e
         self.top = max(self.top, color)
-        if self._poset is not None:  # else the first fold indexes every member
-            self._queued.append(e)
-
-    def _fold(self, p: Poset) -> None:
-        """Fold the queued members into the bottom index, read from ``p``:
-        a member below its class's bottom replaces it.  A poset other than
-        the last one read indexes every member afresh."""
-        if p is not self._poset:
-            self._poset, self._queued = p, list(self.color_of)
-            self._bottom, self._bottoms, self._unindexed = {}, 0, set()
-        bottom, bottoms, below, above = self._bottom, self._bottoms, p._below, p._above
-        present = p._all  # present >> x & 1: x is an element of p
-        for x in self._queued:
-            c = self.color_of[x]
-            b = bottom.get(c)
-            if c in self._unindexed or b is not None and present >> x & 1 and (
-                    below[x] >> b if x > b else above[b] >> x) & 1:
-                continue  # an unindexed class, or a member above its bottom
-            if b is not None:
-                bottoms ^= 1 << b
-            if present >> x & 1 and (b is None or (above[x] >> b if x > b else below[b] >> x) & 1):
-                bottom[c] = x
-                bottoms |= 1 << x
-            else:
-                bottom.pop(c, None)
-                self._unindexed.add(c)
-        self._bottoms = bottoms
-        self._queued = []
 
     def legal_colors(self, p: Poset, e: int) -> list[int]:
         """Colors whose class ``e`` may join, ascending.
 
-        A class whose bottom is ``e`` or lies above ``e`` is legal: every
-        member lies at or above the bottom, so above ``e``.  A class whose
-        bottom is incomparable to ``e`` is not: the bottom conflicts.  Only
-        a class whose bottom lies below ``e``, or an unindexed one, needs
-        its mask tested against ``p.incomparable_mask(e)``.  Walking a
-        bottom costs about four mask tests, so when the bottoms comparable
-        to ``e`` are not few next to all classes, as in staged games, where
-        most bottoms lie below the new point, one mask test per class is
-        cheaper and runs instead.
+        A class is legal when its mask misses ``p.incomparable_mask(e)``.
+        Only a class whose first member is not incomparable to ``e`` can be:
+        in a ``szemeredi`` game about a dozen of the hundreds of classes.
+        When those are not few next to all classes, as in staged games,
+        where most first members lie below the new point, one mask test per
+        class is cheaper than the walk and runs instead.
         """
-        comparable = p.comparable_mask(e)
-        self._fold(p)
-        if 4 * (self._bottoms & comparable).bit_count() + len(self._unindexed) < len(self.masks):
-            return self._legal_by_bottoms(p, e, comparable)
-        outside = p._all ^ comparable
+        outside = p.incomparable_mask(e)
+        walk = self._firsts & ~outside
+        if 4 * walk.bit_count() < len(self.masks):
+            return self._legal_by_firsts(walk, outside)
         return sorted(c for c, cls in self.masks.items() if not cls & outside)
 
-    def _legal_by_bottoms(self, p: Poset, e: int, comparable: int) -> list[int]:
-        """:meth:`legal_colors` from an index folded from ``p``, given the
-        mask of the elements comparable to ``e``: walks the bottoms
-        comparable to ``e`` bit by bit and tests the unindexed classes."""
-        masks, below, outside = self.masks, p._below[e], p._all ^ comparable
-        legal = [c for c in self._unindexed if not masks[c] & outside]
-        walk = self._bottoms & comparable
+    def _legal_by_firsts(self, walk: int, outside: int) -> list[int]:
+        """:meth:`legal_colors`, given ``outside``, the mask of the elements
+        incomparable to ``e``, and ``walk``, the first members not in
+        ``outside``: tests the class of each, walked bit by bit."""
+        masks, color_of = self.masks, self.color_of
+        legal = []
         while walk:
             low = walk & -walk
-            c = self.color_of[low.bit_length() - 1]
-            if not (low & below and masks[c] & outside):
+            c = color_of[low.bit_length() - 1]
+            if not masks[c] & outside:
                 legal.append(c)
             walk ^= low
         legal.sort()

@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,6 +15,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from olcp import (
     ChainPartition,
@@ -176,6 +179,44 @@ def test_parse_errors_carry_line_numbers(mangle, line_no, message_bit):
         Transcript.parse(bad)
     assert str(err.value).startswith(f"line {line_no}:")
     assert message_bit in str(err.value)
+
+
+_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+|.')
+_TOO_LONG = "9" * (sys.get_int_max_str_digits() + 1)  # past what int() reads from text
+_INSERTED = ["0", "1", "-1", "7", "1.5", "1e400", "null", "true", '"BOTTOM"', '"x"',
+             '"below"', "[", "]", "{", "}", ",", ":", _TOO_LONG]
+_MUTATED = [game(name, w, d=d)[0].serialize().splitlines()
+            for name, w, d in (("szemeredi", 3, None), ("theorem1", 2, None),
+                               ("theorem2", 3, 3), ("theorem2", 2, 2))]
+
+
+@settings(max_examples=150, deadline=None)
+@example(0, 1, "insert", 3, 0, _TOO_LONG)  # '"round":' followed by the long integer
+@given(st.integers(0, len(_MUTATED) - 1), st.integers(0, 10**6),
+       st.sampled_from(["swap", "delete", "insert"]), st.integers(0, 10**6),
+       st.integers(0, 10**6), st.sampled_from(_INSERTED))
+def test_a_one_token_mutation_parses_or_raises_a_transcript_error(which, line, op, i, j, token):
+    """A token swapped with another of its line, deleted, or inserted:
+    ``parse`` accepts the text or raises ``TranscriptError``, and
+    ``verify_transcript`` then returns a list, never a traceback."""
+    lines = list(_MUTATED[which])
+    line %= len(lines)
+    tokens = _TOKEN.findall(lines[line])
+    i %= len(tokens) + (op == "insert")
+    if op == "swap":
+        j %= len(tokens)
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    elif op == "delete":
+        del tokens[i]
+    else:
+        tokens.insert(i, token)
+    lines[line] = "".join(tokens)
+    try:
+        t = Transcript.parse("\n".join(lines) + "\n")
+    except TranscriptError as exc:
+        assert exc.line is not None
+        return
+    assert isinstance(verify_transcript(t), list)
 
 
 def test_parse_rejects_ext_where_it_does_not_belong():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 
 import pytest
 
@@ -182,6 +183,17 @@ def test_verify_malformed_file_exits_1(tmp_path, capsys, body):
     path.write_bytes(body)
     code, _, err = run(capsys, "verify", "--in", str(path))
     assert code == 1 and "line 1" in err
+
+
+def test_verify_reads_a_seed_too_long_for_int_as_an_error_line(tmp_path, capsys):
+    path = tmp_path / "long-seed.jsonl"
+    run(capsys, "play", "--strategy", "szemeredi", "--width", "2",
+        "--partitioner", "random", "--seed", "7", "--out", str(path))
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    path.write_text(path.read_text().replace('"seed":7', f'"seed":{digits}', 1))
+    code, _, err = run(capsys, "verify", "--in", str(path))
+    assert code == 1 and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: line 1: ")
 
 
 # ---------------------------------------------------------------------------

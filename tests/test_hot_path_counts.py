@@ -1,25 +1,25 @@
 """Call counts on the on-line loop's hot path, counted rather than timed.
 
-The partitioner's legal colors come from the classes' bottoms: only a
-class whose bottom lies below the new point has its mask tested, and
-``ChainPartition.legal`` runs once a round (the arena's check of the
-chosen color), not once per color.  Host orders grow by ``list.index`` and
-a membership set, so no insertion rebuilds a ``positions()`` dict.  A root
-builder acts on the last instance of its recursion list itself, so each
-host's ``Builder.place_next`` runs exactly once a round, however deep the
-builder recursion.  Builders find their region's bounds and their anchors
-by checked position hints, so only a root instance searches its host, on
-its first placement: a deeper instance starts with the hints its parent
-found.  Searches grow with the width, not with the rounds.  A staged game hands each round to
-its current level alone: one ``place`` and one ``observe`` a round.  An
-insertion appends the new element's rows and no on-line round changes the
-row of an older element.  The rows arrive as the masks the hosts give, so
-no on-line round builds a mask from ids.  A szemeredi transcript is
-replayed once, and a theorem1 level runs two roots and two dual roots:
-hosts tuned to other chain indices are spliced, by no builder.  Transcript
-rows stay masks from the move to the text and from the text to the
-verifier, and the visible orders are copied only for a partitioner that
-reads them.
+The partitioner's legal colors come from the classes' first members: only a
+class whose first member is not incomparable to the new point has its mask
+tested, and ``ChainPartition.legal`` runs once a round (the arena's check
+of the chosen color), not once per color.  Host orders grow by
+``list.index`` and a membership set, so no insertion rebuilds a
+``positions()`` dict.  A root builder acts on the last instance of its
+recursion list itself, so each host's ``Builder.place_next`` runs exactly
+once a round, however deep the builder recursion.  Builders find their
+region's bounds and their anchors by checked position hints, so only a root
+instance searches its host, on its first placement: a deeper instance
+starts with the hints its parent found.  Searches grow with the width, not
+with the rounds.  A staged game hands each round to its current level
+alone: one ``place`` and one ``observe`` a round.  An insertion appends the
+new element's rows and no on-line round changes the row of an older
+element.  The rows arrive as the masks the hosts give, so no on-line round
+builds a mask from ids.  A szemeredi transcript is replayed once, and a
+theorem1 level runs two roots and two dual roots: hosts tuned to other
+chain indices are spliced, by no builder.  Transcript rows stay masks from
+the move to the text and from the text to the verifier, and the visible
+orders are copied only for a partitioner that reads them.
 """
 
 from __future__ import annotations

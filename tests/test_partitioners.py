@@ -95,10 +95,10 @@ def test_random_choices_are_always_legal():
         assert r.violations == []
 
 
-class _BottomsAgainstScan:
-    """Wraps a partitioner: every round, checks the bottom index's answer,
-    taken whatever ``legal_colors`` would pick, against one mask test per
-    class, and the view's answer against both."""
+class _FirstsAgainstScan:
+    """Wraps a partitioner: every round, checks the walk of the classes'
+    first members, taken whatever ``legal_colors`` would pick, against one
+    mask test per class, and the view's answer against both."""
 
     def __init__(self, inner):
         self.inner, self.name, self.rounds = inner, inner.name, 0
@@ -107,8 +107,7 @@ class _BottomsAgainstScan:
         p, part, e = view.poset, view.partition, view.element
         outside = p.incomparable_mask(e)
         scan = sorted(c for c, cls in part.masks.items() if not cls & outside)
-        part._fold(p)
-        assert part._legal_by_bottoms(p, e, p.comparable_mask(e)) == scan, f"element {e}"
+        assert part._legal_by_firsts(part._firsts & ~outside, outside) == scan, f"element {e}"
         assert view.legal_colors() == scan, f"element {e}"
         self.rounds += 1
         return self.inner.choose(view)
@@ -116,37 +115,33 @@ class _BottomsAgainstScan:
 
 @pytest.mark.parametrize("name, d", [("szemeredi", None), ("theorem1", None),
                                      ("theorem2", 2), ("theorem2", 3)])
-def test_bottom_index_answers_like_the_scan_on_every_round(name, d):
+def test_first_member_walk_answers_like_the_scan_on_every_round(name, d):
     for w in range(1, 9):
         for inner in (FirstFit(), RandomValid(0), RandomValid(1), RandomValid(2)):
-            checked = _BottomsAgainstScan(inner)
+            checked = _FirstsAgainstScan(inner)
             transcript, report = run_game(make_strategy(name, w, d=d), checked)
             assert report.ok and checked.rounds == len(transcript.rounds)
 
 
-def test_only_an_indexed_partition_queues_its_members():
-    """A replay asks for no legal colors, so its partition queues nothing;
-    the first ``legal_colors`` call indexes every member and answers like
-    one mask test per class, and only members assigned after it queue."""
+def test_a_replayed_partition_answers_like_the_scan_part_way_and_in_full():
+    """A replay's partition, built with no legal colors asked, answers like
+    one mask test per class after 100 of its 144 assigns and after all."""
     t, report = run_game(make_strategy("szemeredi", 12), FirstFit())
     strategy = make_strategy("szemeredi", 12)
     violations, replayed = arena._replay(strategy, t, arena._relation_masks(t))
     assert report.ok and violations == []
-    assert len(replayed.color_of) == 144 and replayed._queued == []
+    assert len(replayed.color_of) == 144
 
     p = strategy.poset
     part = ChainPartition()
-    for x, c in list(replayed.color_of.items())[:100]:
-        part.assign(x, c)
-    assert part._queued == []
-    for e in p.elements:
-        outside = p.incomparable_mask(e)
-        scan = sorted(c for c, cls in part.masks.items() if not cls & outside)
-        assert part.legal_colors(p, e) == scan, f"element {e}"
-    later = list(replayed.color_of.items())[100:]
-    for x, c in later:
-        part.assign(x, c)
-    assert part._queued == [x for x, _ in later]
+    colored = list(replayed.color_of.items())
+    for upto in (100, 144):
+        for x, c in colored[len(part.color_of):upto]:
+            part.assign(x, c)
+        for e in p.elements:
+            outside = p.incomparable_mask(e)
+            scan = sorted(c for c, cls in part.masks.items() if not cls & outside)
+            assert part.legal_colors(p, e) == scan, f"element {e}"
 
 
 # ---------------------------------------------------------------------------

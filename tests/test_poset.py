@@ -254,7 +254,7 @@ def test_assign_rejects_recolor_and_bad_colors():
         for _ in range(2):  # a rejected id leaves nothing behind to trip a retry
             with pytest.raises(RelationError, match=f"element ids are positive integers, got {e}"):
                 part.assign(e, 1)
-    assert (part.color_of, part.masks, part.top, part._queued) == ({1: 1}, {1: 2}, 1, [])
+    assert (part.color_of, part.masks, part.top, part._firsts) == ({1: 1}, {1: 2}, 1, 2)
 
 
 def test_legal_names_the_offending_pair():

@@ -344,33 +344,59 @@ def test_legal_colors_and_legal_match_a_set_based_reference(case, data):
         return
     part = ChainPartition()
     classes: dict[int, set[int]] = {}  # grown in the same order as the partition's
+    firsts: dict[int, int] = {}  # each color's first member
     colored = data.draw(st.lists(st.sampled_from(els), unique=True))
     for x in colored:
         color = data.draw(st.integers(1, 6))  # any order, gaps included
         part.assign(x, color)
         classes.setdefault(color, set()).add(x)
-        if data.draw(st.booleans()):
-            part._fold(p)  # the bottom index, brought up to date part way
+        firsts.setdefault(color, x)
     assert sorted(part.masks) == sorted(classes)
     assert part.top == max(classes, default=0)
+    assert part._firsts == sum(1 << x for x in firsts.values())
     for e in els:
         for color in range(1, 8):
             assert part.legal(p, e, color) == reference_legal(rel, classes, e, color)
         view = PartitionerView(p, part, e)
         legal = [c for c in sorted(classes) if reference_legal(rel, classes, e, c)[0]]
         assert view.legal_colors() == legal
-        part._fold(p)  # the bottom index, used whatever legal_colors would pick
-        assert part._legal_by_bottoms(p, e, p.comparable_mask(e)) == legal
+        outside = p.incomparable_mask(e)  # the walk, whatever legal_colors would pick
+        assert part._legal_by_firsts(part._firsts & ~outside, outside) == legal
         assert view.fresh_color() == max(classes, default=0) + 1
-    chains = {c for c, members in classes.items()
-              if all(x == y or (x, y) in rel or (y, x) in rel for x in members for y in members)}
-    assert not chains & part._unindexed  # a chain keeps its bottom, however it grew
-    dual = p.dual()  # the same comparabilities, every relation flipped: indexed afresh
+    dual = p.dual()  # the same comparabilities, every relation flipped
     for e in els:
         legal = PartitionerView(p, part, e).legal_colors()
         assert PartitionerView(dual, part, e).legal_colors() == legal
-        part._fold(dual)
-        assert part._legal_by_bottoms(dual, e, dual.comparable_mask(e)) == legal
+        outside = dual.incomparable_mask(e)
+        assert part._legal_by_firsts(part._firsts & ~outside, outside) == legal
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_posets(), st.data())
+def test_legal_colors_read_classes_restricted_to_the_poset(case, data):
+    """Members absent from the poset, in its gaps or past its largest id,
+    may be a class's first member: ``legal_colors`` and the walk still
+    answer like one mask test per class, which reads each class restricted
+    to the poset."""
+    p, rel = case
+    els = p.elements
+    if not els:
+        return
+    part = ChainPartition()
+    present: dict[int, set[int]] = {}
+    ids = range(1, max(els) + 4)
+    for x in data.draw(st.lists(st.sampled_from(ids), unique=True, min_size=1)):
+        color = data.draw(st.integers(1, 6))
+        part.assign(x, color)
+        members = present.setdefault(color, set())
+        if x in p:
+            members.add(x)
+    for e in els:
+        legal = [c for c in sorted(present) if reference_legal(rel, present, e, c)[0]]
+        outside = p.incomparable_mask(e)
+        assert sorted(c for c, cls in part.masks.items() if not cls & outside) == legal
+        assert part.legal_colors(p, e) == legal
+        assert part._legal_by_firsts(part._firsts & ~outside, outside) == legal
 
 
 def test_assigning_descending_colors_takes_linear_time():
