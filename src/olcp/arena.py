@@ -11,7 +11,7 @@ the masks that strategies present and the verifier compares.  Such a row
 is written from an id-text table (``_round_line``), any other by
 ``json.dumps`` (``_round_json``); a line's fields are checked in line order.
 Most lists repeat one of the previous row's two lists, so such a list is
-written from that list's text and read as its mask.
+written from that list's text and cut from the text before decoding.
 ``verify_transcript`` re-runs the named strategy against the recorded
 colors — internal orders are re-derived, never trusted — and layers every
 structural check on top: per-round relation equality, chain validity,
@@ -19,9 +19,9 @@ rainbow certificates, separator placement in the keeper orders,
 insertion-only growth of visible orders, thresholds, and realizer
 extraction.  A szemeredi game's other chain indices are checked without a
 builder: their hosts are spliced from the main replay's two
-(``builders.splice``), and the relations they present are compared with
-the rows once, at the end.  A ``theorem1`` level's spliced hosts are
-checked the same way against the level's rows.
+(``builders.splice``) and accepted by their cross pairs, or else compared
+with the rows once, at the end.  A ``theorem1`` level's spliced hosts are
+compared with the level's rows.
 
 Live games and replays share the verification engine: one report builder,
 and one insertion-only checker (``_ExtensionWatch``) that rebuilds the
@@ -34,7 +34,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, count, filterfalse
+from operator import not_
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -169,8 +170,8 @@ class Transcript:
     def parse(cls, text: str) -> "Transcript":
         """The transcript ``text`` holds, each row's id lists checked and kept
         as masks; ``TranscriptError`` names the first line at fault.  A list
-        of ints equal to one of the previous row's two lists takes its mask
-        (``_repeated_mask``) without being checked again."""
+        body whose text equals one of the previous row's two is cut from the
+        line before decoding and takes that list's mask (``_list_spans``)."""
         lines = text.splitlines()
         if not lines:
             raise TranscriptError("empty transcript")
@@ -194,21 +195,23 @@ class Transcript:
             raise TranscriptError("seed must be an integer or null", line=1)
 
         rounds = []
-        last: tuple = ()  # the previous row's (list, mask) pairs
+        last: dict[str, int] = {}  # the previous row's list bodies and their masks
         for n, raw in enumerate(lines[1:], start=2):
+            spans = _list_spans(raw) or ()
+            bodies = [raw[i:j] for i, j in spans]
+            repeats = [last.get(body) for body in bodies] or [None, None]
+            for (i, j), mask in sorted(zip(spans, repeats), reverse=True):
+                if mask is not None:
+                    raw = raw[:i] + raw[j:]  # "[...]" becomes "[]", the later one first
             obj = _parse_object(raw, n)
             _expect_keys(obj, _ROUND_FIELDS, ("ext",), n)
             rnd = _field_int(obj, "round", n, minimum=1)
             if rnd != n - 1:
                 raise TranscriptError(f"round {rnd} out of sequence", line=n)
             element = _field_int(obj, "element", n, minimum=1)
-            below = _repeated_mask(obj["below"], last)
-            if below is None:
-                below = _id_list(obj, "below", n, len(lines))
-            above = _repeated_mask(obj["above"], last)
-            if above is None:
-                above = _id_list(obj, "above", n, len(lines))
-            last = ((obj["below"], below), (obj["above"], above))
+            below, above = (_id_list(obj, key, n, len(lines)) if mask is None else mask
+                            for key, mask in zip(("below", "above"), repeats))
+            last = dict(zip(bodies, (below, above))) if type(below) is type(above) is int else {}
             color = _field_int(obj, "color", n, minimum=1)
             level = _field_int(obj, "level", n, minimum=1)
             stage = _field_int(obj, "stage", n)
@@ -305,15 +308,21 @@ def _id_list(obj: dict, key: str, line: int, size: int) -> int | tuple[int, ...]
     raise TranscriptError(f"field {key!r} must be sorted and duplicate-free", line=line)
 
 
-def _repeated_mask(v, last: tuple) -> int | None:
-    """The int mask of the list in ``last`` that ``v`` repeats, else None.
-    ``1.0`` and ``True`` equal 1 but are no ids, so ``v`` must also hold
-    ints: a float makes its sum a float, and ``True`` can equal an id only
-    at index 0, where id 1 sits."""
-    for ids, mask in last:
-        if type(mask) is int and v == ids and type(sum(v)) is int and (not v or type(v[0]) is int):
-            return mask
-    return None
+def _list_spans(raw: str) -> list[tuple[int, int]] | None:
+    """Where the bodies of line ``raw``'s ``below`` and ``above`` lists lie,
+    each up to its first ``]``, if the line holds no backslash and each key
+    once, followed by ``:[``.  A body that ``parse`` cuts out decoded before
+    as a flat id list and no key is escaped, so the cut line decodes to the
+    same error, or to the same row once the body's mask is put back."""
+    if "\\" in raw:
+        return None
+    spans = []
+    for key in ('"below":[', '"above":['):
+        i = raw.find(key) + len(key)
+        if raw.count(key[:7]) != 1 or i < len(key) or (j := raw.find("]", i)) < 0:
+            return None
+        spans.append((i, j))
+    return spans
 
 
 def _parse_ext(raw, d: int, line: int) -> tuple[int | None, ...]:
@@ -605,7 +614,9 @@ def verify_transcript(t: Transcript) -> list[str]:
     whose setup would cost O(w) or O(d) whatever the row count.
 
     A szemeredi transcript is replayed once, tuned to chain index w; the
-    other chain indices' hosts are spliced (``_chain_index_faults``).
+    other chain indices' hosts are spliced.  Those whose cross pairs agree
+    with the main hosts present the main poset, whose faults the main replay
+    reported; only the others are compared with the rows (``_chain_index_faults``).
     """
     if len(t.rounds) < t.w * (t.w + 1) // 2:
         return ["transcript ends before the game is over"]
@@ -613,10 +624,16 @@ def verify_transcript(t: Transcript) -> list[str]:
     strategy = make_strategy(t.strategy, t.w, d=t.d)
     v, part = _replay(strategy, t, masks)
     if isinstance(strategy, SzemerediStrategy):
-        # Every chain index must present the same game.  Its first fault
-        # that the main replay did not report shows a different one.
+        # Every chain index must present the same game.  One whose cross pairs
+        # agree presents the main poset; any other one's first fault that the
+        # main replay did not report shows a different game.
         main = set(v)
+        blocks = {inst.spec.w: inst._in_host_order for inst in strategy._bank.instances()}
+        hosts = (h.restrict(strategy.poset._elements) for h in (strategy.scan_host, strategy.stack_host))
+        same = _cross_pair_checks(*hosts, (blocks.get(k, ()) for k in range(1, t.w)))
         for k in range(1, t.w):
+            if next(same, False):
+                continue
             s = next((s for s in _chain_index_faults(t, k, masks, strategy)
                       if s not in main), None)
             if s is not None:
@@ -712,6 +729,14 @@ def _chain_index_faults(t: Transcript, k: int, masks: tuple[list[int | None], li
     of their intersection with ``masks``, restricted to older ids, checks
     every round.  Its other faults depend on the colors alone, so the main
     replay has reported them.
+
+    Only cross pairs, one point in ``low`` and one in the rest, can differ
+    from the main hosts: the spliced scan host orders pairs inside ``low``
+    as the main scan host and the rest as the main stack host, the spliced
+    stack host the other way round.  A low x comes first in the spliced scan
+    host, so it lies below no rest point, and below a rest y iff y follows
+    x's slot (its place in the spliced stack host) in the main scan host.
+    ``_cross_pair_checks`` compares exactly that with x's main rows.
     """
     elements = main.poset._elements
     low = {x for inst in main._bank.instances() if inst.spec.w <= k for x in inst._in_host_order}
@@ -722,6 +747,40 @@ def _chain_index_faults(t: Transcript, k: int, masks: tuple[list[int | None], li
         for side, got, recorded in zip(("below", "above"), rows, masks):
             if recorded[e] is None or (got[e] ^ recorded[e]) & (1 << e) - 1:
                 yield f"round {t.rounds[e - 1].round}: relations {side} the new element differ"
+
+
+def _cross_pair_checks(scan: LinearOrder, stack: LinearOrder,
+                       blocks: Iterable[Iterable[int]]) -> Iterator[bool]:
+    """Whether the hosts ``splice`` tunes to a low block present the poset
+    of ``scan`` and ``stack``, for the low block grown by each of ``blocks``
+    in turn (nothing unless the two orders hold one set): whether they have
+    the splice's shape and their cross pairs agree (``_chain_index_faults``).
+    Rows, suffix masks and the low mask are built once, not once a block."""
+    seq, stack_seq = scan.sequence, stack.sequence
+    members = set(seq)
+    if len(members) != len(seq) or sorted(seq) != sorted(stack_seq):
+        return
+    below, above = _realized_rows([scan, stack], max(members, default=0) + 1)
+    after, full = [0] * len(seq), 0  # after[i]: the mask of seq[i + 1:]
+    for i in range(len(seq) - 1, -1, -1):
+        after[i], full = full, full | 1 << seq[i]
+    low, low_mask, low_below = set(), 0, 0  # the low block, its mask, every id below it
+    for block in blocks:
+        for x in members.intersection(block) - low:
+            low.add(x)
+            low_mask |= 1 << x
+            low_below |= below[x]
+        rest, is_low = full & ~low_mask, low.__contains__
+        tuned_scan, tuned_stack = (h.sequence for h in splice(scan, stack, low))
+        at_low = bytes(map(is_low, seq))  # 1 where seq holds a low point
+        at_rest = bytes(map(not_, at_low))
+        stack_low = list(filter(is_low, stack_seq))
+        yield (tuned_scan == [*filter(is_low, seq), *filterfalse(is_low, stack_seq)]
+               and len(tuned_stack) == len(seq) and [*compress(tuned_stack, at_low)] == stack_low
+               and [*compress(tuned_stack, at_rest)] == [*compress(seq, at_rest)]
+               and not low_below & rest
+               and not any((above[x] ^ after[i]) & rest
+                           for x, i in zip(stack_low, compress(count(), at_low))))
 
 
 # ---------------------------------------------------------------------------

@@ -7,20 +7,27 @@ oracle here is the check it replaced: one full strategy replay per chain
 index, compared with the rows round by round.  Both must report the same
 violations, in the same order, on played and tampered transcripts alike.
 A fault injected into one chain index's spliced hosts is named by its
-round.
+round.  The cross-pair check that lets most chain indices skip that
+comparison accepts, on random orders and low blocks, exactly the splices
+that keep the poset.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from olcp import FirstFit, RandomValid, Transcript, make_strategy, run_game, verify_transcript
 from olcp import arena
 from olcp.builders import Builder
+from olcp.builders import splice
 from olcp.errors import StrategyInvariantError
 from olcp.poset import LinearOrder
+from olcp.poset import intersect
 
 
 def verify_with_a_replay_per_chain_index(t: Transcript) -> list[str]:
@@ -214,3 +221,48 @@ def test_a_game_played_by_a_faulty_chain_index_is_named_by_the_main_replay(monke
     assert got == verify_with_a_replay_per_chain_index(bad)
     assert any(v.startswith("round 11: relations") for v in got)
     assert not any(v.startswith("chain index") for v in got)
+
+
+@st.composite
+def host_pairs(draw, n_max: int = 12):
+    """Two orders of 1..n, and a low block grown by a few blocks."""
+    ids = list(range(1, draw(st.integers(1, n_max)) + 1))
+    scan = LinearOrder(draw(st.permutations(ids)))
+    stack = LinearOrder(draw(st.permutations(ids)))
+    blocks = draw(st.lists(st.sets(st.sampled_from(ids)), min_size=1, max_size=3))
+    return scan, stack, blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(host_pairs())
+def test_the_cross_pair_check_accepts_exactly_the_splices_that_keep_the_poset(pairs):
+    """For each low block, the check accepts exactly when the two spliced
+    hosts intersect to the poset of the two orders they came from."""
+    scan, stack, blocks = pairs
+    low: set[int] = set()
+    checks = arena._cross_pair_checks(scan, stack, blocks)
+    for block in blocks:
+        low |= block
+        assert next(checks) == (intersect(splice(scan, stack, low)) == intersect([scan, stack]))
+    assert next(checks, None) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(host_pairs(), st.integers(0, 1), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_a_spliced_host_with_a_point_moved_is_accepted_only_if_the_poset_is_kept(
+        pairs, host, point, to):
+    """One point of one spliced host sits elsewhere: acceptance still means
+    that the pair presents the poset of the two orders."""
+    scan, stack, blocks = pairs
+    tuned = []
+
+    def moved(s, t, low):
+        hosts = [list(h.sequence) for h in splice(s, t, low)]
+        seq = hosts[host]
+        seq.insert(to % len(seq), seq.pop(point % len(seq)))
+        tuned[:] = [LinearOrder(h) for h in hosts]
+        return tuned
+
+    with mock.patch.object(arena, "splice", moved):
+        for accepted in arena._cross_pair_checks(scan, stack, blocks):
+            assert not accepted or intersect(tuned) == intersect([scan, stack])
