@@ -172,15 +172,13 @@ class LevelReport:
     stack_hosts: list[LinearOrder] | None = None
 
 
-def _intersect_relations(hosts: Sequence[LinearOrder], e: int) -> tuple[int, int]:
-    """Masks of e's strict down-/up-set in the intersection of the host
-    orders: the prefix and suffix masks on either side of e, ANDed host by
-    host.  Each host is asked for e where its last insertion went, the
-    usual case when e has just been placed."""
-    h = hosts[0]
-    below, above = h.split_masks(h.locate(e, h._last))
+def _intersect_relations(hosts: Sequence[LinearOrder]) -> tuple[int, int]:
+    """Masks of the just-placed point's strict down-/up-set in the
+    intersection of the host orders: the masks below and above it that its
+    builder recorded in each host, from its window, ANDed host by host."""
+    below, above = hosts[0]._last_masks
     for h in hosts[1:]:
-        b, a = h.split_masks(h.locate(e, h._last))
+        b, a = h._last_masks
         below &= b
         above &= a
     return below, above
@@ -322,7 +320,7 @@ class SzemerediStrategy(Strategy):
     def _place(self, e):
         level = self._bank.active_width()
         self._bank.place(e)
-        below, above = _intersect_relations([self.scan_host, self.stack_host], e)
+        below, above = _intersect_relations([self.scan_host, self.stack_host])
         return below, above, level, 1, None
 
     def _after_color(self, e, color):
@@ -394,7 +392,7 @@ class _GameLevel:
         bank = self._bank if self.stage == 1 else self._dual_bank
         assert bank is not None
         anchors = bank.place(e)
-        below, above = _intersect_relations(self.hosts, e)
+        below, above = _intersect_relations(self.hosts)
         ext = None if self.d is None else tuple(anchors)  # hidden hosts stay hidden
         return below | self.extra_below, above | self.extra_above, self.width, self.stage, ext
 
@@ -419,17 +417,17 @@ class _GameLevel:
     def _make_dual_bank(self) -> _Bank:
         """Under each root builder, in bank order, a dual builder of the
         other family in the same host, completely below its stage-one points,
-        which lie in the builder's region."""
+        which are all its region holds."""
         w = self.width
-        s1 = set(self.s1_points)
+        s1 = _mask(self.s1_points)
         duals = []
         for b in self._bank.builders:
-            lo, hi = b.region.bounds(b.host, b._bounds)
-            seq = b.host.sequence
-            i = next(i for i in range(lo + 1, hi) if seq[i] in s1)  # its lowest point
+            r = b.region
+            lo, _ = r.bounds(b.host, b._bounds)
             family = "stack" if b.spec.family == "scan" else "scan"
-            dual = Builder(BuilderSpec(family, w, w, "dual"), Region(b.region.low, seq[i]), b.host)
-            dual._bounds = (lo, i)  # hints for its first placement
+            region = Region(r.low, b.host.sequence[lo + 1], r.below, r.above | s1)
+            dual = Builder(BuilderSpec(family, w, w, "dual"), region, b.host)
+            dual._bounds = (lo, lo + 1)  # hints for its first placement
             duals.append(dual)
         return _Bank(duals)
 
@@ -592,8 +590,9 @@ class PresentedRealizerStrategy(_StagedStrategy):
         alone, deeper points land above the mirrored block and below the
         forcing block in every order -- except across the separator's home
         orders, which make the separator incomparable to everything deeper.
-        The level's points lie in its window of each order, so positions
-        are read there alone.
+        The level's points are all its window of each order holds, so
+        positions are read there alone, and a new window's outside masks
+        add the old window's points on either side.
         """
         d = self.d
         j_t = level.t - (level.width - d + 2)
@@ -602,20 +601,24 @@ class PresentedRealizerStrategy(_StagedStrategy):
         s1, s2 = set(level.s1_points), set(level.s2_points)
         regions = []
         for j, order in enumerate(self.orders):
-            lo, hi = level.regions[j].bounds(order)
-            pos = {x: i for i, x in enumerate(order.sequence[lo + 1:hi])}
+            r = level.regions[j]
+            lo, hi = r.bounds(order)
+            window = order.sequence[lo + 1:hi]
+            pos = {x: i for i, x in enumerate(window)}
             if j == j_t:
                 low = max(c_t, key=pos.__getitem__)
                 rest = s1 - c_t
-                high = min(rest, key=pos.__getitem__) if rest else level.regions[j].high
+                high = min(rest, key=pos.__getitem__) if rest else r.high
             elif j == d - 1:
                 rest = s2 - d_top
-                low = max(rest, key=pos.__getitem__) if rest else level.regions[j].low
+                low = max(rest, key=pos.__getitem__) if rest else r.low
                 high = min(d_top, key=pos.__getitem__)
             else:
                 low = max(s2, key=pos.__getitem__)
                 high = min(s1, key=pos.__getitem__)
-            regions.append(Region(low, high))
+            split = pos[low] + 1 if low in pos else 0  # high sits at split
+            regions.append(Region(low, high, r.below | _mask(window[:split]),
+                                  r.above | _mask(window[split:])))
         return self._new_level(level.width - 1, regions)
 
     def realizer_snapshot(self):

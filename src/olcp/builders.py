@@ -40,13 +40,25 @@ parent found), and its scan target as colors arrive: a new
 point lands just before the target in walk order, so each color updates it
 in one step, and the target, the host's last insertion or its neighbour,
 gives the anchor's position hint.  The host checks a hint before using it.
+
+While an instance places points, its region holds exactly its own
+stage-one points, because only the active instance inserts into its host
+and every region opens empty: a child region borders its parent's
+terminal or lies below its parent's first point (above, when dual), a
+level's dual root lies below the level's lowest stage-one point, and a
+``theorem2`` level's next window lies between two adjacent points of the
+level before.  So a new point's masks in its host are the region's
+outside masks (``Region.below``/``above``) plus the instance's own points
+on either side of its slot; a child's outside masks add its parent's
+points on either side of its region.  :meth:`Builder.place_next` records
+the two masks in the host, and a game intersects its hosts by ANDing them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from .errors import StrategyInvariantError
-from .poset import LinearOrder
+from .poset import LinearOrder, _mask
 
 
 class _Sentinel:
@@ -105,10 +117,16 @@ class BuilderSpec:
 
 @dataclass(frozen=True)
 class Region:
-    """Open window (low, high) of a host order; placements go strictly inside."""
+    """Open window (low, high) of a host order; placements go strictly inside.
+
+    ``below``/``above`` mask the host's elements below and above the window
+    (see the module docstring); the bounds alone identify a region.
+    """
 
     low: object  # element id or BOTTOM
     high: object  # element id or TOP
+    below: int = field(default=0, compare=False, repr=False)
+    above: int = field(default=0, compare=False, repr=False)
 
     def bounds(self, host: LinearOrder,
                hint: tuple[int | None, int | None] = (None, None)) -> tuple[int, int]:
@@ -145,7 +163,7 @@ class Builder:
     __slots__ = (
         "spec", "region", "host", "done", "_in_host_order",
         "colors_seen", "terminal", "_pending", "_color_by_point", "_bounds",
-        "_deeper", "_scan", "_target", "_walked",
+        "_deeper", "_scan", "_target", "_walked", "_own",
     )
 
     def __init__(self, spec: BuilderSpec, region: Region, host: LinearOrder):
@@ -155,6 +173,7 @@ class Builder:
         self.done = spec.w == 0
         # Own stage-one points (the pending one too), lowest in the host first.
         self._in_host_order: list[int] = []
+        self._own = 0  # their mask
         self.colors_seen: set[int] = set()
         self.terminal: int | None = None
         self._pending: int | None = None
@@ -188,7 +207,9 @@ class Builder:
 
         The anchor is the element ``e`` now sits directly above (None when
         ``e`` became the new host bottom).  The active instance places
-        ``e`` by its stage-one rule.
+        ``e`` by its stage-one rule and records in the host the masks of
+        the elements below and above ``e``: its region's outside masks and
+        its own points on either side, ORed from the shorter side.
         """
         if self.done:
             raise StrategyInvariantError("placement requested on a finished builder")
@@ -199,7 +220,14 @@ class Builder:
         self.host.insert_above(anchor, e, at)
         lo, hi = b._bounds
         b._bounds = (lo, hi + 1)  # e landed inside the region
-        b._in_host_order.insert(slot, e)
+        own = b._in_host_order
+        if 2 * slot < len(own):
+            above = b._own ^ (below := _mask(own[:slot]))
+        else:
+            below = b._own ^ (above := _mask(own[slot:]))
+        self.host._last_masks = (b.region.below | below, b.region.above | above)
+        own.insert(slot, e)
+        b._own |= 1 << e
         b._pending = e
         return anchor
 
@@ -270,25 +298,29 @@ class Builder:
         hints, so that its first placement need not search the host.
         Under the scan rule the region borders the terminal, the host's
         last insertion.  Under the stack rule it lies between the near bound
-        and the first point, which every later point was piled beyond."""
-        lo, hi = self.region.bounds(self.host, self._bounds)
+        and the first point, which every later point was piled beyond.
+        Its outside masks add this instance's points on either side."""
+        r, own, dual = self.region, self._in_host_order, self.spec.dual
+        lo, hi = r.bounds(self.host, self._bounds)
         seq = self.host.sequence
         first = next(iter(self._color_by_point))
         z = self.terminal
         assert z is not None
         if not self._scan:
-            if not self.spec.dual:
-                region, bounds = Region(self.region.low, first), (lo, lo + 1)
+            s = len(own) if dual else 0  # own points below the child region
+            if not dual:
+                low, high, bounds = r.low, first, (lo, lo + 1)
             else:
-                region, bounds = Region(first, self.region.high), (hi - 1, hi)
+                low, high, bounds = first, r.high, (hi - 1, hi)
         else:
             i = self.host.locate(z, self.host._last)
-            if not self.spec.dual:
-                region = Region(z, seq[i + 1] if i + 1 < hi else self.region.high)
-                bounds = (i, i + 1)
+            s = own.index(z) + (not dual)
+            if not dual:
+                low, high, bounds = z, seq[i + 1] if i + 1 < hi else r.high, (i, i + 1)
             else:
-                region = Region(seq[i - 1] if i - 1 > lo else self.region.low, z)
-                bounds = (i - 1, i)
+                low, high, bounds = seq[i - 1] if i - 1 > lo else r.low, z, (i - 1, i)
+        below = _mask(own[:s])
+        region = Region(low, high, r.below | below, r.above | (self._own ^ below))
         child = Builder(self.spec.child(), region, self.host)
         child._bounds = bounds
         return child

@@ -311,10 +311,6 @@ class Poset:
         return match_l
 
 
-#: Positions between two neighbouring cuts of a linear order's cut index.
-CUT = 48
-
-
 class LinearOrder:
     """A growing sequence of element ids, lowest first.
 
@@ -330,14 +326,12 @@ class LinearOrder:
     insertion went, a hint for finding the new element.  Only whole-order
     checks build :meth:`positions`.
 
-    Prefix masks come from a cut index, built on first use: the mask of
-    ``sequence[:j * CUT]`` for every full cut j, and of the whole sequence.
-    An insertion moves one element across each cut above it, one XOR per
-    cut, and :meth:`prefix_mask` reads one cut and ORs in fewer than
-    ``CUT`` ids.
+    The order keeps no masks of its own.  A builder that inserts records
+    in ``_last_masks`` the masks of the elements below and above its
+    insertion, which it reads from its window (see :mod:`olcp.builders`).
     """
 
-    __slots__ = ("sequence", "_members", "_pos", "_stale", "_last", "_cuts", "_whole")
+    __slots__ = ("sequence", "_members", "_pos", "_stale", "_last", "_last_masks")
 
     def __init__(self, sequence: Iterable[int] = ()):
         self.sequence: list[int] = list(sequence)
@@ -345,8 +339,8 @@ class LinearOrder:
         self._pos: dict[int, int] = {}
         self._stale = True
         self._last: int | None = None  # index of the last inserted element
-        self._cuts: list[int] | None = None  # the cut index, once built
-        self._whole = 0  # mask of the sequence, kept with the cut index
+        # Masks below and above the last insertion, as its builder recorded them.
+        self._last_masks: tuple[int, int] | None = None
 
     def insert_above(self, anchor: int | None, e: int, hint: int | None = None) -> None:
         """Insert ``e`` directly above ``anchor`` (``None`` = new bottom);
@@ -362,19 +356,10 @@ class LinearOrder:
             if anchor not in members:
                 raise RelationError(f"anchor {anchor} is not in the order")
             at = self.locate(anchor, hint) + 1
-        seq = self.sequence
-        seq.insert(at, e)
+        self.sequence.insert(at, e)
         self._last = at
         members.add(e)
         self._stale = True
-        cuts = self._cuts
-        if cuts is not None:
-            bit = 1 << e
-            for j in range(at // CUT + 1, len(cuts)):  # e enters, seq[j * CUT] leaves
-                cuts[j] ^= bit | 1 << seq[j * CUT]
-            self._whole |= bit
-            if len(seq) % CUT == 0:
-                cuts.append(self._whole)
 
     def locate(self, x: int, hint: int | None) -> int:
         """Index of ``x``: ``hint`` if the sequence holds ``x`` there, else
@@ -383,32 +368,6 @@ class LinearOrder:
         if hint is not None and 0 <= hint < len(seq) and seq[hint] == x:
             return hint
         return seq.index(x)
-
-    def prefix_mask(self, i: int) -> int:
-        """Mask of ``sequence[:i]``, for 0 <= i <= len(self)."""
-        cuts = self._cuts
-        if cuts is None:
-            cuts = self._index()
-        j = i // CUT
-        m = cuts[j]
-        for x in self.sequence[j * CUT:i]:
-            m |= 1 << x
-        return m
-
-    def split_masks(self, i: int) -> tuple[int, int]:
-        """Masks of the elements below and above index ``i``."""
-        below = self.prefix_mask(i)
-        return below, self._whole ^ below ^ 1 << self.sequence[i]
-
-    def _index(self) -> list[int]:
-        cuts = self._cuts = [0]
-        m = 0
-        for n, x in enumerate(self.sequence, 1):
-            m |= 1 << x
-            if n % CUT == 0:
-                cuts.append(m)
-        self._whole = m
-        return cuts
 
     def positions(self) -> dict[int, int]:
         if self._stale:

@@ -27,6 +27,7 @@ from olcp import (
     theorem2_total,
     verify_realizer,
 )
+from olcp import adversaries
 from olcp.adversaries import _Bank
 from olcp.builders import BOTTOM, TOP, Builder, BuilderSpec, Region
 
@@ -368,3 +369,34 @@ def test_first_fit_is_forced_to_exact_counts(name, d):
         _, report = run_game(make_strategy(name, w, d=d), FirstFit())
         assert report.ok, (w, report.violations[:3])
         assert report.colors == (szemeredi_bound(w) if d == 2 else w * w), w
+
+
+# ---------------------------------------------------------------------------
+# the end-of-game checks judge the presented relations
+
+
+@pytest.mark.parametrize("name, w, d, fault", [
+    ("theorem1", 5, None, "level 5: hosts tuned to chain index 1 present other relations at 20"),
+    ("theorem2", 5, 3, "extracted realizer does not realize the presented poset"),
+    ("szemeredi", 6, None, "extracted realizer does not realize the presented poset"),
+])
+def test_a_relation_dropped_from_one_round_fails_the_report(monkeypatch, name, w, d, fault):
+    """Relations come from masks the builders record, not from the hosts'
+    sequences; if one round presented one relation too few, the report,
+    which checks the hosts against the presented poset, must say so."""
+    intersect_relations = adversaries._intersect_relations
+    rounds = []
+
+    def one_short_at_round_20(hosts):
+        below, above = intersect_relations(hosts)
+        rounds.append(below)
+        if len(rounds) == 20:
+            assert below, "round 20 has something below it to drop"
+            below ^= below & -below
+        return below, above
+
+    monkeypatch.setattr(adversaries, "_intersect_relations", one_short_at_round_20)
+    _, report = run_game(make_strategy(name, w, d=d), FirstFit())
+    assert len(rounds) > 20
+    assert not report.ok
+    assert fault in report.violations

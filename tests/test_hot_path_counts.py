@@ -14,8 +14,9 @@ starts with the hints its parent found.  Searches grow with the width, not
 with the rounds.  A staged game hands each round to its current level
 alone: one ``place`` and one ``observe`` a round.  An insertion appends the
 new element's rows and no on-line round changes the row of an older
-element.  The rows arrive as the masks the hosts give, so no on-line round
-builds a mask from ids.  A szemeredi transcript is replayed once, and a
+element.  The rows arrive as the masks the builders record in their hosts,
+read from their windows, so no on-line round builds a mask from the ids
+of the poset.  A szemeredi transcript is replayed once, and a
 theorem1 level runs two roots and two dual roots: hosts tuned to other
 chain indices are spliced, by no builder.  Transcript rows stay masks from
 the move to the text and from the text to the verifier, and the visible
@@ -227,8 +228,9 @@ def test_online_rounds_leave_older_rows_as_they_were(monkeypatch, name, w, d):
 @pytest.mark.parametrize("name, w, d", [("szemeredi", 6, None), ("theorem1", 3, None),
                                         ("theorem2", 4, 3)])
 def test_online_rounds_build_no_mask_from_ids(monkeypatch, name, w, d):
-    """Relations reach the poset as the masks the hosts give: no on-line
-    round turns a list of ids into a mask."""
+    """Relations reach the poset as the masks the builders record: no
+    on-line round turns a list of the poset's ids into a mask (a builder
+    ORs only its own points, fewer than 2w)."""
     calls = []
     digits_mask = poset_module._digits_mask
 

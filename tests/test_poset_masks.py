@@ -20,15 +20,19 @@ from hypothesis import strategies as st
 
 from olcp import (
     ChainPartition,
+    FirstFit,
     LinearOrder,
     PartitionerView,
     Poset,
+    RandomValid,
     Realizer,
     RelationError,
     intersect,
+    make_strategy,
+    run_game,
     verify_realizer,
 )
-from olcp.poset import CUT
+from olcp.builders import Builder
 
 from poset_oracles import check_axioms, from_pairs, relation_pairs
 
@@ -459,30 +463,38 @@ def _plain_mask(ids) -> int:
     return sum(1 << x for x in ids)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 3 * CUT), st.lists(st.tuples(st.integers(0, 10**6), st.booleans(),
-                                                   st.integers(0, 10**6)), max_size=4 * CUT))
-def test_prefix_masks_follow_insertions_across_cuts(start, steps):
-    """``prefix_mask(i)`` is the mask of ``sequence[:i]`` on an order built
-    from a sequence, after insertions that cross several cuts, and on a
-    copy that goes on growing; ``split_masks`` splits the order around one
-    element."""
-    order = LinearOrder(range(1, start + 1))
-    fresh = start + 1
-    for n, (where, read, at) in enumerate(steps):
-        seq = order.sequence
-        anchor = seq[where % len(seq)] if seq and where % (len(seq) + 1) else None
-        order.insert_above(anchor, fresh)
-        fresh += 1
-        if read:  # the cut index is built here, on first use, or already kept current
-            i = at % (len(order) + 1)
-            assert order.prefix_mask(i) == _plain_mask(order.sequence[:i])
-        if n == len(steps) // 2:
-            order = order.copy()
-    seq = order.sequence
-    prefix = 0
-    for i, x in enumerate(seq):  # every index, so every cut is read alone too
-        assert order.prefix_mask(i) == prefix
-        assert order.split_masks(i) == (prefix, _plain_mask(seq[i + 1:]))
-        prefix |= 1 << x
-    assert order.prefix_mask(len(seq)) == prefix
+small_games = st.one_of(
+    st.tuples(st.just("szemeredi"), st.integers(1, 6), st.none()),
+    st.tuples(st.just("theorem1"), st.integers(1, 4), st.none()),
+    st.tuples(st.just("theorem2"), st.integers(1, 4), st.integers(2, 4)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_games, st.one_of(st.just("first-fit"), st.integers(0, 2**16)))
+def test_each_host_records_the_masks_around_its_new_point(game, opponent):
+    """A builder reads a new point's masks from its window: the outside
+    masks and its own points on either side.  After every placement each
+    host's recorded masks are those of its sequence below and above the
+    point, host by host, since an error in one host could hide in the AND
+    with another."""
+    name, w, d = game
+    place_next = Builder.place_next
+    checked = []
+
+    def checked_place_next(self, e):
+        anchor = place_next(self, e)
+        host = self.host
+        i = host.sequence.index(e)
+        assert host._last_masks == (_plain_mask(host.sequence[:i]),
+                                    _plain_mask(host.sequence[i + 1:]))
+        checked.append(e)
+        return anchor
+
+    partitioner = FirstFit() if opponent == "first-fit" else RandomValid(opponent)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Builder, "place_next", checked_place_next)
+        transcript, report = run_game(make_strategy(name, w, d=d), partitioner)
+    assert report.ok
+    hosts = 2 if d is None else d
+    assert len(checked) == hosts * len(transcript.rounds)
