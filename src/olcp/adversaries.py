@@ -172,15 +172,15 @@ class LevelReport:
     stack_hosts: list[LinearOrder] | None = None
 
 
-def _intersect_relations(hosts: Sequence[LinearOrder]) -> tuple[int, int]:
+def _intersect_relations(builders: Sequence[Builder]) -> tuple[int, int]:
     """Masks of the just-placed point's strict down-/up-set in the
-    intersection of the host orders: the masks below and above it that its
-    builder recorded in each host, from its window, ANDed host by host."""
-    below, above = hosts[0]._last_masks
-    for h in hosts[1:]:
-        b, a = h._last_masks
-        below &= b
-        above &= a
+    intersection of the root builders' hosts: the masks below and above it
+    that each root read from its window, ANDed root by root."""
+    below, above = builders[0].masks
+    for b in builders[1:]:
+        b_below, b_above = b.masks
+        below &= b_below
+        above &= b_above
     return below, above
 
 
@@ -320,7 +320,7 @@ class SzemerediStrategy(Strategy):
     def _place(self, e):
         level = self._bank.active_width()
         self._bank.place(e)
-        below, above = _intersect_relations([self.scan_host, self.stack_host])
+        below, above = _intersect_relations(self._bank.builders)
         return below, above, level, 1, None
 
     def _after_color(self, e, color):
@@ -379,7 +379,6 @@ class _GameLevel:
         self.separator: list[int] = []
         self.separator_colors = 0
         self.hosts = hosts
-        self.regions = regions
         self.t_range = t_range
         self.d = d
         self.extra_below = extra_below
@@ -392,7 +391,7 @@ class _GameLevel:
         bank = self._bank if self.stage == 1 else self._dual_bank
         assert bank is not None
         anchors = bank.place(e)
-        below, above = _intersect_relations(self.hosts)
+        below, above = _intersect_relations(bank.builders)
         ext = None if self.d is None else tuple(anchors)  # hidden hosts stay hidden
         return below | self.extra_below, above | self.extra_above, self.width, self.stage, ext
 
@@ -423,12 +422,9 @@ class _GameLevel:
         duals = []
         for b in self._bank.builders:
             r = b.region
-            lo, _ = r.bounds(b.host, b._bounds)
             family = "stack" if b.spec.family == "scan" else "scan"
-            region = Region(r.low, b.host.sequence[lo + 1], r.below, r.above | s1)
-            dual = Builder(BuilderSpec(family, w, w, "dual"), region, b.host)
-            dual._bounds = (lo, lo + 1)  # hints for its first placement
-            duals.append(dual)
+            region = Region(r.low, b.host.sequence[b._lo + 1], r.below, r.above | s1)
+            duals.append(Builder(BuilderSpec(family, w, w, "dual"), region, b.host))
         return _Bank(duals)
 
     def _choose_separator(self) -> None:
@@ -590,20 +586,21 @@ class PresentedRealizerStrategy(_StagedStrategy):
         alone, deeper points land above the mirrored block and below the
         forcing block in every order -- except across the separator's home
         orders, which make the separator incomparable to everything deeper.
-        The level's points are all its window of each order holds, so
-        positions are read there alone, and a new window's outside masks
-        add the old window's points on either side.
+        The level's points are all its window of each order holds, just
+        above the window's low bound, so positions are read there alone,
+        and a new window's outside masks add the old window's points on
+        either side.
         """
         d = self.d
         j_t = level.t - (level.width - d + 2)
         c_t = set(level.chains[level.t])
         d_top = set(level.dual_chains[level.width])
         s1, s2 = set(level.s1_points), set(level.s2_points)
+        n = len(s1) + len(s2)
         regions = []
-        for j, order in enumerate(self.orders):
-            r = level.regions[j]
-            lo, hi = r.bounds(order)
-            window = order.sequence[lo + 1:hi]
+        for j, root in enumerate(level._bank.builders):  # one root per order
+            r = root.region
+            window = root.host.sequence[root._lo + 1:root._lo + 1 + n]
             pos = {x: i for i, x in enumerate(window)}
             if j == j_t:
                 low = max(c_t, key=pos.__getitem__)

@@ -34,12 +34,9 @@ each game, so it holds mid-game too.
 A root builder keeps its deeper instances in one list, widest first, and
 acts on the last of them directly, so a call takes one step at any depth.
 No instance refers to an ancestor or to itself, so a finished game is freed
-without the cycle collector.  Each builder also keeps where it last saw its
-region's bounds in the host (a deeper instance starts with the bounds its
-parent found), and its scan target as colors arrive: a new
-point lands just before the target in walk order, so each color updates it
-in one step, and the target, the host's last insertion or its neighbour,
-gives the anchor's position hint.  The host checks a hint before using it.
+without the cycle collector.  A scan-rule instance keeps its scan target as
+colors arrive: a new point lands just before the target in walk order, so
+each color updates it in one step.
 
 While an instance places points, its region holds exactly its own
 stage-one points, because only the active instance inserts into its host
@@ -47,11 +44,15 @@ and every region opens empty: a child region borders its parent's
 terminal or lies below its parent's first point (above, when dual), a
 level's dual root lies below the level's lowest stage-one point, and a
 ``theorem2`` level's next window lies between two adjacent points of the
-level before.  So a new point's masks in its host are the region's
-outside masks (``Region.below``/``above``) plus the instance's own points
-on either side of its slot; a child's outside masks add its parent's
-points on either side of its region.  :meth:`Builder.place_next` records
-the two masks in the host, and a game intersects its hosts by ANDing them.
+level before.  So a new point's place follows from its slot among the
+instance's own points: its anchor is the own point below the slot (the
+region's low bound at slot 0), its host index the low bound's index, found
+once when the instance opens, plus the slot, and its masks in the host are
+the region's outside masks (``Region.below``/``above``) plus the
+instance's own points on either side of the slot.  A child region's bounds
+are its parent's points on either side of it, and its outside masks add
+those points.  :meth:`Builder.place_next` keeps the two masks on the root
+builder, and a game intersects its hosts by ANDing its roots' masks.
 """
 
 from __future__ import annotations
@@ -119,26 +120,15 @@ class BuilderSpec:
 class Region:
     """Open window (low, high) of a host order; placements go strictly inside.
 
-    ``below``/``above`` mask the host's elements below and above the window
-    (see the module docstring); the bounds alone identify a region.
+    ``below``/``above`` mask the host's elements below and above the window,
+    each bound included (see the module docstring); the bounds alone
+    identify a region.
     """
 
     low: object  # element id or BOTTOM
     high: object  # element id or TOP
     below: int = field(default=0, compare=False, repr=False)
     above: int = field(default=0, compare=False, repr=False)
-
-    def bounds(self, host: LinearOrder,
-               hint: tuple[int | None, int | None] = (None, None)) -> tuple[int, int]:
-        """(lo_idx, hi_idx): in-region positions are lo_idx < i < hi_idx.
-
-        ``hint`` holds guesses at the two indices, each checked before use.
-        """
-        lo = -1 if self.low is BOTTOM else host.locate(self.low, hint[0])
-        hi = len(host) if self.high is TOP else host.locate(self.high, hint[1])
-        if lo >= hi:
-            raise StrategyInvariantError(f"region {self} is inverted in its host")
-        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -156,21 +146,31 @@ class Builder:
 
     A root builder keeps its deeper instances in ``_deeper``, widest first;
     the last of them (or the root, while that list is empty) places points.
-    A scan-rule instance keeps its target current in ``observe_color`` and
-    takes the anchor's host index from a hint, so a placement walks nothing.
+    A scan-rule instance keeps its target current in ``observe_color``, so
+    a placement walks nothing and searches nothing: its slot among the
+    instance's own points gives its anchor, host index and masks.
+
+    Raises StrategyInvariantError when the region's outside masks overlap
+    or miss its bounds, the masks every placement reads.
     """
 
     __slots__ = (
-        "spec", "region", "host", "done", "_in_host_order",
-        "colors_seen", "terminal", "_pending", "_color_by_point", "_bounds",
+        "spec", "region", "host", "done", "masks", "_in_host_order",
+        "colors_seen", "terminal", "_pending", "_color_by_point", "_lo",
         "_deeper", "_scan", "_target", "_walked", "_own",
     )
 
     def __init__(self, spec: BuilderSpec, region: Region, host: LinearOrder):
+        low, high, below, above = region.low, region.high, region.below, region.above
+        if not ((low is BOTTOM or below >> low & 1) and (high is TOP or above >> high & 1)
+                and not below & above):
+            raise StrategyInvariantError(f"region {region} does not match its outside masks")
         self.spec = spec
         self.region = region
         self.host = host
         self.done = spec.w == 0
+        # Masks of the host below and above the point last placed (root only).
+        self.masks: tuple[int, int] | None = None
         # Own stage-one points (the pending one too), lowest in the host first.
         self._in_host_order: list[int] = []
         self._own = 0  # their mask
@@ -179,8 +179,8 @@ class Builder:
         self._pending: int | None = None
         # Own stage-one points, in arrival order, to their colors.
         self._color_by_point: dict[int, int] = {}
-        # Where the region's bounds were last seen in the host (hints).
-        self._bounds: tuple[int | None, int | None] = (None, None)
+        # Host index of the region's low bound; own points follow it.
+        self._lo = -1 if low is BOTTOM else host.sequence.index(low)
         # Deeper instances, widest first; never this one, so no builder
         # refers to itself.
         self._deeper: list[Builder] = []
@@ -207,48 +207,32 @@ class Builder:
 
         The anchor is the element ``e`` now sits directly above (None when
         ``e`` became the new host bottom).  The active instance places
-        ``e`` by its stage-one rule and records in the host the masks of
-        the elements below and above ``e``: its region's outside masks and
-        its own points on either side, ORed from the shorter side.
+        ``e`` at its stage-one rule's slot among its own points, and this
+        builder keeps in ``masks`` the masks of the elements below and
+        above ``e``: the region's outside masks and the instance's own
+        points on either side, ORed from the shorter side.
         """
         if self.done:
             raise StrategyInvariantError("placement requested on a finished builder")
         b = self.active()
         if b._pending is not None:
             raise StrategyInvariantError(f"point {b._pending} still awaits its color")
-        anchor, at, slot = b._stage1_anchor()
-        self.host.insert_above(anchor, e, at)
-        lo, hi = b._bounds
-        b._bounds = (lo, hi + 1)  # e landed inside the region
-        own = b._in_host_order
+        own, r, dual = b._in_host_order, b.region, b.spec.dual
+        if b._target is not None:  # scan rule: just below the target in the host, above when dual
+            slot = b._target + dual
+        else:  # stack rule (also the scan fallback): far end of the region
+            slot = 0 if dual else len(own)
+        anchor = own[slot - 1] if slot else (None if r.low is BOTTOM else r.low)
+        self.host.insert_above(anchor, e, b._lo + slot)
         if 2 * slot < len(own):
             above = b._own ^ (below := _mask(own[:slot]))
         else:
             below = b._own ^ (above := _mask(own[slot:]))
-        self.host._last_masks = (b.region.below | below, b.region.above | above)
+        self.masks = (r.below | below, r.above | above)
         own.insert(slot, e)
         b._own |= 1 << e
         b._pending = e
         return anchor
-
-    def _stage1_anchor(self) -> tuple[int | None, int | None, int]:
-        """The next stage-one point's anchor, a hint at the anchor's host
-        index, and its slot among the builder's own points in host order;
-        records the region's bounds."""
-        lo, hi = self._bounds = self.region.bounds(self.host, self._bounds)
-        seq = self.host.sequence
-        i = self._target
-        if i is not None:  # scan rule; the target is the last insertion or next to it
-            y = self._in_host_order[i]
-            last = self.host._last
-            if self.spec.dual:
-                return y, last - (seq[last] != y), i + 1  # directly above y
-            j = self.host.locate(y, last + (seq[last] != y))
-            return (seq[j - 1] if j - 1 >= 0 else None), j - 1, i  # directly below y
-        # stack rule (also the scan fallback): far end of the region
-        if self.spec.dual:
-            return (None if self.region.low is BOTTOM else self.region.low), lo, 0
-        return (seq[hi - 1] if hi - 1 >= 0 else None), hi - 1, len(self._in_host_order)
 
     # -- color observation ------------------------------------------------------
 
@@ -294,36 +278,22 @@ class Builder:
         return events
 
     def _child(self) -> "Builder":
-        """The stage-two instance, with its region's bounds as position
-        hints, so that its first placement need not search the host.
-        Under the scan rule the region borders the terminal, the host's
-        last insertion.  Under the stack rule it lies between the near bound
-        and the first point, which every later point was piled beyond.
-        Its outside masks add this instance's points on either side."""
+        """The stage-two instance, in the region between two adjacent own
+        points, or an own point and a bound: just above the terminal under
+        the scan rule (below it, when dual), and under the stack rule
+        between the near bound and the first point, which every later point
+        was piled beyond.  Its outside masks add the own points on either
+        side."""
         r, own, dual = self.region, self._in_host_order, self.spec.dual
-        lo, hi = r.bounds(self.host, self._bounds)
-        seq = self.host.sequence
-        first = next(iter(self._color_by_point))
-        z = self.terminal
-        assert z is not None
-        if not self._scan:
-            s = len(own) if dual else 0  # own points below the child region
-            if not dual:
-                low, high, bounds = r.low, first, (lo, lo + 1)
-            else:
-                low, high, bounds = first, r.high, (hi - 1, hi)
+        if self._scan:
+            s = own.index(self.terminal) + (not dual)  # own points below the child region
         else:
-            i = self.host.locate(z, self.host._last)
-            s = own.index(z) + (not dual)
-            if not dual:
-                low, high, bounds = z, seq[i + 1] if i + 1 < hi else r.high, (i, i + 1)
-            else:
-                low, high, bounds = seq[i - 1] if i - 1 > lo else r.low, z, (i - 1, i)
+            s = len(own) if dual else 0
+        low = own[s - 1] if s else r.low
+        high = own[s] if s < len(own) else r.high
         below = _mask(own[:s])
         region = Region(low, high, r.below | below, r.above | (self._own ^ below))
-        child = Builder(self.spec.child(), region, self.host)
-        child._bounds = bounds
-        return child
+        return Builder(self.spec.child(), region, self.host)
 
 
 def splice(scan: LinearOrder, stack: LinearOrder, low: set[int]) -> tuple[LinearOrder, LinearOrder]:

@@ -320,27 +320,19 @@ class LinearOrder:
     extension property the adversaries rely on.  Insertions check
     membership in a set built on first use (so read-only copies never pay
     for one) and find the anchor with ``list.index``, unless the caller
-    passes a position hint: :meth:`locate` trusts a hint only after checking
-    that the sequence still holds the element there, so a stale hint costs
-    one comparison and a search.  The order remembers where its last
-    insertion went, a hint for finding the new element.  Only whole-order
-    checks build :meth:`positions`.
-
-    The order keeps no masks of its own.  A builder that inserts records
-    in ``_last_masks`` the masks of the elements below and above its
-    insertion, which it reads from its window (see :mod:`olcp.builders`).
+    passes a position hint that the sequence confirms: a stale hint costs
+    one comparison and a search.  Only whole-order checks build
+    :meth:`positions`.  The order keeps no masks; builders read those from
+    their windows (see :mod:`olcp.builders`).
     """
 
-    __slots__ = ("sequence", "_members", "_pos", "_stale", "_last", "_last_masks")
+    __slots__ = ("sequence", "_members", "_pos", "_stale")
 
     def __init__(self, sequence: Iterable[int] = ()):
         self.sequence: list[int] = list(sequence)
         self._members: set[int] | None = None
         self._pos: dict[int, int] = {}
         self._stale = True
-        self._last: int | None = None  # index of the last inserted element
-        # Masks below and above the last insertion, as its builder recorded them.
-        self._last_masks: tuple[int, int] | None = None
 
     def insert_above(self, anchor: int | None, e: int, hint: int | None = None) -> None:
         """Insert ``e`` directly above ``anchor`` (``None`` = new bottom);
@@ -350,24 +342,18 @@ class LinearOrder:
         members = self._members
         if e in members:
             raise RelationError(f"element {e} is already in the order")
+        seq = self.sequence
         if anchor is None:
             at = 0
+        elif anchor not in members:
+            raise RelationError(f"anchor {anchor} is not in the order")
+        elif hint is not None and 0 <= hint < len(seq) and seq[hint] == anchor:
+            at = hint + 1
         else:
-            if anchor not in members:
-                raise RelationError(f"anchor {anchor} is not in the order")
-            at = self.locate(anchor, hint) + 1
-        self.sequence.insert(at, e)
-        self._last = at
+            at = seq.index(anchor) + 1
+        seq.insert(at, e)
         members.add(e)
         self._stale = True
-
-    def locate(self, x: int, hint: int | None) -> int:
-        """Index of ``x``: ``hint`` if the sequence holds ``x`` there, else
-        found by search (``ValueError`` when ``x`` is absent)."""
-        seq = self.sequence
-        if hint is not None and 0 <= hint < len(seq) and seq[hint] == x:
-            return hint
-        return seq.index(x)
 
     def positions(self) -> dict[int, int]:
         if self._stale:

@@ -387,8 +387,8 @@ def test_a_relation_dropped_from_one_round_fails_the_report(monkeypatch, name, w
     intersect_relations = adversaries._intersect_relations
     rounds = []
 
-    def one_short_at_round_20(hosts):
-        below, above = intersect_relations(hosts)
+    def one_short_at_round_20(builders):
+        below, above = intersect_relations(builders)
         rounds.append(below)
         if len(rounds) == 20:
             assert below, "round 20 has something below it to drop"

@@ -38,6 +38,11 @@ def drive(builder: Builder, colors) -> list[int]:
     return builder.host.sequence
 
 
+def high_index(region: Region, host: LinearOrder) -> int:
+    """Host index of the region's high bound: in-region points lie below it."""
+    return len(host) if region.high is TOP else host.sequence.index(region.high)
+
+
 # ---------------------------------------------------------------------------
 # specs and regions
 
@@ -68,11 +73,20 @@ def test_width_zero_spec_is_born_done():
 
 
 def test_region_bounds_and_inversion():
-    host = LinearOrder([3, 1, 2])
-    assert Region(BOTTOM, TOP).bounds(host) == (-1, 3)
-    assert Region(3, 2).bounds(host) == (0, 2)
-    with pytest.raises(StrategyInvariantError):
-        Region(2, 3).bounds(host)
+    """A builder opens only on a region whose outside masks hold its bounds
+    and do not overlap, since every placement's masks start from them: a
+    region opened on a host's middle without its masks used to record the
+    masks (0, 0) for its first point."""
+    spec = BuilderSpec("stack", 2, 2)
+    b = Builder(spec, Region(90, 91, 1 << 90, 1 << 91), LinearOrder([90, 91]))
+    assert b._lo == 0
+    b.place_next(1)
+    assert b.masks == (1 << 90, 1 << 91)
+    both = 1 << 90 | 1 << 91
+    for region in (Region(90, 91), Region(90, 91, 1 << 90), Region(90, 91, 0, 1 << 91),
+                   Region(90, TOP, both, 1 << 91), Region(BOTTOM, 91, 1 << 90, both)):
+        with pytest.raises(StrategyInvariantError, match="does not match its outside masks"):
+            Builder(spec, region, LinearOrder([90, 91]))
 
 
 # ---------------------------------------------------------------------------
@@ -212,20 +226,21 @@ def test_events_bubble_up_when_the_innermost_child_finishes():
 
 @pytest.mark.parametrize("family", ["scan", "stack"])
 def test_foreign_insertions_below_the_region_do_not_mislead_the_builder(family):
-    """Builders reuse where they last saw their region's bounds.  An element
-    inserted into the host below the region between two rounds moves both
-    bounds; anchors and child regions must still be what a fresh
-    ``Region.bounds`` gives, and what a twin builder whose host never
-    changed gives."""
+    """An instance takes its anchor's host index from its low bound's index,
+    found when it opened, plus its slot.  An element inserted into the host
+    below the region between two rounds moves both bounds; the host checks
+    the index it is handed, so anchors and child regions must still be
+    what the host's sequence gives, and what a twin builder whose host
+    never changed gives."""
     spec = BuilderSpec(family, 3, 3)
     script = feasible_script(spec, random.Random(5))
     host, twin_host = LinearOrder([90, 91]), LinearOrder([90, 91])
-    b = Builder(spec, Region(90, 91), host)
-    twin = Builder(spec, Region(90, 91), twin_host)
+    b = Builder(spec, Region(90, 91, 1 << 90, 1 << 91), host)
+    twin = Builder(spec, Region(90, 91, 1 << 90, 1 << 91), twin_host)
     for e, color in enumerate(script, start=1):
         host.insert_above(None, 1000 + e)
         inst = b.active()
-        _, hi = inst.region.bounds(host)
+        hi = high_index(inst.region, host)
         anchor = b.place_next(e)
         assert anchor == twin.place_next(e)
         if family == "stack":  # the stack rule piles directly under the region's top
@@ -236,8 +251,7 @@ def test_foreign_insertions_below_the_region_do_not_mislead_the_builder(family):
             # inst's stage one has just ended; its child sits above the terminal
             seq = host.sequence
             i = seq.index(inst.terminal)
-            _, hi = inst.region.bounds(host)
-            high = seq[i + 1] if i + 1 < hi else inst.region.high
+            high = seq[i + 1] if i + 1 < high_index(inst.region, host) else inst.region.high
             assert b.active().region == Region(inst.terminal, high)
         assert [x.region for x in b.instances()] == [x.region for x in twin.instances()]
         assert [x for x in host.sequence if x < 1000] == twin_host.sequence
@@ -332,12 +346,12 @@ def scan_rule_specs(draw) -> BuilderSpec:
 def test_kept_scan_target_matches_the_walk(spec, seed, foreign):
     """After every color, the active instance's kept target and walked
     colors are what the walk over its points gives.  With ``foreign``, an
-    element lands at the host's bottom before every placement, so the
-    anchor hints taken from the host's last insertion are always stale."""
+    element lands at the host's bottom before every placement, so the host
+    index each instance found for its low bound when it opened is stale."""
     script = feasible_script(spec, random.Random(seed))
     host, twin_host = LinearOrder([90, 91]), LinearOrder([90, 91])
-    b = Builder(spec, Region(90, 91), host)
-    twin = Builder(spec, Region(90, 91), twin_host)
+    b = Builder(spec, Region(90, 91, 1 << 90, 1 << 91), host)
+    twin = Builder(spec, Region(90, 91, 1 << 90, 1 << 91), twin_host)
     for e, color in enumerate(script, start=1):
         if foreign:
             host.insert_above(None, 1000 + e)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from olcp import FirstFit, RandomValid, Transcript, make_strategy, run_game, verify_transcript
 from olcp import arena
-from olcp.builders import Builder
+from olcp.builders import BOTTOM, Builder
 from olcp.builders import splice
 from olcp.errors import StrategyInvariantError
 from olcp.poset import LinearOrder
@@ -100,17 +100,21 @@ def test_end_of_game_check_reports_what_a_replay_per_chain_index_did(w, opponent
 
 
 def _misplace(k, target):
-    """The stack builder of chain index k puts point ``target`` at its host's
-    bottom, not where its rule says: its relations differ from there on."""
+    """The stack builder of chain index k puts point ``target`` at the bottom
+    of its active instance's window, not where its rule says: its relations
+    differ from there on."""
     place_next = Builder.place_next
 
     def place(self, e):
         if self.spec.k == k and self.spec.family == "stack" and e == target:
-            self.host.insert_above(None, e)
             b = self.active()
-            b._in_host_order.append(e)
+            anchor = None if b.region.low is BOTTOM else b.region.low
+            self.host.insert_above(anchor, e)
+            self.masks = (b.region.below, b.region.above | b._own)
+            b._in_host_order.insert(0, e)
+            b._own |= 1 << e
             b._pending = e
-            return None
+            return anchor
         return place_next(self, e)
     return "place_next", place
 

@@ -7,11 +7,10 @@ of the chosen color), not once per color.  Host orders grow by
 ``list.index`` and a membership set, so no insertion rebuilds a
 ``positions()`` dict.  A root builder acts on the last instance of its
 recursion list itself, so each host's ``Builder.place_next`` runs exactly
-once a round, however deep the builder recursion.  Builders find their
-region's bounds and their anchors by checked position hints, so only a root
-instance searches its host, on its first placement: a deeper instance
-starts with the hints its parent found.  Searches grow with the width, not
-with the rounds.  A staged game hands each round to its current level
+once a round, however deep the builder recursion.  A builder places each
+point by its slot among its own points, which are all its window holds, so
+the host index it hands the host already holds the anchor: no placement
+searches the host.  A staged game hands each round to its current level
 alone: one ``place`` and one ``observe`` a round.  An insertion appends the
 new element's rows and no on-line round changes the row of an older
 element.  The rows arrive as the masks the builders record in their hosts,
@@ -30,7 +29,7 @@ import pytest
 from olcp import FirstFit, Transcript, make_strategy, run_game, verify_transcript
 from olcp import arena
 from olcp import poset as poset_module
-from olcp.adversaries import PresentedRealizerStrategy, _Bank, _GameLevel
+from olcp.adversaries import PresentedRealizerStrategy, _GameLevel
 from olcp.builders import FAMILIES, ORIENTATIONS, Builder
 from olcp.poset import ChainPartition, LinearOrder, Poset
 
@@ -118,43 +117,36 @@ def test_rainbow_game_tests_a_few_class_masks_a_round():
     assert tested[0] < classes[0] / 10
 
 
-@pytest.mark.parametrize("name, w, d", [("szemeredi", 8, None), ("theorem2", 4, 3)])
+@pytest.mark.parametrize("name, w, d", [("szemeredi", 8, None), ("theorem2", 4, 3),
+                                        ("theorem1", 3, None)])
 def test_host_searches_grow_with_the_width_not_the_rounds(monkeypatch, name, w, d):
-    """A search is a ``locate`` without a hint or whose hint misses.  A
-    root instance may search for its region's bounds on its first placement;
-    a deeper instance starts with its parent's hints and, like every later
-    placement, finds its bounds and its anchor by hint."""
-    searches, repeat_searches, deeper_first_searches, root_widths = [0], [0], [0], []
-    locate, place_next, bank_init = LinearOrder.locate, Builder.place_next, _Bank.__init__
+    """Every insertion a builder makes hands the host the index that
+    already holds its anchor (-1 for a new bottom), so the host's check of
+    that index never falls back to a search: searches do not grow at all."""
+    insertions, misses, placing = [0], [], []
+    insert_above, place_next = LinearOrder.insert_above, Builder.place_next
 
-    def spy_locate(self, x, hint):
-        seq = self.sequence
-        searches[0] += hint is None or not (0 <= hint < len(seq) and seq[hint] == x)
-        return locate(self, x, hint)
+    def spy_insert_above(self, anchor, e, hint=None):
+        if placing:
+            insertions[0] += 1
+            if hint != (-1 if anchor is None else self.sequence.index(anchor)):
+                misses.append(e)
+        return insert_above(self, anchor, e, hint)
 
     def spy_place_next(self, e):
-        active = self.active()
-        first = not active._in_host_order
-        before = searches[0]
-        anchor = place_next(self, e)
-        if not first:
-            repeat_searches[0] += searches[0] - before
-        elif active is not self:
-            deeper_first_searches[0] += searches[0] - before
-        return anchor
+        placing.append(e)
+        try:
+            return place_next(self, e)
+        finally:
+            placing.pop()
 
-    def spy_bank_init(self, builders):
-        root_widths.extend(b.spec.w for b in builders)
-        bank_init(self, builders)
-
-    monkeypatch.setattr(LinearOrder, "locate", spy_locate)
+    monkeypatch.setattr(LinearOrder, "insert_above", spy_insert_above)
     monkeypatch.setattr(Builder, "place_next", spy_place_next)
-    monkeypatch.setattr(_Bank, "__init__", spy_bank_init)
     transcript, report = run_game(make_strategy(name, w, d=d), FirstFit())
     assert report.ok
-    assert repeat_searches[0] == 0
-    assert deeper_first_searches[0] == 0
-    assert searches[0] <= 4 * sum(root_widths)
+    hosts = 2 if d is None else d
+    assert insertions[0] == hosts * len(transcript.rounds)
+    assert misses == []
 
 
 @pytest.mark.parametrize("name, w, d", [("theorem2", 4, 3), ("theorem1", 3, None)])

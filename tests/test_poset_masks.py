@@ -32,7 +32,7 @@ from olcp import (
     run_game,
     verify_realizer,
 )
-from olcp.builders import Builder
+from olcp.builders import BOTTOM, TOP, Builder
 
 from poset_oracles import check_axioms, from_pairs, relation_pairs
 
@@ -448,12 +448,6 @@ def test_linear_order_matches_a_plain_list(start, steps):
         assert order.sequence == model
         for x in range(1, 15):
             assert (x in order) == (x in model)
-            if x in model:
-                assert order.locate(x, None) == model.index(x)
-                assert order.locate(x, hint) == model.index(x)
-            else:
-                with pytest.raises(ValueError):
-                    order.locate(x, hint)
         assert order.positions() == {x: i for i, x in enumerate(model)}
     copy = order.copy()
     assert copy == order and all(x in copy for x in model)
@@ -475,19 +469,24 @@ small_games = st.one_of(
 def test_each_host_records_the_masks_around_its_new_point(game, opponent):
     """A builder reads a new point's masks from its window: the outside
     masks and its own points on either side.  After every placement each
-    host's recorded masks are those of its sequence below and above the
+    root's masks are those of its host's sequence below and above the
     point, host by host, since an error in one host could hide in the AND
-    with another."""
+    with another.  The window invariant they rest on holds too: the active
+    instance's ``_lo`` indexes its region's low bound, and the host between
+    its two bounds holds exactly the instance's own points."""
     name, w, d = game
     place_next = Builder.place_next
     checked = []
 
     def checked_place_next(self, e):
         anchor = place_next(self, e)
-        host = self.host
-        i = host.sequence.index(e)
-        assert host._last_masks == (_plain_mask(host.sequence[:i]),
-                                    _plain_mask(host.sequence[i + 1:]))
+        seq = self.host.sequence
+        i = seq.index(e)
+        assert self.masks == (_plain_mask(seq[:i]), _plain_mask(seq[i + 1:]))
+        inst, r = self.active(), self.active().region
+        assert inst._lo == (-1 if r.low is BOTTOM else seq.index(r.low))
+        hi = len(seq) if r.high is TOP else seq.index(r.high)
+        assert seq[inst._lo + 1:hi] == inst._in_host_order
         checked.append(e)
         return anchor
 
