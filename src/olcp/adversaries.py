@@ -132,12 +132,13 @@ class RainbowChains:
             problems += [f"chain {size}: ({x}, {y}) incomparable"
                          for x, y in p.incomparable_pairs(pts)]
         sizes = sorted(self.chains)
+        masks = [_mask(self.chains[s]) for s in sizes]
         for i, s in enumerate(sizes):
             reach = 0  # everything comparable to chain s
             for x in self.chains[s]:
                 reach |= p.comparable_mask(x)
-            for s2 in sizes[i + 1 :]:
-                if reach & _mask(self.chains[s2]):
+            for s2, mask in zip(sizes[i + 1 :], masks[i + 1 :]):
+                if reach & mask:
                     problems += [f"chains {s} and {s2} touch: {x} and {y} comparable"
                                  for x in self.chains[s] for y in self.chains[s2]
                                  if p.comparable(x, y)]
@@ -157,7 +158,10 @@ class RainbowChains:
 
 @dataclass
 class LevelReport:
-    """What one width level of a staged game did, for reporting and checks."""
+    """What one width level of a staged game did, for reporting and checks.
+    A hidden-host level adds its two ``hosts``, tuned to chain index
+    ``width``, and its ``low_blocks``: ``splice`` tunes the hosts to chain
+    index k by the union of the first k (``_GameLevel.low_blocks``)."""
 
     width: int
     t: int
@@ -168,8 +172,8 @@ class LevelReport:
     s2_points: list[int]
     chains: dict[int, list[int]]
     dual_chains: dict[int, list[int]]
-    scan_hosts: list[LinearOrder] | None = None
-    stack_hosts: list[LinearOrder] | None = None
+    hosts: tuple[LinearOrder, LinearOrder] | None = None
+    low_blocks: list[list[int]] | None = None
 
 
 def _intersect_relations(builders: Sequence[Builder]) -> tuple[int, int]:
@@ -220,6 +224,12 @@ class _Bank:
     def instances(self) -> list[Builder]:
         """The recursion chain, outermost first; every host records the same."""
         return self.builders[0].instances()
+
+    def blocks(self, w: int) -> list[list[int]]:
+        """The points of the recursion instance of each width 1..w, in host
+        order; none for a width the recursion never reached."""
+        owned = {inst.spec.w: inst._in_host_order for inst in self.instances()}
+        return [list(owned.get(k, ())) for k in range(1, w + 1)]
 
 
 def _bank_chains(p: Poset, bank: _Bank, dual: bool) -> dict[int, list[int]]:
@@ -355,8 +365,8 @@ class _GameLevel:
     the separator's chain index, and ``d`` is the number of visible orders
     (None: two hidden hosts, the scan and the stack host tuned to chain
     index ``width``; the hosts tuned to each other index are spliced from
-    them when the level is reported, see ``tuned_hosts``).  The strategy
-    lays a level out; the level never sees the next.
+    them by ``low_blocks``).  The strategy lays a level out; the level
+    never sees the next.
 
     A level holds the owning strategy's poset and color record, never the
     strategy or another level, so a finished game is freed without the
@@ -446,17 +456,15 @@ class _GameLevel:
                 f"needs {'above' if strict else 'at least'} {threshold}"
             )
 
-    def tuned_hosts(self, k: int) -> tuple[LinearOrder, LinearOrder]:
-        """The hidden scan and stack hosts tuned to chain index k, spliced
-        from the two tuned to k = width.  The mirrored block sits at the
-        bottom of both, so it joins the points of widths up to k."""
-        low = {x for inst in self._bank.instances() if inst.spec.w <= k
-               for x in inst._in_host_order}
-        return splice(*self.hosts, low.union(self.s2_points))
+    def low_blocks(self) -> list[list[int]]:
+        """The points joining the low block at chain index k = 1..width: the
+        width-k instance's, and at k = 1 the mirrored block, which sits at
+        the bottom of both hosts."""
+        first, *rest = self._bank.blocks(self.width)
+        return [self.s2_points + first, *rest]
 
     def report(self) -> LevelReport:
         hidden = self.d is None
-        tuned = [self.tuned_hosts(k) for k in range(1, self.width + 1)] if hidden else []
         return LevelReport(
             width=self.width,
             t=self.t,
@@ -467,8 +475,8 @@ class _GameLevel:
             s2_points=list(self.s2_points),
             chains={k: list(v) for k, v in self.chains.items()},
             dual_chains={k: list(v) for k, v in self.dual_chains.items()},
-            scan_hosts=[scan for scan, _ in tuned] if hidden else None,
-            stack_hosts=[stack for _, stack in tuned] if hidden else None,
+            hosts=(self.hosts[0].copy(), self.hosts[1].copy()) if hidden else None,
+            low_blocks=self.low_blocks() if hidden else None,
         )
 
 
@@ -544,7 +552,7 @@ class HiddenRealizerStrategy(_StagedStrategy):
         first: list[int] = []
         second: list[int] = []
         for lvl in reversed(self._levels):
-            a, b = lvl.tuned_hosts(lvl.t)
+            a, b = splice(*lvl.hosts, set().union(*lvl.low_blocks()[: lvl.t]))
             s1, s2 = set(lvl.s1_points), set(lvl.s2_points)
             c_t = set(lvl.chains[lvl.t])
             d_top = set(lvl.dual_chains[lvl.width])

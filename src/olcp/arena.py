@@ -17,11 +17,10 @@ colors — internal orders are re-derived, never trusted — and layers every
 structural check on top: per-round relation equality, chain validity,
 rainbow certificates, separator placement in the keeper orders,
 insertion-only growth of visible orders, thresholds, and realizer
-extraction.  A szemeredi game's other chain indices are checked without a
-builder: their hosts are spliced from the main replay's two
-(``builders.splice``) and accepted by their cross pairs, or else compared
-with the rows once, at the end.  A ``theorem1`` level's spliced hosts are
-compared with the level's rows.
+extraction.  The other chain indices of a szemeredi game or a ``theorem1``
+level are checked without a builder, by one check: their hosts are spliced
+from the two tuned to the widest (``builders.splice``) and accepted by
+their cross pairs, or else their rows are compared with the game's.
 
 Live games and replays share the verification engine: one report builder,
 and one insertion-only checker (``_ExtensionWatch``) that rebuilds the
@@ -34,7 +33,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from itertools import compress, count, filterfalse
+from itertools import accumulate, compress, count, filterfalse
 from operator import not_
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -550,12 +549,16 @@ def _check_levels(strategy: Strategy, part: ChainPartition,
         if deeper and not p.is_completely_incomparable(sep, deeper):
             v.append(f"{tag}: separator is comparable to a deeper point")
 
-        if rep.scan_hosts is not None and rep.stack_hosts is not None:
+        if rep.hosts is not None:
             # Each chain index's hidden host pair presents the level's rows.
+            # One whose cross pairs agree presents the main pair's poset.
             level = p.restrict(rep.s1_points + rep.s2_points)
-            for k, pair in enumerate(zip(rep.scan_hosts, rep.stack_hosts), start=1):
-                rows = _realized_rows([h.restrict(level._elements) for h in pair], len(level._below))
-                y = _first_difference(*rows, level._below, level._above, level._elements)
+            rows, ids = (level._below, level._above), level._elements
+            hosts = [h.restrict(ids) for h in rep.hosts]
+            main = _realized_rows(hosts, len(rows[0]))
+            y_main = _first_difference(*main, *rows, ids)
+            for k, tuned in enumerate(_chain_index_rows(*hosts, main, rep.low_blocks), start=1):
+                y = y_main if tuned is None else _first_difference(*tuned, *rows, ids)
                 if y is not None:
                     v.append(f"{tag}: hosts tuned to chain index {k} present other relations at {y}")
         v += _check_order_separation(strategy, rep, tag)
@@ -575,10 +578,10 @@ def _check_order_separation(strategy: Strategy, rep: LevelReport, tag: str) -> l
     """Placement checks inside the keeper orders: each certified chain sits
     at the bottom of the order tuned to it, and the top mirrored chain sits
     at the top of every mirror-keeper order."""
-    if rep.scan_hosts is not None and rep.stack_hosts is not None:
-        ks = range(1, rep.width + 1)
-        forcing = [(k, "its keeper order", rep.scan_hosts[k - 1]) for k in ks]
-        mirror = [(f"keeper order {k}", rep.stack_hosts[k - 1]) for k in ks]
+    if rep.hosts is not None:
+        tuned = [splice(*rep.hosts, low) for low in accumulate(map(set, rep.low_blocks), set.union)]
+        forcing = [(k, "its keeper order", scan) for k, (scan, _) in enumerate(tuned, start=1)]
+        mirror = [(f"keeper order {k}", stack) for k, (_, stack) in enumerate(tuned, start=1)]
     else:
         d = strategy.d
         assert d is not None
@@ -616,7 +619,7 @@ def verify_transcript(t: Transcript) -> list[str]:
     A szemeredi transcript is replayed once, tuned to chain index w; the
     other chain indices' hosts are spliced.  Those whose cross pairs agree
     with the main hosts present the main poset, whose faults the main replay
-    reported; only the others are compared with the rows (``_chain_index_faults``).
+    reported; only the others are compared with the rows (``_chain_index_rows``).
     """
     if len(t.rounds) < t.w * (t.w + 1) // 2:
         return ["transcript ends before the game is over"]
@@ -628,16 +631,15 @@ def verify_transcript(t: Transcript) -> list[str]:
         # agree presents the main poset; any other one's first fault that the
         # main replay did not report shows a different game.
         main = set(v)
-        blocks = {inst.spec.w: inst._in_host_order for inst in strategy._bank.instances()}
-        hosts = (h.restrict(strategy.poset._elements) for h in (strategy.scan_host, strategy.stack_host))
-        same = _cross_pair_checks(*hosts, (blocks.get(k, ()) for k in range(1, t.w)))
-        for k in range(1, t.w):
-            if next(same, False):
-                continue
-            s = next((s for s in _chain_index_faults(t, k, masks, strategy)
-                      if s not in main), None)
-            if s is not None:
-                v.append(f"chain index {k} presents a different game: {s}")
+        elements = strategy.poset._elements
+        hosts = [h.restrict(elements) for h in (strategy.scan_host, strategy.stack_host)]
+        rows = _realized_rows(hosts, len(elements) + 1)
+        for k, tuned in enumerate(_chain_index_rows(*hosts, rows, strategy._bank.blocks(t.w - 1)),
+                                  start=1):
+            if tuned is not None:
+                s = next((s for s in _relation_faults(t, tuned, masks) if s not in main), None)
+                if s is not None:
+                    v.append(f"chain index {k} presents a different game: {s}")
 
     if not strategy.done():
         return v
@@ -719,68 +721,57 @@ def _replay(strategy: Strategy, t: Transcript,
     return v, part
 
 
-def _chain_index_faults(t: Transcript, k: int, masks: tuple[list[int | None], list[int | None]],
-                        main: SzemerediStrategy) -> Iterator[str]:
-    """The relation faults, in round order, that a szemeredi replay tuned to
-    chain index ``k`` reports on ``t``, found without running a builder.
-
-    Its hosts are spliced from the ``main`` replay's, restricted to the
-    points its poset holds.  Hosts only grow by insertion, so one comparison
-    of their intersection with ``masks``, restricted to older ids, checks
-    every round.  Its other faults depend on the colors alone, so the main
-    replay has reported them.
-
-    Only cross pairs, one point in ``low`` and one in the rest, can differ
-    from the main hosts: the spliced scan host orders pairs inside ``low``
-    as the main scan host and the rest as the main stack host, the spliced
-    stack host the other way round.  A low x comes first in the spliced scan
-    host, so it lies below no rest point, and below a rest y iff y follows
-    x's slot (its place in the spliced stack host) in the main scan host.
-    ``_cross_pair_checks`` compares exactly that with x's main rows.
-    """
-    elements = main.poset._elements
-    low = {x for inst in main._bank.instances() if inst.spec.w <= k for x in inst._in_host_order}
-    hosts = splice(main.scan_host.restrict(elements), main.stack_host.restrict(elements), low)
-    rows = _realized_rows(list(hosts), len(elements) + 1)
+def _relation_faults(t: Transcript, rows: tuple[list[int], list[int]],
+                     masks: tuple[list[int | None], list[int | None]]) -> Iterator[str]:
+    """The relation faults, in round order, that a szemeredi replay whose
+    hosts end with rows ``rows`` reports on ``t``: hosts only grow by
+    insertion, so one comparison with ``masks``, restricted to older ids,
+    checks every round.  Its other faults depend on the colors alone."""
     e = 0
-    while (e := _first_difference(*rows, *masks, range(e + 1, len(elements) + 1))) is not None:
+    while (e := _first_difference(*rows, *masks, range(e + 1, len(rows[0])))) is not None:
         for side, got, recorded in zip(("below", "above"), rows, masks):
             if recorded[e] is None or (got[e] ^ recorded[e]) & (1 << e) - 1:
                 yield f"round {t.rounds[e - 1].round}: relations {side} the new element differ"
 
 
-def _cross_pair_checks(scan: LinearOrder, stack: LinearOrder,
-                       blocks: Iterable[Iterable[int]]) -> Iterator[bool]:
-    """Whether the hosts ``splice`` tunes to a low block present the poset
-    of ``scan`` and ``stack``, for the low block grown by each of ``blocks``
-    in turn (nothing unless the two orders hold one set): whether they have
-    the splice's shape and their cross pairs agree (``_chain_index_faults``).
-    Rows, suffix masks and the low mask are built once, not once a block."""
+def _chain_index_rows(scan: LinearOrder, stack: LinearOrder, rows: tuple[list[int], list[int]],
+                      blocks: Iterable[Iterable[int]]
+                      ) -> Iterator[tuple[list[int], list[int]] | None]:
+    """For the low block grown by each of ``blocks`` in turn: None if the
+    hosts ``splice`` tunes to it present the poset of ``scan`` and ``stack``,
+    whose rows are ``rows``, else the tuned hosts' rows, as long as ``rows``.
+    Only cross pairs, one point low and one in the rest, can differ: a low x
+    comes first in the tuned scan host, so it lies below no rest point, and
+    below a rest y iff y follows x's slot (its place in the tuned stack host)
+    in ``scan``.  So the check is the splice's shape, two orders on one set,
+    and each low x's rows; suffix masks and the low mask are built once."""
     seq, stack_seq = scan.sequence, stack.sequence
     members = set(seq)
-    if len(members) != len(seq) or sorted(seq) != sorted(stack_seq):
-        return
-    below, above = _realized_rows([scan, stack], max(members, default=0) + 1)
+    one_set = len(members) == len(seq) and sorted(seq) == sorted(stack_seq)
+    below, above = rows
     after, full = [0] * len(seq), 0  # after[i]: the mask of seq[i + 1:]
     for i in range(len(seq) - 1, -1, -1):
         after[i], full = full, full | 1 << seq[i]
     low, low_mask, low_below = set(), 0, 0  # the low block, its mask, every id below it
     for block in blocks:
-        for x in members.intersection(block) - low:
-            low.add(x)
+        new = set(block) - low
+        low |= new
+        for x in members & new:
             low_mask |= 1 << x
             low_below |= below[x]
         rest, is_low = full & ~low_mask, low.__contains__
-        tuned_scan, tuned_stack = (h.sequence for h in splice(scan, stack, low))
+        tuned = splice(scan, stack, low)
+        tuned_scan, tuned_stack = (h.sequence for h in tuned)
         at_low = bytes(map(is_low, seq))  # 1 where seq holds a low point
         at_rest = bytes(map(not_, at_low))
         stack_low = list(filter(is_low, stack_seq))
-        yield (tuned_scan == [*filter(is_low, seq), *filterfalse(is_low, stack_seq)]
-               and len(tuned_stack) == len(seq) and [*compress(tuned_stack, at_low)] == stack_low
-               and [*compress(tuned_stack, at_rest)] == [*compress(seq, at_rest)]
-               and not low_below & rest
-               and not any((above[x] ^ after[i]) & rest
-                           for x, i in zip(stack_low, compress(count(), at_low))))
+        same = (one_set and tuned_scan == [*filter(is_low, seq), *filterfalse(is_low, stack_seq)]
+                and len(tuned_stack) == len(seq) and [*compress(tuned_stack, at_low)] == stack_low
+                and [*compress(tuned_stack, at_rest)] == [*compress(seq, at_rest)]
+                and not low_below & rest
+                and not any((above[x] ^ after[i]) & rest
+                            for x, i in zip(stack_low, compress(count(), at_low))))
+        yield None if same else _realized_rows(list(tuned), len(below))
 
 
 # ---------------------------------------------------------------------------

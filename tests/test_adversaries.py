@@ -29,7 +29,7 @@ from olcp import (
 )
 from olcp import adversaries
 from olcp.adversaries import _Bank
-from olcp.builders import BOTTOM, TOP, Builder, BuilderSpec, Region
+from olcp.builders import BOTTOM, TOP, Builder, BuilderSpec, Region, splice
 
 from poset_oracles import antichain, chain, from_pairs, relation_pairs
 
@@ -260,8 +260,9 @@ def test_hidden_pair_game_width2_trace():
     assert [row.color for row in t.rounds] == [1, 1, 2, 3, 1, 1, 2, 3, 4, 4]
     top = r.levels[0]
     assert (top.width, top.t, top.separator_colors) == (2, 1, 3)
-    assert top.scan_hosts[0].sequence == [7, 6, 5, 8, 4, 1, 2, 3]
-    assert top.stack_hosts[0].sequence == [6, 8, 7, 5, 1, 3, 4, 2]
+    tuned_to_1 = splice(*top.hosts, set(top.low_blocks[0]))
+    assert tuned_to_1[0].sequence == [7, 6, 5, 8, 4, 1, 2, 3]
+    assert tuned_to_1[1].sequence == [6, 8, 7, 5, 1, 3, 4, 2]
     deeper = r.levels[1]
     assert (deeper.width, deeper.t, deeper.separator_colors) == (1, 1, 1)
     realizer = s.extract_realizer()

@@ -396,16 +396,22 @@ def _swap_ends(order: LinearOrder, keep) -> LinearOrder:
     return LinearOrder(swap.get(x, x) for x in order.sequence)
 
 
-def test_keeper_checks_fire_on_hidden_hosts():
+def test_keeper_checks_fire_on_hidden_hosts(monkeypatch):
     s = make_strategy("theorem1", 2)
     run_game(s, FirstFit())
     rep = s.level_reports()[0]
     assert arena._check_order_separation(s, rep, "level 2") == []
-    scan, stack = list(rep.scan_hosts), list(rep.stack_hosts)
-    scan[1] = _swap_ends(scan[1], rep.s1_points)
-    stack[0] = _swap_ends(stack[0], rep.s2_points)
-    bad = dataclasses.replace(rep, scan_hosts=scan, stack_hosts=stack)
-    assert arena._check_order_separation(s, bad, "level 2") == [
+    low_1 = set(rep.low_blocks[0])  # the low block at chain index 1; at 2 it is everything
+    splice = arena.splice
+
+    def swapped(scan, stack, low):
+        scan, stack = splice(scan, stack, low)
+        if low == low_1:
+            return scan, _swap_ends(stack, rep.s2_points)
+        return _swap_ends(scan, rep.s1_points), stack
+
+    monkeypatch.setattr(arena, "splice", swapped)
+    assert arena._check_order_separation(s, rep, "level 2") == [
         "level 2: chain 2 is not lowest in its keeper order",
         "level 2: top mirrored chain is not highest in keeper order 1",
     ]

@@ -440,7 +440,7 @@ class EveryChainIndex(HiddenRealizerStrategy):
 @pytest.mark.parametrize("w", range(1, 7))
 def test_spliced_level_hosts_equal_builders_tuned_to_k(w, opponent):
     """A theorem1 level's hosts tuned to each k, mirrored block included,
-    are its two hosts spliced."""
+    are its two reported hosts spliced by its first k low blocks."""
     s = make_strategy("theorem1", w)
     t, _ = run_game(s, FirstFit() if opponent == "first-fit" else RandomValid(opponent))
     oracle = EveryChainIndex(w)
@@ -448,6 +448,7 @@ def test_spliced_level_hosts_equal_builders_tuned_to_k(w, opponent):
         oracle.next_move()
         oracle.observe(row.color)
     assert len(s._levels) == len(oracle._levels) == w
-    for lvl, every in zip(s._levels, oracle._levels):
-        for k in range(1, lvl.width + 1):
-            assert lvl.tuned_hosts(k) == (every.hosts[k - 1], every.hosts[lvl.width + k - 1])
+    for rep, every in zip(s.level_reports(), oracle._levels):
+        for k in range(1, rep.width + 1):
+            low = set().union(*rep.low_blocks[:k])
+            assert splice(*rep.hosts, low) == (every.hosts[k - 1], every.hosts[rep.width + k - 1])

@@ -9,7 +9,9 @@ violations, in the same order, on played and tampered transcripts alike.
 A fault injected into one chain index's spliced hosts is named by its
 round.  The cross-pair check that lets most chain indices skip that
 comparison accepts, on random orders and low blocks, exactly the splices
-that keep the poset.
+that keep the poset.  A ``theorem1`` level's chain indices go through the
+same check, and ``_check_levels`` says what comparing every chain index's
+spliced hosts with the level's rows said, a moved host point included.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from olcp import arena
 from olcp.builders import BOTTOM, Builder
 from olcp.builders import splice
 from olcp.errors import StrategyInvariantError
-from olcp.poset import LinearOrder
-from olcp.poset import intersect
+from olcp.poset import ChainPartition, LinearOrder, _first_difference, _realized_rows, intersect
 
 
 def verify_with_a_replay_per_chain_index(t: Transcript) -> list[str]:
@@ -237,6 +238,10 @@ def host_pairs(draw, n_max: int = 12):
     return scan, stack, blocks
 
 
+def _rows(scan: LinearOrder, stack: LinearOrder):
+    return _realized_rows([scan, stack], len(scan) + 1)
+
+
 @settings(max_examples=300, deadline=None)
 @given(host_pairs())
 def test_the_cross_pair_check_accepts_exactly_the_splices_that_keep_the_poset(pairs):
@@ -244,10 +249,13 @@ def test_the_cross_pair_check_accepts_exactly_the_splices_that_keep_the_poset(pa
     hosts intersect to the poset of the two orders they came from."""
     scan, stack, blocks = pairs
     low: set[int] = set()
-    checks = arena._cross_pair_checks(scan, stack, blocks)
+    checks = arena._chain_index_rows(scan, stack, _rows(scan, stack), blocks)
     for block in blocks:
         low |= block
-        assert next(checks) == (intersect(splice(scan, stack, low)) == intersect([scan, stack]))
+        pair = splice(scan, stack, low)
+        rows = next(checks)
+        assert (rows is None) == (intersect(pair) == intersect([scan, stack]))
+        assert rows is None or rows == _rows(*pair)
     assert next(checks, None) is None
 
 
@@ -268,5 +276,114 @@ def test_a_spliced_host_with_a_point_moved_is_accepted_only_if_the_poset_is_kept
         return tuned
 
     with mock.patch.object(arena, "splice", moved):
-        for accepted in arena._cross_pair_checks(scan, stack, blocks):
-            assert not accepted or intersect(tuned) == intersect([scan, stack])
+        for rows in arena._chain_index_rows(scan, stack, _rows(scan, stack), blocks):
+            assert intersect(tuned) == intersect([scan, stack]) if rows is None else rows == _rows(*tuned)
+
+
+def levels_with_a_splice_per_chain_index(s, part: ChainPartition, reports) -> list[str]:
+    """``arena._check_levels`` as it was: each level's hosts tuned to every
+    chain index k are spliced from its two (``arena.splice``), their rows
+    realized and compared with the level's, and read for the keeper checks."""
+    v: list[str] = []
+    p = s.poset
+    sep_colors = []
+    for i, (rep, lvl) in enumerate(zip(reports, s._levels)):
+        tag = f"level {rep.width}"
+        if sorted(rep.chains) != list(range(1, rep.width + 1)):
+            v.append(f"{tag}: forcing chains do not cover sizes 1..{rep.width}")
+        if sorted(rep.dual_chains) != list(range(1, rep.width + 1)):
+            v.append(f"{tag}: mirrored chains do not cover sizes 1..{rep.width}")
+        rb = arena.RainbowChains(rep.chains, frozenset(rep.s1_points))
+        v += [f"{tag}: {x}" for x in rb.verify(p, part)]
+        mirror = arena.RainbowChains(rep.dual_chains, frozenset(rep.s2_points))
+        v += [f"{tag} mirror: {x}" for x in mirror.verify(p.restrict(rep.s2_points).dual(), part)]
+        if not p.is_completely_below(rep.s2_points, rep.s1_points):
+            v.append(f"{tag}: mirrored block is not completely below the forcing block")
+        sep = rep.separator
+        v += [f"{tag}: separator is not a chain: ({x}, {y})" for x, y in p.incomparable_pairs(sep)]
+        n = part.distinct_colors(sep)
+        if n != rep.separator_colors:
+            v.append(f"{tag}: separator color count recorded as {rep.separator_colors}, recomputed {n}")
+        threshold, strict = arena.separator_threshold(rep.width, s.d)
+        if not (n > threshold if strict else n >= threshold):
+            v.append(f"{tag}: separator carries {n} colors, threshold {threshold:g}")
+        sep_colors.append({part.color_of[x] for x in sep})
+        deeper = [x for r2 in reports[i + 1:] for x in r2.s1_points + r2.s2_points]
+        if deeper and not p.is_completely_incomparable(sep, deeper):
+            v.append(f"{tag}: separator is comparable to a deeper point")
+
+        pairs = []
+        for k in range(1, rep.width + 1):
+            low = {x for inst in lvl._bank.instances() if inst.spec.w <= k
+                   for x in inst._in_host_order}
+            pairs.append(arena.splice(*rep.hosts, low.union(lvl.s2_points)))
+        level = p.restrict(rep.s1_points + rep.s2_points)
+        for k, pair in enumerate(pairs, start=1):
+            rows = _realized_rows([h.restrict(level._elements) for h in pair], len(level._below))
+            y = _first_difference(*rows, level._below, level._above, level._elements)
+            if y is not None:
+                v.append(f"{tag}: hosts tuned to chain index {k} present other relations at {y}")
+        s1, s2 = set(rep.s1_points), set(rep.s2_points)
+        for k, (scan, _) in enumerate(pairs, start=1):
+            if scan.restrict(s1).sequence[: len(rep.chains[k])] != rep.chains[k]:
+                v.append(f"{tag}: chain {k} is not lowest in its keeper order")
+        top = rep.dual_chains[rep.width]
+        for k, (_, stack) in enumerate(pairs, start=1):
+            seq = stack.restrict(s2).sequence
+            if seq[len(seq) - len(top):] != top:
+                v.append(f"{tag}: top mirrored chain is not highest in keeper order {k}")
+
+    for i in range(len(sep_colors)):
+        for j in range(i + 1, len(sep_colors)):
+            shared = sep_colors[i] & sep_colors[j]
+            if shared:
+                v.append(f"levels {reports[i].width} and {reports[j].width} share separator "
+                         f"color {min(shared)}")
+    return v
+
+
+def _lowest_moved_up(pair, host: int) -> tuple[LinearOrder, LinearOrder]:
+    """``pair`` with the lowest point of host ``host`` (0: scan, 1: stack) at its top."""
+    tuned = list(pair)
+    lowest, *rest = tuned[host].sequence
+    tuned[host] = LinearOrder([*rest, lowest])
+    return tuple(tuned)
+
+
+def _moved_splice(low_k: set[int], host: int):
+    """``arena.splice``, except for the pair tuned to the low block
+    ``low_k``, whose host ``host`` holds its lowest point at its top."""
+    splice = arena.splice
+
+    def moved(scan, stack, low):
+        tuned = splice(scan, stack, low)
+        return _lowest_moved_up(tuned, host) if low == low_k else tuned
+    return moved
+
+
+@pytest.mark.parametrize("opponent", ["first-fit", 0, 1, 2])
+@pytest.mark.parametrize("w", range(1, 7))
+def test_level_checks_say_what_a_splice_per_chain_index_said(monkeypatch, w, opponent):
+    """On a clean theorem1 game, and, for each level in turn, with the
+    lowest point of one host of the pair tuned to one chain index, or of
+    the level's own pair, moved to its top."""
+    s = make_strategy("theorem1", w)
+    t, _ = run_game(s, FirstFit() if opponent == "first-fit" else RandomValid(opponent))
+    part = ChainPartition()
+    for row in t.rounds:
+        part.assign(row.element, row.color)
+    reports = s.level_reports()
+    assert arena._check_levels(s, part, reports) == levels_with_a_splice_per_chain_index(
+        s, part, reports) == []
+    for i, rep in enumerate(reports):
+        k = i % rep.width + 1
+        with monkeypatch.context() as m:
+            m.setattr(arena, "splice", _moved_splice(set().union(*rep.low_blocks[:k]), i % 2))
+            got = arena._check_levels(s, part, reports)
+            assert got == levels_with_a_splice_per_chain_index(s, part, reports)
+        assert f"level {rep.width}: hosts tuned to chain index {k} present" in "\n".join(got)
+        moved = list(reports)
+        moved[i] = dataclasses.replace(rep, hosts=_lowest_moved_up(rep.hosts, i % 2))
+        got = arena._check_levels(s, part, moved)
+        assert got == levels_with_a_splice_per_chain_index(s, part, moved)
+        assert sum(f"level {rep.width}: hosts tuned to" in x for x in got) == rep.width

@@ -17,7 +17,8 @@ element.  The rows arrive as the masks the builders record in their hosts,
 read from their windows, so no on-line round builds a mask from the ids
 of the poset.  A szemeredi transcript is replayed once, and a
 theorem1 level runs two roots and two dual roots: hosts tuned to other
-chain indices are spliced, by no builder.  Transcript rows stay masks from
+chain indices are spliced, by no builder, and a clean level's chain
+indices are all accepted by their cross pairs.  Transcript rows stay masks from
 the move to the text and from the text to the verifier, and the visible
 orders are copied only for a partitioner that reads them.
 """
@@ -360,3 +361,21 @@ def test_szemeredi_verify_runs_only_the_main_replays_builders(monkeypatch):
     assert _roots(made) == [(w, "scan", "primal"), (w, "stack", "primal")]
     assert all(b.spec.k == b.spec.w for b in made)
     assert len(made) == 2 * w
+
+
+def test_a_clean_theorem1_play_realizes_rows_once_a_level(monkeypatch):
+    """Every chain index of a clean theorem1 level is accepted by its cross
+    pairs, so the report realizes rows once per level, for the level's two
+    hosts, and once for ``verify_realizer``: no chain index's own rows."""
+    realized_rows = poset_module._realized_rows
+    calls = []
+
+    def spy(orders, size):
+        calls.append(len(orders))
+        return realized_rows(orders, size)
+
+    monkeypatch.setattr(poset_module, "_realized_rows", spy)
+    monkeypatch.setattr(arena, "_realized_rows", spy)
+    _, report = run_game(make_strategy("theorem1", 6), FirstFit())
+    assert report.ok
+    assert 0 < len(calls) <= len(report.levels) + 1
