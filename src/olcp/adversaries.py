@@ -111,10 +111,10 @@ class Move:
 class RainbowChains:
     """Certificate of the two-host game: chains indexed by size.
 
-    Within ``universe`` the chains must be pairwise completely
-    incomparable, jointly rainbow, of sizes exactly 1..w, and their union
-    downward closed.  ``verify`` returns human-readable violations; only a
-    failing mask test walks the points to name them.
+    Within ``universe`` the chains must be pairwise completely incomparable,
+    jointly rainbow, of sizes exactly 1..w, and their union downward closed.
+    ``verify`` reads ``p``'s rows once and returns human-readable violations;
+    only a failing mask test walks the points to name them.
     """
 
     chains: dict[int, list[int]]
@@ -122,6 +122,7 @@ class RainbowChains:
 
     def verify(self, p: Poset, part: ChainPartition) -> list[str]:
         problems = []
+        below, above = p._rows()
         for size in sorted(self.chains):
             pts = self.chains[size]
             if len(pts) != size:
@@ -136,7 +137,7 @@ class RainbowChains:
         for i, s in enumerate(sizes):
             reach = 0  # everything comparable to chain s
             for x in self.chains[s]:
-                reach |= p.comparable_mask(x)
+                reach |= below[x] | above[x] | 1 << x
             for s2, mask in zip(sizes[i + 1 :], masks[i + 1 :]):
                 if reach & mask:
                     problems += [f"chains {s} and {s2} touch: {x} and {y} comparable"
@@ -147,7 +148,6 @@ class RainbowChains:
             problems.append("chain union repeats a color")
         outside = self.universe - union
         hole = _mask(outside)
-        below = p._rows()[0]
         for c in union:
             if below[c] & hole:
                 gap = outside & p.below(c)
@@ -466,18 +466,13 @@ class _GameLevel:
     def report(self) -> LevelReport:
         hidden = self.d is None
         return LevelReport(
-            width=self.width,
-            t=self.t,
-            threshold=separator_threshold(self.width, self.d)[0],
-            separator_colors=self.separator_colors,
-            separator=list(self.separator),
-            s1_points=list(self.s1_points),
-            s2_points=list(self.s2_points),
+            width=self.width, t=self.t, threshold=separator_threshold(self.width, self.d)[0],
+            separator_colors=self.separator_colors, separator=list(self.separator),
+            s1_points=list(self.s1_points), s2_points=list(self.s2_points),
             chains={k: list(v) for k, v in self.chains.items()},
             dual_chains={k: list(v) for k, v in self.dual_chains.items()},
             hosts=(self.hosts[0].copy(), self.hosts[1].copy()) if hidden else None,
-            low_blocks=self.low_blocks() if hidden else None,
-        )
+            low_blocks=self.low_blocks() if hidden else None)
 
 
 class _StagedStrategy(Strategy):

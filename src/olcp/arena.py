@@ -33,8 +33,9 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, count, filterfalse
-from operator import not_
+from functools import reduce
+from itertools import accumulate, combinations, compress, count, filterfalse
+from operator import and_, not_, or_
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -61,9 +62,10 @@ from .poset import (
     _digits,
     _digits_mask,
     _first_difference,
+    _mask,
     _mask_ids,
     _realized_rows,
-    _two_order_width,
+    _realizer_width,
     verify_chain_partition,
     verify_realizer,
 )
@@ -472,8 +474,8 @@ def build_report(strategy: Strategy, part: ChainPartition,
 
     When the extracted realizer holds exactly two orders and its check
     passes, the width is the longest run that rises in one order and falls
-    in the other (patience sorting, O(n log n)); otherwise, with d >= 3
-    orders or a realizer that failed, it is ``Poset.width``'s matching.
+    in the other (patience sorting, O(n log n)); otherwise it is a
+    matching's, seeded from one of d >= 3 orders that pass (``_realizer_width``).
     """
     violations = list(extra_violations)
     p = strategy.poset
@@ -502,26 +504,28 @@ def build_report(strategy: Strategy, part: ChainPartition,
     if not realized:
         violations.append("extracted realizer does not realize the presented poset")
 
-    orders = realizer.orders
-    width = _two_order_width(*orders) if realized and len(orders) == 2 else p.width()
+    width = _realizer_width(p, realizer.orders, realized)
     if width != strategy.w:
         violations.append(f"presented poset has width {width}, the game promises {strategy.w}")
 
-    return GameReport(
-        strategy=strategy.name, w=strategy.w, d=strategy.d,
-        partitioner="", seed=None,
-        points=len(p), colors=colors, width=width,
-        bound=bound, bound_met=bound_met,
-        violations=violations, levels=levels,
-    )
+    return GameReport(strategy=strategy.name, w=strategy.w, d=strategy.d, partitioner="",
+                      seed=None, points=len(p), colors=colors, width=width, bound=bound,
+                      bound_met=bound_met, violations=violations, levels=levels)
 
 
 def _check_levels(strategy: Strategy, part: ChainPartition,
                   reports: list[LevelReport]) -> list[str]:
+    """Each level's certificates, separator and keeper orders, read from
+    ``p``'s rows, taken once (the mirror's from a view of the mirrored block
+    whose below rows are ``p``'s above rows); only a fault found by a mask
+    test is walked.  Hidden hosts are spliced once per chain index."""
     v: list[str] = []
     p = strategy.poset
+    below, above = p._rows()
+    # deeper[-1 - i]: the points of the levels after level i
+    deeper = [*accumulate((_mask(r.s1_points + r.s2_points) for r in reports[:0:-1]), or_, initial=0)]
     sep_colors: list[set[int]] = []
-    for i, rep in enumerate(reports):
+    for rep, deep in zip(reports, reversed(deeper)):
         tag = f"level {rep.width}"
         if sorted(rep.chains) != list(range(1, rep.width + 1)):
             v.append(f"{tag}: forcing chains do not cover sizes 1..{rep.width}")
@@ -530,13 +534,15 @@ def _check_levels(strategy: Strategy, part: ChainPartition,
         rb = RainbowChains(rep.chains, frozenset(rep.s1_points))
         v += [f"{tag}: {s}" for s in rb.verify(p, part)]
         mirror = RainbowChains(rep.dual_chains, frozenset(rep.s2_points))
-        dual_p = p.restrict(rep.s2_points).dual()
+        dual_p = p._of_rows(sorted(filter(p.__contains__, set(rep.s2_points))), above, below)
         v += [f"{tag} mirror: {s}" for s in mirror.verify(dual_p, part)]
-        if not p.is_completely_below(rep.s2_points, rep.s1_points):
+        if reduce(and_, map(above.__getitem__, rep.s2_points), s1 := _mask(rep.s1_points)) != s1:
             v.append(f"{tag}: mirrored block is not completely below the forcing block")
 
         sep = rep.separator
-        v += [f"{tag}: separator is not a chain: ({x}, {y})" for x, y in p.incomparable_pairs(sep)]
+        reach = [below[x] | above[x] | 1 << x for x in sep]  # what each point is comparable to
+        if reduce(and_, reach, m := _mask(sep)) != m:
+            v += [f"{tag}: separator is not a chain: ({x}, {y})" for x, y in p.incomparable_pairs(sep)]
         n = part.distinct_colors(sep)
         if n != rep.separator_colors:
             v.append(f"{tag}: separator color count recorded as {rep.separator_colors}, recomputed {n}")
@@ -544,11 +550,9 @@ def _check_levels(strategy: Strategy, part: ChainPartition,
         if not (n > threshold if strict else n >= threshold):
             v.append(f"{tag}: separator carries {n} colors, threshold {threshold:g}")
         sep_colors.append({part.color_of[x] for x in sep})
-
-        deeper = [x for r2 in reports[i + 1:] for x in r2.s1_points + r2.s2_points]
-        if deeper and not p.is_completely_incomparable(sep, deeper):
+        if reduce(or_, reach, 0) & deep:
             v.append(f"{tag}: separator is comparable to a deeper point")
-
+        tuned = []
         if rep.hosts is not None:
             # Each chain index's hidden host pair presents the level's rows.
             # One whose cross pairs agree presents the main pair's poset.
@@ -557,29 +561,26 @@ def _check_levels(strategy: Strategy, part: ChainPartition,
             hosts = [h.restrict(ids) for h in rep.hosts]
             main = _realized_rows(hosts, len(rows[0]))
             y_main = _first_difference(*main, *rows, ids)
-            for k, tuned in enumerate(_chain_index_rows(*hosts, main, rep.low_blocks), start=1):
-                y = y_main if tuned is None else _first_difference(*tuned, *rows, ids)
+            tuned = list(_chain_index_rows(*hosts, main, rep.low_blocks))
+            for k, (_, rows_k) in enumerate(tuned, start=1):
+                y = y_main if rows_k is None else _first_difference(*rows_k, *rows, ids)
                 if y is not None:
                     v.append(f"{tag}: hosts tuned to chain index {k} present other relations at {y}")
-        v += _check_order_separation(strategy, rep, tag)
+        v += _check_order_separation(strategy, rep, tag, [pair for pair, _ in tuned])
 
-    for i in range(len(sep_colors)):
-        for j in range(i + 1, len(sep_colors)):
-            shared = sep_colors[i] & sep_colors[j]
-            if shared:
-                v.append(
-                    f"levels {reports[i].width} and {reports[j].width} share separator "
-                    f"color {min(shared)}"
-                )
+    for (i, a), (j, b) in combinations(enumerate(sep_colors), 2):
+        if a & b:
+            v.append(f"levels {reports[i].width} and {reports[j].width} share separator "
+                     f"color {min(a & b)}")
     return v
 
 
-def _check_order_separation(strategy: Strategy, rep: LevelReport, tag: str) -> list[str]:
-    """Placement checks inside the keeper orders: each certified chain sits
-    at the bottom of the order tuned to it, and the top mirrored chain sits
-    at the top of every mirror-keeper order."""
+def _check_order_separation(strategy: Strategy, rep: LevelReport, tag: str,
+                            tuned: Sequence[tuple[LinearOrder, LinearOrder]]) -> list[str]:
+    """Placement checks in the keeper orders (the visible orders, or ``tuned``, a hidden-host
+    level's pair tuned to each chain index): each certified chain sits at the bottom of the
+    order tuned to it, and the top mirrored chain at the top of every mirror-keeper order."""
     if rep.hosts is not None:
-        tuned = [splice(*rep.hosts, low) for low in accumulate(map(set, rep.low_blocks), set.union)]
         forcing = [(k, "its keeper order", scan) for k, (scan, _) in enumerate(tuned, start=1)]
         mirror = [(f"keeper order {k}", stack) for k, (_, stack) in enumerate(tuned, start=1)]
     else:
@@ -634,8 +635,8 @@ def verify_transcript(t: Transcript) -> list[str]:
         elements = strategy.poset._elements
         hosts = [h.restrict(elements) for h in (strategy.scan_host, strategy.stack_host)]
         rows = _realized_rows(hosts, len(elements) + 1)
-        for k, tuned in enumerate(_chain_index_rows(*hosts, rows, strategy._bank.blocks(t.w - 1)),
-                                  start=1):
+        for k, (_, tuned) in enumerate(
+                _chain_index_rows(*hosts, rows, strategy._bank.blocks(t.w - 1)), start=1):
             if tuned is not None:
                 s = next((s for s in _relation_faults(t, tuned, masks) if s not in main), None)
                 if s is not None:
@@ -736,10 +737,11 @@ def _relation_faults(t: Transcript, rows: tuple[list[int], list[int]],
 
 def _chain_index_rows(scan: LinearOrder, stack: LinearOrder, rows: tuple[list[int], list[int]],
                       blocks: Iterable[Iterable[int]]
-                      ) -> Iterator[tuple[list[int], list[int]] | None]:
-    """For the low block grown by each of ``blocks`` in turn: None if the
-    hosts ``splice`` tunes to it present the poset of ``scan`` and ``stack``,
-    whose rows are ``rows``, else the tuned hosts' rows, as long as ``rows``.
+                      ) -> Iterator[tuple[tuple[LinearOrder, LinearOrder],
+                                          tuple[list[int], list[int]] | None]]:
+    """For the low block grown by each of ``blocks`` in turn: the hosts
+    ``splice`` tunes to it, and None if they present the poset of ``scan``
+    and ``stack``, whose rows are ``rows``, else their rows, as long as ``rows``.
     Only cross pairs, one point low and one in the rest, can differ: a low x
     comes first in the tuned scan host, so it lies below no rest point, and
     below a rest y iff y follows x's slot (its place in the tuned stack host)
@@ -771,7 +773,7 @@ def _chain_index_rows(scan: LinearOrder, stack: LinearOrder, rows: tuple[list[in
                 and not low_below & rest
                 and not any((above[x] ^ after[i]) & rest
                             for x, i in zip(stack_low, compress(count(), at_low))))
-        yield None if same else _realized_rows(list(tuned), len(below))
+        yield tuned, None if same else _realized_rows(list(tuned), len(below))
 
 
 # ---------------------------------------------------------------------------
@@ -787,11 +789,8 @@ def sweep(configs: Iterable[dict], violation_dir: str | Path = ".") -> list[dict
     """
     rows = []
     for cfg in configs:
-        name = cfg["strategy"]
-        w = cfg["w"]
-        d = cfg.get("d")
-        seed = cfg.get("seed")
-        pname = cfg["partitioner"]
+        name, w, pname = cfg["strategy"], cfg["w"], cfg["partitioner"]
+        d, seed = cfg.get("d"), cfg.get("seed")
         strategy = make_strategy(name, w, k=cfg.get("k"), d=d)
         partitioner = make_partitioner(pname, seed=seed)
         start = time.perf_counter()
@@ -805,18 +804,7 @@ def sweep(configs: Iterable[dict], violation_dir: str | Path = ".") -> list[dict
             path.write_text(transcript.serialize())
             detail = report.violations[0] if report.violations else "forced-color bound not met"
             raise OlcpError(f"game {stem} failed verification ({detail}); transcript persisted to {path}")
-        rows.append(
-            {
-                "strategy": name,
-                "partitioner": pname,
-                "w": w,
-                "d": d,
-                "seed": seed,
-                "points": report.points,
-                "colors": report.colors,
-                "bound": report.bound,
-                "bound_met": report.bound_met,
-                "runtime": elapsed,
-            }
-        )
+        rows.append(dict(strategy=name, partitioner=pname, w=w, d=d, seed=seed,
+                         points=report.points, colors=report.colors, bound=report.bound,
+                         bound_met=report.bound_met, runtime=elapsed))
     return rows

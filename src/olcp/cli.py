@@ -145,14 +145,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
     players: list[tuple[str, int | None]] = [("first-fit", None)]
     players += [("random", s) for s in range(args.seeds)]
-    configs = []
-    for name in names:
-        for w in range(1, args.width_max + 1):
-            for d in dims_of[name]:
-                for pname, seed in players:
-                    configs.append(
-                        {"strategy": name, "partitioner": pname, "w": w, "d": d, "seed": seed}
-                    )
+    configs = [{"strategy": name, "partitioner": pname, "w": w, "d": d, "seed": seed}
+               for name in names for w in range(1, args.width_max + 1)
+               for d in dims_of[name] for pname, seed in players]
     out_path = Path(args.out)
     try:
         rows = sweep(configs, violation_dir=out_path.parent if str(out_path.parent) else ".")
@@ -162,21 +157,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
     try:
         with out_path.open("w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["strategy", "partitioner", "w", "d", "seed",
-                 "points", "colors", "bound", "bound_met", "runtime"]
-            )
+            writer.writerow(["strategy", "partitioner", "w", "d", "seed",
+                             "points", "colors", "bound", "bound_met", "runtime"])
             for row in rows:
-                writer.writerow(
-                    [
-                        row["strategy"], row["partitioner"], row["w"],
-                        "" if row["d"] is None else row["d"],
-                        "" if row["seed"] is None else row["seed"],
-                        row["points"], row["colors"], f"{row['bound']:g}",
-                        "true" if row["bound_met"] else "false",
-                        f"{row['runtime']:.3f}",
-                    ]
-                )
+                writer.writerow([
+                    row["strategy"], row["partitioner"], row["w"],
+                    "" if row["d"] is None else row["d"], "" if row["seed"] is None else row["seed"],
+                    row["points"], row["colors"], f"{row['bound']:g}",
+                    "true" if row["bound_met"] else "false", f"{row['runtime']:.3f}"])
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
         return 1

@@ -12,12 +12,12 @@ presented; full rows come once, from the realizer a game's report checks
 (:func:`verify_realizer`, O(n·d) big-int operations), or on demand.
 Staged games reach 770-1300 points and about 256k relations, so neither
 the per-round legal colors nor the whole-poset checks (realizer,
-extension, width) loop over pairs of elements in Python.  Legal colors
-come from each class's first member: only a class whose first member is
-not incomparable to the new point is tested against the non-negative
-:meth:`Poset.incomparable_mask`; :meth:`Poset.width` seeds its matching
-greedily from the top of the order down, which leaves few augmenting
-searches to run.
+extension, partition, width) loop over pairs of elements in Python.
+Legal colors come from each class's first member: only a class whose first
+member is not incomparable to the new point is tested against the
+non-negative :meth:`Poset.incomparable_mask`.  :meth:`Poset.width` seeds
+its matching greedily, a game's report from a chain cover along one of its
+realizer's orders (:func:`_realizer_width`): few augmenting searches remain.
 """
 
 from __future__ import annotations
@@ -251,33 +251,35 @@ class Poset:
                 x = succ.get(x)
         return part
 
-    def _max_matching(self) -> dict[int, int]:
-        """Maximum matching u -> v over pairs u < v, by augmenting paths.
+    def _max_matching(self, seed: dict[int, int] | None = None) -> dict[int, int]:
+        """Maximum matching u -> v over pairs u < v, by augmenting paths,
+        from ``seed``, a matching of such pairs (taken over), if given.
 
-        A greedy pass visits u top-down, largest down-set first (ties in
-        element order), and matches it to its lowest free v.  On the games'
-        posets that leaves far fewer u unmatched than visiting them by id
-        (62 rather than 666 of 1296 on the szemeredi w=36 game).  Then the
-        unmatched u search for augmenting paths over the ``above`` masks,
+        Else a greedy pass visits u top-down, largest down-set first (ties
+        in element order), and matches it to its lowest free v.  On the
+        games' posets that leaves far fewer u unmatched than visiting them
+        by id (62 rather than 666 of 1296 on the szemeredi w=36 game).  Then
+        the unmatched u search for augmenting paths over the ``above`` masks,
         depth first on an explicit stack so that no poset is too deep for
         it, in passes: the v seen by one pass are not searched again until
         the next, and a pass that augments nothing proves the matching
-        maximum.  Every step takes the lowest id first, so the result is
-        deterministic for a given poset.
+        maximum, whatever the seed.  Every step takes the lowest id first.
         """
         below, above = self._rows()
-        roots = sorted(self._elements, key=lambda u: below[u].bit_count(), reverse=True)
-        match_l: dict[int, int] = {}
-        match_r: dict[int, int] = {}
-        free = self._all  # mask of unmatched v
-        for u in roots:
-            cand = above[u] & free
-            if cand:
-                low = cand & -cand
-                v = low.bit_length() - 1
-                match_l[u] = v
-                match_r[v] = u
-                free ^= low
+        match_l: dict[int, int] = {} if seed is None else seed
+        match_r = {v: u for u, v in match_l.items()}
+        free = self._all ^ _digits_mask(match_r, len(below))  # mask of unmatched v
+        roots = self._elements
+        if seed is None:
+            roots = sorted(roots, key=lambda u: below[u].bit_count(), reverse=True)
+            for u in roots:
+                cand = above[u] & free
+                if cand:
+                    low = cand & -cand
+                    v = low.bit_length() - 1
+                    match_l[u] = v
+                    match_r[v] = u
+                    free ^= low
         roots = [u for u in roots if u not in match_l]
         while roots:
             unseen = self._all
@@ -458,6 +460,29 @@ def _two_order_width(first: LinearOrder, second: LinearOrder) -> int:
     return len(tails)
 
 
+def _realizer_width(p: Poset, orders: list[LinearOrder], realized: bool) -> int:
+    """The width of ``p``: :meth:`Poset.width` unless ``orders`` passed :func:`verify_realizer`
+    (``realized``).  Two orders give it by patience sorting; more seed the matching with the
+    consecutive pairs of the first-fit chain cover, along one of them, with the fewest chains."""
+    if not realized:
+        return p.width()
+    if len(orders) == 2:
+        return _two_order_width(*orders)
+    below, best = p._below, {}
+    for o in orders:
+        tops, pairs = [], {}  # each chain's top, oldest chain first; the chains' pairs
+        for x in reversed(dict.fromkeys(reversed(o.sequence))):  # a repeated id at its last copy
+            row = below[x]
+            for i, top in enumerate(tops):
+                if row >> top & 1:
+                    pairs[top] = tops[i] = x
+                    break
+            else:
+                tops.append(x)
+        best = max(best, pairs, key=len)
+    return len(p) - len(p._max_matching(best))
+
+
 def _first_difference(below: list[int], above: list[int], rows_below: list[int | None],
                       rows_above: list[int | None], ids: Iterable[int]) -> int | None:
     """The first of ``ids`` whose ``below``/``above`` rows differ from
@@ -623,15 +648,19 @@ def verify_chain_partition(p: Poset, part: ChainPartition) -> list[str]:
     """All violations of the chains-only rule; empty means valid.
 
     Checks every element is colored and every color class is a chain;
-    each chain violation names one incomparable same-color pair.
+    each chain violation names one incomparable same-color pair.  Each member's
+    row, as presented or full, must reach every older member of its class.
     """
     problems = []
-    elements = set(p.elements)
-    missing = [e for e in p.elements if e not in part.color_of]
+    missing = [e for e in p._elements if e not in part.color_of]
     if missing:
-        problems.append(f"uncolored elements: {sorted(missing)}")
+        problems.append(f"uncolored elements: {missing}")
     for color, members in sorted(part.classes().items()):
-        pair = next(p.incomparable_pairs(sorted(members & elements)), None)
-        if pair is not None:
-            problems.append(f"color {color} is not a chain: ({pair[0]}, {pair[1]}) incomparable")
+        members, older = sorted(filter(p.__contains__, members)), 0
+        for x in members:
+            if (p._below[x] | p._above[x]) & older != older:
+                x, y = next(p.incomparable_pairs(members))
+                problems.append(f"color {color} is not a chain: ({x}, {y}) incomparable")
+                break
+            older |= 1 << x
     return problems

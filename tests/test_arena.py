@@ -396,11 +396,18 @@ def _swap_ends(order: LinearOrder, keep) -> LinearOrder:
     return LinearOrder(swap.get(x, x) for x in order.sequence)
 
 
+def _tuned(rep) -> list:
+    """A hidden-host level's host pair tuned to each chain index, spliced
+    by ``arena.splice`` as ``_check_levels`` splices it."""
+    return [arena.splice(*rep.hosts, set().union(*rep.low_blocks[:k]))
+            for k in range(1, rep.width + 1)]
+
+
 def test_keeper_checks_fire_on_hidden_hosts(monkeypatch):
     s = make_strategy("theorem1", 2)
     run_game(s, FirstFit())
     rep = s.level_reports()[0]
-    assert arena._check_order_separation(s, rep, "level 2") == []
+    assert arena._check_order_separation(s, rep, "level 2", _tuned(rep)) == []
     low_1 = set(rep.low_blocks[0])  # the low block at chain index 1; at 2 it is everything
     splice = arena.splice
 
@@ -411,7 +418,7 @@ def test_keeper_checks_fire_on_hidden_hosts(monkeypatch):
         return _swap_ends(scan, rep.s1_points), stack
 
     monkeypatch.setattr(arena, "splice", swapped)
-    assert arena._check_order_separation(s, rep, "level 2") == [
+    assert arena._check_order_separation(s, rep, "level 2", _tuned(rep)) == [
         "level 2: chain 2 is not lowest in its keeper order",
         "level 2: top mirrored chain is not highest in keeper order 1",
     ]
@@ -421,10 +428,10 @@ def test_keeper_checks_fire_on_visible_orders():
     s = make_strategy("theorem2", 3, d=2)
     run_game(s, FirstFit())
     rep = s.level_reports()[0]
-    assert arena._check_order_separation(s, rep, "level 3") == []
+    assert arena._check_order_separation(s, rep, "level 3", []) == []
     stand_in = SimpleNamespace(d=2, orders=[_swap_ends(s.orders[0], rep.s1_points),
                                             _swap_ends(s.orders[1], rep.s2_points)])
-    assert arena._check_order_separation(stand_in, rep, "level 3") == [
+    assert arena._check_order_separation(stand_in, rep, "level 3", []) == [
         "level 3: chain 3 is not lowest in visible order 0",
         "level 3: top mirrored chain is not highest in the last visible order",
     ]

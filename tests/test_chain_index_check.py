@@ -253,7 +253,8 @@ def test_the_cross_pair_check_accepts_exactly_the_splices_that_keep_the_poset(pa
     for block in blocks:
         low |= block
         pair = splice(scan, stack, low)
-        rows = next(checks)
+        tuned, rows = next(checks)
+        assert tuned == pair
         assert (rows is None) == (intersect(pair) == intersect([scan, stack]))
         assert rows is None or rows == _rows(*pair)
     assert next(checks, None) is None
@@ -276,7 +277,8 @@ def test_a_spliced_host_with_a_point_moved_is_accepted_only_if_the_poset_is_kept
         return tuned
 
     with mock.patch.object(arena, "splice", moved):
-        for rows in arena._chain_index_rows(scan, stack, _rows(scan, stack), blocks):
+        for pair, rows in arena._chain_index_rows(scan, stack, _rows(scan, stack), blocks):
+            assert pair is tuned
             assert intersect(tuned) == intersect([scan, stack]) if rows is None else rows == _rows(*tuned)
 
 

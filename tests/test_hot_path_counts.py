@@ -17,8 +17,11 @@ element.  The rows arrive as the masks the builders record in their hosts,
 read from their windows, so no on-line round builds a mask from the ids
 of the poset.  A szemeredi transcript is replayed once, and a
 theorem1 level runs two roots and two dual roots: hosts tuned to other
-chain indices are spliced, by no builder, and a clean level's chain
-indices are all accepted by their cross pairs.  Transcript rows stay masks from
+chain indices are spliced, by no builder, once per chain index for the
+cross-pair and the keeper checks alike, and a clean level's chain
+indices are all accepted by their cross pairs.  A theorem2 report seeds
+its width matching from a chain cover along a visible order, which leaves
+at most a couple of augmenting searches.  Transcript rows stay masks from
 the move to the text and from the text to the verifier, and the visible
 orders are copied only for a partitioner that reads them.
 """
@@ -27,8 +30,8 @@ from __future__ import annotations
 
 import pytest
 
-from olcp import FirstFit, Transcript, make_strategy, run_game, verify_transcript
-from olcp import arena
+from olcp import FirstFit, RandomValid, Transcript, make_strategy, run_game, verify_transcript
+from olcp import adversaries, arena, builders
 from olcp import poset as poset_module
 from olcp.adversaries import PresentedRealizerStrategy, _GameLevel
 from olcp.builders import FAMILIES, ORIENTATIONS, Builder
@@ -379,3 +382,59 @@ def test_a_clean_theorem1_play_realizes_rows_once_a_level(monkeypatch):
     _, report = run_game(make_strategy("theorem1", 6), FirstFit())
     assert report.ok
     assert 0 < len(calls) <= len(report.levels) + 1
+
+
+@pytest.mark.parametrize("w", range(3, 7))
+def test_a_theorem1_level_splices_each_chain_index_once(monkeypatch, w):
+    """Playing and verifying a clean theorem1 game: the level checks splice
+    each level's hosts once per chain index, one pair for the cross-pair
+    check and the keeper checks, and ``extract_realizer`` once per level.
+    Every module's binding of ``splice`` is counted, with the caller."""
+    calls = {"levels": 0, "realizer": 0, "other": 0}
+    checking = []
+    splice, check_levels = builders.splice, arena._check_levels
+
+    def counted(name):
+        def spy(scan, stack, low):
+            calls["levels" if checking else name] += 1
+            return splice(scan, stack, low)
+        return spy
+
+    def spy_check_levels(*args):
+        checking.append(True)
+        try:
+            return check_levels(*args)
+        finally:
+            checking.pop()
+
+    for module, name in ((arena, "other"), (adversaries, "realizer"), (builders, "other")):
+        monkeypatch.setattr(module, "splice", counted(name))
+    monkeypatch.setattr(arena, "_check_levels", spy_check_levels)
+    transcript, report = run_game(make_strategy("theorem1", w), FirstFit())
+    assert report.ok
+    assert verify_transcript(transcript) == []
+    widths = [rep.width for rep in report.levels]
+    assert calls == {"levels": 2 * sum(widths), "realizer": 2 * len(widths), "other": 0}
+
+
+@pytest.mark.parametrize("opponent", ["first-fit", 0])
+@pytest.mark.parametrize("w, d", [(8, 3), (8, 4), (10, 3), (10, 4)])
+def test_a_theorem2_report_width_needs_few_augmenting_searches(monkeypatch, w, d, opponent):
+    """The report's width matching starts from the consecutive pairs of a
+    first-fit chain cover along a visible order: at most two augmenting
+    paths are left to find (30 after the greedy seed at w=10, d=4)."""
+    augmented = []
+    max_matching = Poset._max_matching
+
+    def spy(self, seed=None):
+        assert seed is not None
+        start = len(seed)
+        matching = max_matching(self, seed)
+        augmented.append(len(matching) - start)
+        return matching
+
+    monkeypatch.setattr(Poset, "_max_matching", spy)
+    partitioner = FirstFit() if opponent == "first-fit" else RandomValid(opponent)
+    _, report = run_game(make_strategy("theorem2", w, d=d), partitioner)
+    assert report.ok and report.width == w
+    assert len(augmented) == 1 and augmented[0] <= 2

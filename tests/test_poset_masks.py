@@ -2,7 +2,8 @@
 
 ``Poset`` stores its relation as bitmasks and ``ChainPartition`` one mask
 per color; ``verify_realizer``, ``LinearOrder.is_extension_of``,
-``intersect``, ``Poset.width`` and the legality scan all work on them.  The
+``intersect``, ``Poset.width``, the report's seeded width, the partition
+check and the legality scan all work on them.  The
 definitions below loop over pairs, subsets and plain lists the slow way,
 straight from the textbook statements.
 """
@@ -30,9 +31,12 @@ from olcp import (
     intersect,
     make_strategy,
     run_game,
+    verify_chain_partition,
     verify_realizer,
 )
+from olcp import arena
 from olcp.builders import BOTTOM, TOP, Builder
+from olcp.poset import _realizer_width
 
 from poset_oracles import check_axioms, from_pairs, relation_pairs
 
@@ -497,3 +501,137 @@ def test_each_host_records_the_masks_around_its_new_point(game, opponent):
     assert report.ok
     hosts = 2 if d is None else d
     assert len(checked) == hosts * len(transcript.rounds)
+
+
+# ---------------------------------------------------------------------------
+# the end-of-game report: the partition check and the seeded width
+
+
+def pairwise_partition_check(p: Poset, rel: set[tuple[int, int]], part: ChainPartition) -> list[str]:
+    """``verify_chain_partition`` by its definition: the uncolored elements,
+    then per color, ascending, the first incomparable pair of the class's
+    members in the poset, listed in ascending order."""
+    problems = []
+    missing = sorted(e for e in p.elements if e not in part.color_of)
+    if missing:
+        problems.append(f"uncolored elements: {missing}")
+    for color, members in sorted(part.classes().items()):
+        pts = sorted(members & set(p.elements))
+        pair = next(((x, y) for i, x in enumerate(pts) for y in pts[i + 1:]
+                     if (x, y) not in rel and (y, x) not in rel), None)
+        if pair is not None:
+            problems.append(f"color {color} is not a chain: ({pair[0]}, {pair[1]}) incomparable")
+    return problems
+
+
+@st.composite
+def presented_posets(draw):
+    """(p, rel) from ``add_element``, ``restrict`` or ``intersect``, or a
+    poset grown as games grow theirs: each element's rows as presented,
+    relating it to older ids only (``_add_closed``)."""
+    how = draw(st.sampled_from(["add_element", "restrict", "intersect", "presented"]))
+    if how == "intersect":
+        orders, p = draw(realizers())
+        return p, brute_intersection_pairs(orders)
+    p, rel = draw(grown_posets())
+    if how == "restrict":
+        keep = draw(st.sets(st.sampled_from(p.elements))) if len(p) else set()
+        return p.restrict(keep), {(x, y) for x, y in rel if x in keep and y in keep}
+    if how == "presented":
+        q = Poset()
+        for e in p.elements:
+            q._add_closed(_plain_mask(x for x, y in rel if y == e and x < e),
+                          _plain_mask(y for x, y in rel if x == e and y < e))
+        return q, rel
+    return p, rel
+
+
+@settings(max_examples=300, deadline=None)
+@given(presented_posets(), st.data())
+def test_partition_check_matches_the_pairwise_definition(case, data):
+    """Classes that are chains or not, uncolored elements, and colored ids
+    absent from the poset; the same list on presented and on full rows."""
+    p, rel = case
+    n = max(p.elements, default=0)
+    part = ChainPartition()
+    for e in p.elements:
+        color = data.draw(st.integers(0, 4))  # 0: left uncolored
+        if color:
+            part.assign(e, color)
+    absent = [x for x in range(1, n + 4) if x not in p]
+    for x in data.draw(st.lists(st.sampled_from(absent), unique=True, max_size=3)):
+        part.assign(x, data.draw(st.integers(1, 5)))
+    expected = pairwise_partition_check(p, rel, part)
+    assert verify_chain_partition(p, part) == expected
+    p._rows()
+    assert verify_chain_partition(p, part) == expected
+
+
+@pytest.mark.parametrize("name, w, d", [("szemeredi", 8, None), ("theorem1", 4, None),
+                                        ("theorem2", 4, 3)])
+def test_a_game_checks_its_partition_on_rows_as_presented(monkeypatch, name, w, d):
+    """``run_game`` checks the partition on the rows as the rounds left
+    them: the check moves no row forward, and no reader completes rows
+    before the realizer check gives the full ones."""
+    fresh, completions = [], []
+    check, rows = arena.verify_chain_partition, Poset._rows
+
+    def spy_check(p, part):
+        before = p._fresh
+        problems = check(p, part)
+        fresh.append((before, p._fresh))
+        return problems
+
+    def spy_rows(self):
+        if self._fresh < len(self._elements):
+            completions.append(len(self._elements) - self._fresh)
+        return rows(self)
+
+    monkeypatch.setattr(arena, "verify_chain_partition", spy_check)
+    monkeypatch.setattr(Poset, "_rows", spy_rows)
+    strategy = make_strategy(name, w, d=d)
+    _, report = run_game(strategy, FirstFit())
+    assert report.ok
+    assert fresh == [(0, 0)] and completions == []
+
+
+def first_fit_chains(p: Poset, order: LinearOrder) -> int:
+    """Chains of the first-fit cover along ``order``, a linear extension."""
+    tops: list[int] = []
+    for x in order:
+        i = next((i for i, top in enumerate(tops) if p.less(top, x)), len(tops))
+        tops[i:i + 1] = [x]
+    return len(tops)
+
+
+#: Three orders on 12 points: first-fit along the first uses 3 chains more
+#: than the width, and along the best of them still one more.
+FAR_FROM_OPTIMAL = [[11, 12, 10, 2, 6, 7, 8, 3, 1, 5, 9, 4],
+                    [12, 4, 9, 6, 2, 8, 10, 11, 5, 1, 3, 7],
+                    [2, 3, 9, 11, 1, 6, 10, 7, 8, 12, 5, 4]]
+
+
+def test_a_realizer_whose_first_fit_covers_are_far_from_optimal():
+    orders = [LinearOrder(o) for o in FAR_FROM_OPTIMAL]
+    p = intersect(orders)
+    width = brute_width(p)
+    assert [first_fit_chains(p, o) - width for o in orders] == [3, 1, 1]
+    assert verify_realizer(Realizer(orders), p)
+    assert _realizer_width(p, orders, True) == width
+
+
+@settings(max_examples=150, deadline=None)
+@given(realizers(max_n=10), st.sampled_from([3, 4]), st.data())
+def test_seeded_width_matches_definition(case, d, data):
+    """The report's width: d >= 3 orders that pass seed the matching from a
+    first-fit cover; a realizer that fails leaves ``Poset.width``."""
+    orders, _ = case
+    ids = sorted(orders[0].sequence)
+    orders = [*orders, *(LinearOrder(data.draw(st.permutations(ids))) for _ in range(d))][:d]
+    p = intersect(orders)
+    assert verify_realizer(Realizer(orders), p)
+    assert _realizer_width(p, orders, True) == brute_width(p)
+    if len(ids) >= 2:  # a realizer of another poset: the matching alone
+        other = [LinearOrder(reversed(o.sequence)) for o in orders[:1]] + orders[1:]
+        realized = verify_realizer(Realizer(other), p)
+        assert _realizer_width(p, other, realized) == brute_width(p)

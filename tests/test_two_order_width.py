@@ -4,7 +4,8 @@ The intersection of two linear orders has as antichains exactly the
 sequences that rise in one order and fall in the other, so its width is a
 longest decreasing subsequence.  ``build_report`` measures a game's width
 that way once the realizer check has accepted exactly two orders; with
-d >= 3 orders, or a realizer that failed, ``Poset.width``'s matching does.
+d >= 3 accepted orders, a matching seeded from a chain cover along one of
+them does, and with a realizer that failed, ``Poset.width``'s matching.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from olcp import (
     verify_transcript,
 )
 from olcp import arena
+from olcp import poset as poset_module
 from olcp.poset import _two_order_width
 
 
@@ -42,19 +44,27 @@ def test_two_order_width_is_the_matching_width(orders):
 
 
 def spy_widths(monkeypatch) -> dict[str, int]:
-    calls = {"matching": 0, "two orders": 0}
-    width, two_order_width = Poset.width, arena._two_order_width
+    """Counts ``Poset.width`` calls, two-order widths, and matchings
+    handed a seed; the width's own matching has none."""
+    calls = {"matching": 0, "two orders": 0, "seeded": 0}
+    width, two_order_width = Poset.width, poset_module._two_order_width
+    max_matching = Poset._max_matching
 
     def spy_width(self):
         calls["matching"] += 1
         return width(self)
+
+    def spy_max_matching(self, seed=None):
+        calls["seeded"] += seed is not None
+        return max_matching(self, seed)
 
     def spy_two_order_width(first, second):
         calls["two orders"] += 1
         return two_order_width(first, second)
 
     monkeypatch.setattr(Poset, "width", spy_width)
-    monkeypatch.setattr(arena, "_two_order_width", spy_two_order_width)
+    monkeypatch.setattr(Poset, "_max_matching", spy_max_matching)
+    monkeypatch.setattr(poset_module, "_two_order_width", spy_two_order_width)
     return calls
 
 
@@ -73,7 +83,7 @@ def test_two_order_games_report_the_matching_width(monkeypatch, name, w, d):
         strategy = make_strategy(name, w, d=d)
         _, report = run_game(strategy, make_partitioner(partitioner, seed=seed), seed=seed)
         assert report.ok
-        assert calls == {"matching": 0, "two orders": 1}
+        assert calls == {"matching": 0, "two orders": 1, "seeded": 0}
         assert report.width == strategy.poset.width() == w
         calls.update({"matching": 0, "two orders": 0})
 
@@ -83,7 +93,7 @@ def test_three_or_more_orders_keep_the_matching(monkeypatch, w, d):
     calls = spy_widths(monkeypatch)
     _, report = run_game(make_strategy("theorem2", w, d=d), FirstFit())
     assert report.ok and report.width == w
-    assert calls == {"matching": 1, "two orders": 0}
+    assert calls == {"matching": 0, "two orders": 0, "seeded": 1}
 
 
 def test_failed_realizer_keeps_the_matching_width(monkeypatch):
@@ -110,4 +120,4 @@ def test_failed_realizer_keeps_the_matching_width(monkeypatch):
     assert verify_transcript(t) == ["extracted realizer does not realize the presented poset"]
     [report] = reports
     assert report.width == 3
-    assert calls == {"matching": 1, "two orders": 0}
+    assert calls == {"matching": 1, "two orders": 0, "seeded": 0}
