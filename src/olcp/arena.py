@@ -10,8 +10,9 @@ byte-comparable.  The rows of played and parsed games keep those lists as
 the masks that strategies present and the verifier compares.  Such a row
 is written from an id-text table (``_round_line``), any other by
 ``json.dumps`` (``_round_json``); a line's fields are checked in line order.
-Most lists repeat one of the previous row's two lists, so such a list is
-written from that list's text and cut from the text before decoding.
+Most lists repeat one of the previous row's two lists or add one id above
+its top, so such a list is written from that list's text (and the id's)
+and cut from the text before decoding.
 ``verify_transcript`` re-runs the named strategy against the recorded
 colors — internal orders are re-derived, never trusted — and layers every
 structural check on top: per-round relation equality, chain validity,
@@ -39,6 +40,7 @@ from operator import and_, not_, or_
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from . import poset
 from .adversaries import (
     RainbowChains,
     LevelReport,
@@ -138,15 +140,16 @@ class Transcript:
         ``ext`` anchors of None or ids, all ids in one table, is written by
         ``_round_line``; every other row, a hand-built tuple row included, by
         ``_round_json``.  A mask equal to one of the previous table-path row's
-        two masks reuses its text; any other is rendered from the table."""
+        two masks reuses its text, and one that adds an id above the top of
+        one of them writes its text, a comma and the id's (``_list_text``);
+        any other is rendered from the table."""
         header = {key: getattr(self, key) for key in _HEADER_FIELDS}
         lines = [json.dumps(header, separators=(",", ":"))]
         n = len(self.rounds) + 1
         texts = list(map(str, range(n)))  # id x's text at index x
         # The previous table-path row's masks and their texts: most lists
-        # repeat one of them, and then reuse its text.
-        last_below = last_above = None
-        below_text = above_text = ""
+        # repeat one of them or add one id above its top.
+        last: dict[int, str] = {}
         for r in self.rounds:
             kept = r.__dict__  # the stored masks, not the tuples they read as
             below, above, ext = kept["below"], kept["above"], r.ext
@@ -155,12 +158,9 @@ class Transcript:
                     and type(r.level) is type(r.stage) is int
                     and (ext is None or type(ext) is tuple and all(
                         a is None or type(a) is int and 0 <= a < n for a in ext))):
-                below_text, above_text = (
-                    below_text if below == last_below else
-                    above_text if below == last_above else ",".join(compress(texts, _digits(below))),
-                    above_text if above == last_above else
-                    below_text if above == last_below else ",".join(compress(texts, _digits(above))))
-                last_below, last_above = below, above
+                below_text = _list_text(below, last, texts)
+                above_text = _list_text(above, last, texts)
+                last = {below: below_text, above: above_text}
                 lines.append(_round_line(r, below_text, above_text, texts))
             else:
                 lines.append(_round_json(r))
@@ -171,8 +171,9 @@ class Transcript:
     def parse(cls, text: str) -> "Transcript":
         """The transcript ``text`` holds, each row's id lists checked and kept
         as masks; ``TranscriptError`` names the first line at fault.  A list
-        body whose text equals one of the previous row's two is cut from the
-        line before decoding and takes that list's mask (``_list_spans``)."""
+        body whose text equals one of the previous row's two, or adds one id
+        above the top of one of them, is cut from the line before decoding
+        and takes its mask (``_list_spans``, ``_kept_mask``)."""
         lines = text.splitlines()
         if not lines:
             raise TranscriptError("empty transcript")
@@ -197,11 +198,12 @@ class Transcript:
 
         rounds = []
         last: dict[str, int] = {}  # the previous row's list bodies and their masks
+        ids = dict(zip(map(str, range(1, len(lines))), range(1, len(lines))))  # id text -> id
         for n, raw in enumerate(lines[1:], start=2):
             spans = _list_spans(raw) or ()
             bodies = [raw[i:j] for i, j in spans]
-            repeats = [last.get(body) for body in bodies] or [None, None]
-            for (i, j), mask in sorted(zip(spans, repeats), reverse=True):
+            kept = [_kept_mask(body, last, ids) for body in bodies] or [None, None]
+            for (i, j), mask in sorted(zip(spans, kept), reverse=True):
                 if mask is not None:
                     raw = raw[:i] + raw[j:]  # "[...]" becomes "[]", the later one first
             obj = _parse_object(raw, n)
@@ -211,7 +213,7 @@ class Transcript:
                 raise TranscriptError(f"round {rnd} out of sequence", line=n)
             element = _field_int(obj, "element", n, minimum=1)
             below, above = (_id_list(obj, key, n, len(lines)) if mask is None else mask
-                            for key, mask in zip(("below", "above"), repeats))
+                            for key, mask in zip(("below", "above"), kept))
             last = dict(zip(bodies, (below, above))) if type(below) is type(above) is int else {}
             color = _field_int(obj, "color", n, minimum=1)
             level = _field_int(obj, "level", n, minimum=1)
@@ -244,6 +246,26 @@ def _round_line(r: TranscriptRound, below: str, above: str, texts: list[str]) ->
     return (f'{{"round":{r.round},"element":{r.element},'
             f'"below":[{below}],"above":[{above}],'
             f'{ext}"color":{r.color},"level":{r.level},"stage":{r.stage}}}')
+
+
+def _list_text(mask: int, last: dict[int, str], texts: list[str]) -> str:
+    """The text of ``mask``'s id list, id x written as ``texts[x]``.  A mask
+    in ``last`` (the previous row's two masks and their texts) takes its
+    text; one whose top id leaves a nonzero mask there takes that text, a
+    comma and the top id's text; one id alone takes that id's text.  Any
+    other is rendered id by id."""
+    text = last.get(mask)
+    if text is not None:
+        return text
+    if mask:
+        top = mask.bit_length() - 1
+        rest = mask ^ 1 << top
+        if not rest:
+            return texts[top]
+        text = last.get(rest)
+        if text is not None:
+            return f"{text},{texts[top]}"
+    return ",".join(compress(texts, _digits(mask)))
 
 
 def _round_json(r: TranscriptRound) -> str:
@@ -298,10 +320,7 @@ def _id_list(obj: dict, key: str, line: int, size: int) -> int | tuple[int, ...]
         raise TranscriptError(f"field {key!r} must be a list of ids", line=line)
     if v == ordered:
         if not v or v[-1] < size:
-            digits = bytearray(b"0") * (v[-1] + 1 if v else 1)
-            for x in v:
-                digits[x] = 49  # "1" for id x, read from the end
-            mask = int(digits[::-1], 2)
+            mask = poset._digits_mask(v, v[-1] + 1 if v else 1)
             if mask.bit_count() == len(v):
                 return mask
         elif len(set(v)) == len(v):
@@ -309,12 +328,34 @@ def _id_list(obj: dict, key: str, line: int, size: int) -> int | tuple[int, ...]
     raise TranscriptError(f"field {key!r} must be sorted and duplicate-free", line=line)
 
 
+def _kept_mask(body: str, last: dict[str, int], ids: dict[str, int]) -> int | None:
+    """The mask of list body ``body`` if ``parse`` may take it undecoded, else
+    None.  A body in ``last`` (the previous row's two bodies and their masks)
+    takes its mask, and one id's text in ``ids`` takes that id's bit; so does
+    a body in ``last`` with a nonzero mask followed by a comma and such an
+    id above its top, added to that mask.  ``ids`` maps the canonical text
+    of each id below the line count, whose masks ``_id_list`` builds."""
+    mask = last.get(body)
+    if mask is not None:
+        return mask
+    head, comma, tail = body.rpartition(",")
+    x = ids.get(tail)
+    if x is None:
+        return None
+    if not comma:
+        return 1 << x
+    mask = last.get(head)
+    return mask | 1 << x if mask and not mask >> x else None
+
+
 def _list_spans(raw: str) -> list[tuple[int, int]] | None:
     """Where the bodies of line ``raw``'s ``below`` and ``above`` lists lie,
     each up to its first ``]``, if the line holds no backslash and each key
-    once, followed by ``:[``.  A body that ``parse`` cuts out decoded before
-    as a flat id list and no key is escaped, so the cut line decodes to the
-    same error, or to the same row once the body's mask is put back."""
+    once, followed by ``:[``.  A body that ``parse`` cuts out is a flat list
+    of ids: one that decoded before, that list with a canonical id above its
+    top appended, or one canonical id.  No key is escaped, so the cut line
+    decodes to the same error, or to the same row once the body's mask is
+    put back."""
     if "\\" in raw:
         return None
     spans = []

@@ -2,7 +2,8 @@
 
 ``Transcript.serialize`` reuses the text of a mask equal to one of the
 previous table-path row's two masks, and ``Transcript.parse`` reuses the
-mask of a list equal to one of the previous row's two lists.  Neither may
+mask of a list equal to one of the previous row's two lists; a list that
+adds one id above the top of one of them reuses it too.  Neither may
 change a byte of the text or a word of an error: ``1.0`` and ``true``
 equal the id 1 in Python, yet are no ids.
 """
@@ -25,10 +26,12 @@ def played(name: str = "szemeredi", w: int = 36) -> Transcript:
 
 
 def fresh_lists(t: Transcript) -> int:
-    """How many lists equal neither of the previous row's two lists."""
+    """How many lists are neither one id, nor one of the previous row's two
+    lists, nor a nonempty one of them followed by one more id."""
     fresh, last = 0, ()
     for r in t.rounds:
-        fresh += (r.below not in last) + (r.above not in last)
+        fresh += sum(ids not in last and len(ids) != 1 and ids[:-1] not in last
+                     for ids in (r.below, r.above))
         last = (r.below, r.above)
     return fresh
 
@@ -39,8 +42,18 @@ def test_serialize_renders_only_lists_the_previous_row_does_not_hold(monkeypatch
     digits = arena._digits
     monkeypatch.setattr(arena, "_digits", lambda mask: rendered.append(mask) or digits(mask))
     text = t.serialize()
-    assert (len(rendered), fresh_lists(t), 2 * len(t.rounds)) == (701, 701, 2592)
+    assert (len(rendered), fresh_lists(t), 2 * len(t.rounds)) == (70, 70, 2592)
     assert text == json_serialize(t)
+
+
+def test_parse_decodes_only_lists_the_previous_row_does_not_hold(monkeypatch):
+    t = played("szemeredi", 36)
+    text = t.serialize()
+    decoded = []
+    id_list = arena._id_list
+    monkeypatch.setattr(arena, "_id_list", lambda *args: decoded.append(args[1]) or id_list(*args))
+    assert Transcript.parse(text) == t
+    assert len(decoded) == fresh_lists(t) == 70
 
 
 @pytest.mark.parametrize("change", ["same ids", "other ids"])
