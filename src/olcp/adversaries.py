@@ -12,10 +12,10 @@ one point per round:
 
 ``theorem1``
     A staged game whose presented poset always admits a two-order realizer
-    (kept hidden while playing, extractable afterwards).  Each width level
-    runs the two-host game, then a mirrored copy of it completely below,
-    and picks a separator chain whose colors the deeper levels can never
-    reuse; the color counts of the separators add up level by level.
+    (two hosts, hidden while playing, extractable afterwards).  Each width
+    level runs the two-host game, then a mirrored copy of it completely
+    below, and picks a separator chain whose colors the deeper levels can
+    never reuse; the color counts of the separators add up level by level.
 
 ``theorem2``
     The same staged idea, but the d linear orders realizing the presented
@@ -24,8 +24,8 @@ one point per round:
 
 Both staged games keep their levels in one list, widest first; the last
 level plays each round, and a finished level above width 1 has the
-strategy lay out the next one down.  The two games differ only in that
-layout: fresh hidden hosts per level, or windows of the visible orders.
+strategy lay out the next one down in windows of the orders it grows; a
+hidden-host level first splices its block of them from ``width`` to ``t``.
 
 Strategies follow a small protocol: ``done()``, ``next_move() -> Move``,
 ``observe(color)``.  The strategy owns the presented poset; the arena owns
@@ -114,7 +114,8 @@ class RainbowChains:
     Within ``universe`` the chains must be pairwise completely incomparable,
     jointly rainbow, of sizes exactly 1..w, and their union downward closed.
     ``verify`` reads ``p``'s rows once and returns human-readable violations;
-    only a failing mask test walks the points to name them.
+    only a failing mask test walks the points to name them.  A chain point
+    outside ``universe`` or ``p`` is left out of every check but the first.
     """
 
     chains: dict[int, list[int]]
@@ -123,6 +124,7 @@ class RainbowChains:
     def verify(self, p: Poset, part: ChainPartition) -> list[str]:
         problems = []
         below, above = p._rows()
+        chains: dict[int, list[int]] = {}
         for size in sorted(self.chains):
             pts = self.chains[size]
             if len(pts) != size:
@@ -130,20 +132,21 @@ class RainbowChains:
             stray = set(pts) - self.universe
             if stray:
                 problems.append(f"chain {size} leaves its game: {sorted(stray)}")
+            chains[size] = pts = [x for x in pts if x in self.universe and x in p]
             problems += [f"chain {size}: ({x}, {y}) incomparable"
                          for x, y in p.incomparable_pairs(pts)]
-        sizes = sorted(self.chains)
-        masks = [_mask(self.chains[s]) for s in sizes]
+        sizes = list(chains)
+        masks = [_mask(chains[s]) for s in sizes]
         for i, s in enumerate(sizes):
             reach = 0  # everything comparable to chain s
-            for x in self.chains[s]:
+            for x in chains[s]:
                 reach |= below[x] | above[x] | 1 << x
             for s2, mask in zip(sizes[i + 1 :], masks[i + 1 :]):
                 if reach & mask:
                     problems += [f"chains {s} and {s2} touch: {x} and {y} comparable"
-                                 for x in self.chains[s] for y in self.chains[s2]
+                                 for x in chains[s] for y in chains[s2]
                                  if p.comparable(x, y)]
-        union = {x for pts in self.chains.values() for x in pts}
+        union = {x for pts in chains.values() for x in pts}
         if not part.is_rainbow(union):
             problems.append("chain union repeats a color")
         outside = self.universe - union
@@ -159,9 +162,9 @@ class RainbowChains:
 @dataclass
 class LevelReport:
     """What one width level of a staged game did, for reporting and checks.
-    A hidden-host level adds its two ``hosts``, tuned to chain index
-    ``width``, and its ``low_blocks``: ``splice`` tunes the hosts to chain
-    index k by the union of the first k (``_GameLevel.low_blocks``)."""
+    A hidden-host level adds its block of the two hosts, tuned to chain
+    index ``width``, as ``hosts``, and its ``low_blocks``: ``splice`` tunes
+    ``hosts`` to chain index k by the union of the first k."""
 
     width: int
     t: int
@@ -358,15 +361,14 @@ class _GameLevel:
     """One width level of a staged game: forcing stage, mirrored stage,
     then the separator choice, after which ``stage`` is 3.
 
-    Stage one runs one root builder per host; the intersection of the
-    hosts, plus the masks of cross-level relations
-    ``extra_below``/``extra_above``, gives the level's relations.  The
-    mirrored stage follows from those builders alone.  ``t_range`` bounds
-    the separator's chain index, and ``d`` is the number of visible orders
-    (None: two hidden hosts, the scan and the stack host tuned to chain
-    index ``width``; the hosts tuned to each other index are spliced from
-    them by ``low_blocks``).  The strategy lays a level out; the level
-    never sees the next.
+    Stage one runs one root builder per host, in one window of each; the
+    intersection of the hosts gives the level's relations, to earlier
+    levels too.  The mirrored stage follows from those builders alone.
+    ``t_range`` bounds the separator's chain index, and ``d`` is the number
+    of visible orders (None: the scan and the stack host, hidden; the level
+    plays its block of them tuned to chain index ``width``, keeps it in
+    ``kept`` when it finishes, and splices it in place to ``t``).  The
+    strategy lays a level out; the level never sees the next.
 
     A level holds the owning strategy's poset and color record, never the
     strategy or another level, so a finished game is freed without the
@@ -375,8 +377,7 @@ class _GameLevel:
 
     def __init__(self, poset: Poset, colors: dict[int, int], width: int,
                  hosts: Sequence[LinearOrder], specs: Sequence[BuilderSpec],
-                 regions: Sequence[Region], t_range: tuple[int, int], d: int | None = None,
-                 extra_below: int = 0, extra_above: int = 0):
+                 regions: Sequence[Region], t_range: tuple[int, int], d: int | None = None):
         self.poset = poset
         self.colors = colors
         self.width = width
@@ -388,11 +389,9 @@ class _GameLevel:
         self.t: int | None = None
         self.separator: list[int] = []
         self.separator_colors = 0
-        self.hosts = hosts
         self.t_range = t_range
         self.d = d
-        self.extra_below = extra_below
-        self.extra_above = extra_above
+        self.kept: list[LinearOrder] | None = None
         self._bank = _Bank([Builder(*layout) for layout in zip(specs, regions, hosts)])
         self._dual_bank: _Bank | None = None
 
@@ -403,7 +402,7 @@ class _GameLevel:
         anchors = bank.place(e)
         below, above = _intersect_relations(bank.builders)
         ext = None if self.d is None else tuple(anchors)  # hidden hosts stay hidden
-        return below | self.extra_below, above | self.extra_above, self.width, self.stage, ext
+        return below, above, self.width, self.stage, ext
 
     def observe(self, e: int, color: int) -> None:
         if self.stage == 1:
@@ -419,6 +418,8 @@ class _GameLevel:
             if self._dual_bank.done:
                 self.dual_chains = _bank_chains(self.poset, self._dual_bank, dual=True)
                 self._choose_separator()
+                if self.d is None:
+                    self._splice_to_t()
                 self.stage = 3
         else:
             raise StrategyInvariantError("observation after the level finished")
@@ -456,6 +457,18 @@ class _GameLevel:
                 f"needs {'above' if strict else 'at least'} {threshold}"
             )
 
+    def host_blocks(self) -> list[list[int]]:
+        """The level's points in each root's host: all its window holds."""
+        n = len(self.s1_points) + len(self.s2_points)
+        return [b.host.sequence[b._lo + 1:b._lo + 1 + n] for b in self._bank.builders]
+
+    def _splice_to_t(self) -> None:
+        """Keep the level's block of the hidden hosts, then splice it in place to ``t``."""
+        self.kept = [LinearOrder(block) for block in self.host_blocks()]
+        tuned = splice(*self.kept, set().union(*self.low_blocks()[: self.t]))
+        for b, order in zip(self._bank.builders, tuned):
+            b.host.reorder(b._lo + 1, order.sequence)
+
     def low_blocks(self) -> list[list[int]]:
         """The points joining the low block at chain index k = 1..width: the
         width-k instance's, and at k = 1 the mirrored block, which sits at
@@ -465,13 +478,14 @@ class _GameLevel:
 
     def report(self) -> LevelReport:
         hidden = self.d is None
+        hosts = self.kept or [LinearOrder(block) for block in self.host_blocks()]
         return LevelReport(
             width=self.width, t=self.t, threshold=separator_threshold(self.width, self.d)[0],
             separator_colors=self.separator_colors, separator=list(self.separator),
             s1_points=list(self.s1_points), s2_points=list(self.s2_points),
             chains={k: list(v) for k, v in self.chains.items()},
             dual_chains={k: list(v) for k, v in self.dual_chains.items()},
-            hosts=(self.hosts[0].copy(), self.hosts[1].copy()) if hidden else None,
+            hosts=(hosts[0].copy(), hosts[1].copy()) if hidden else None,
             low_blocks=self.low_blocks() if hidden else None)
 
 
@@ -499,6 +513,29 @@ class _StagedStrategy(Strategy):
     def _next_level(self, level: _GameLevel) -> _GameLevel:
         raise NotImplementedError
 
+    def _windows(self, level: _GameLevel, j_t: int) -> list[Region]:
+        """The next level's windows, chosen so that, by position alone,
+        deeper points land above the mirrored block and below the forcing
+        block in every order -- except across the separator's home orders:
+        in order ``j_t`` above chain ``t``, lowest in the forcing block, and
+        in the last below the top mirrored chain, highest in the mirrored
+        block, which make the separator incomparable to everything deeper.
+        The level's points are all its window of each order holds, so a new
+        window opens just above the topmost of a set of them, and its
+        outside masks add the old window's points on either side."""
+        d = len(level._bank.builders)
+        c_t, s2 = set(level.chains[level.t]), set(level.s2_points)
+        s2_low = s2 - set(level.dual_chains[level.width])
+        regions = []
+        for j, (root, window) in enumerate(zip(level._bank.builders, level.host_blocks())):
+            below = c_t if j == j_t else s2_low if j == d - 1 else s2  # the new window's floor
+            split = next((i for i in range(len(window), 0, -1) if window[i - 1] in below), 0)
+            r = root.region
+            regions.append(Region(window[split - 1] if split else r.low,
+                                  window[split] if split < len(window) else r.high,
+                                  r.below | _mask(window[:split]), r.above | _mask(window[split:])))
+        return regions
+
     def level_reports(self) -> list[LevelReport]:
         return [lvl.report() for lvl in self._levels]
 
@@ -506,9 +543,9 @@ class _StagedStrategy(Strategy):
 class HiddenRealizerStrategy(_StagedStrategy):
     """Staged game whose presented poset always has a two-order realizer.
 
-    The orders stay hidden during play (the point: even a partitioner that
-    knows the rules cannot exploit them) and can be extracted afterwards
-    for verification.
+    The two hosts stay hidden during play (the point: even a partitioner
+    that knows the rules cannot exploit them) and can be extracted
+    afterwards for verification.
     """
 
     name = "theorem1"
@@ -516,44 +553,29 @@ class HiddenRealizerStrategy(_StagedStrategy):
     def __init__(self, w: int):
         check_strategy(self.name, w)
         super().__init__(w)
-        self._levels = [self._new_level(w, 0, 0)]
+        self.hosts = (LinearOrder(), LinearOrder())
+        self._levels = [self._new_level(w, [Region(BOTTOM, TOP)] * 2)]
 
     def bound(self) -> float:
         return theorem1_total(self.w)
 
-    def _new_level(self, width: int, extra_below: int, extra_above: int) -> _GameLevel:
-        """A level with two fresh hidden hosts, the scan and the stack host
-        tuned to chain index ``width``; the cross-level relations are the
-        masks of the accumulated wrap sets."""
+    def _new_level(self, width: int, regions: list[Region]) -> _GameLevel:
+        """A level in windows of the hidden hosts, tuned to chain index ``width``."""
         specs = [BuilderSpec(family, width, width) for family in ("scan", "stack")]
-        return _GameLevel(self.poset, self.colors, width, [LinearOrder(), LinearOrder()],
-                          specs, [Region(BOTTOM, TOP)] * 2, (1, width),
-                          extra_below=extra_below, extra_above=extra_above)
+        return _GameLevel(self.poset, self.colors, width, self.hosts, specs, regions, (1, width))
 
-    def _next_level(self, level):
-        below = _mask(set(level.s2_points) - set(level.dual_chains[level.width]))
-        above = _mask(set(level.s1_points) - set(level.chains[level.t]))
-        return self._new_level(level.width - 1, level.extra_below | below,
-                               level.extra_above | above)
+    def _next_level(self, level):  # the scan host, spliced to t, keeps chain t lowest
+        return self._new_level(level.width - 1, self._windows(level, 0))
 
     # bench/tracing.py wraps level_reports in each concrete class's own namespace.
     level_reports = _StagedStrategy.level_reports
 
     def extract_realizer(self) -> Realizer:
-        """The two hidden orders, assembled deepest level first: each
-        level's separator blocks sandwich the orders of the levels below."""
+        """The two hidden hosts, each level's block spliced to its ``t``:
+        every level sits between its separator's blocks in both."""
         if not self.done():
             raise StrategyInvariantError("realizer requested mid-game")
-        first: list[int] = []
-        second: list[int] = []
-        for lvl in reversed(self._levels):
-            a, b = splice(*lvl.hosts, set().union(*lvl.low_blocks()[: lvl.t]))
-            s1, s2 = set(lvl.s1_points), set(lvl.s2_points)
-            c_t = set(lvl.chains[lvl.t])
-            d_top = set(lvl.dual_chains[lvl.width])
-            first = [*a.restrict(s2), *a.restrict(c_t), *first, *a.restrict(s1 - c_t)]
-            second = [*b.restrict(s2 - d_top), *second, *b.restrict(d_top), *b.restrict(s1)]
-        return Realizer([LinearOrder(first), LinearOrder(second)])
+        return Realizer([host.copy() for host in self.hosts])
 
 
 class PresentedRealizerStrategy(_StagedStrategy):
@@ -584,42 +606,9 @@ class PresentedRealizerStrategy(_StagedStrategy):
         return _GameLevel(self.poset, self.colors, width, self.orders, specs, regions,
                           (max(1, width - d + 2), width), d)
 
-    def _next_level(self, level):
-        """The next level down, in windows chosen so that, by position
-        alone, deeper points land above the mirrored block and below the
-        forcing block in every order -- except across the separator's home
-        orders, which make the separator incomparable to everything deeper.
-        The level's points are all its window of each order holds, just
-        above the window's low bound, so positions are read there alone,
-        and a new window's outside masks add the old window's points on
-        either side.
-        """
-        d = self.d
-        j_t = level.t - (level.width - d + 2)
-        c_t = set(level.chains[level.t])
-        d_top = set(level.dual_chains[level.width])
-        s1, s2 = set(level.s1_points), set(level.s2_points)
-        n = len(s1) + len(s2)
-        regions = []
-        for j, root in enumerate(level._bank.builders):  # one root per order
-            r = root.region
-            window = root.host.sequence[root._lo + 1:root._lo + 1 + n]
-            pos = {x: i for i, x in enumerate(window)}
-            if j == j_t:
-                low = max(c_t, key=pos.__getitem__)
-                rest = s1 - c_t
-                high = min(rest, key=pos.__getitem__) if rest else r.high
-            elif j == d - 1:
-                rest = s2 - d_top
-                low = max(rest, key=pos.__getitem__) if rest else r.low
-                high = min(d_top, key=pos.__getitem__)
-            else:
-                low = max(s2, key=pos.__getitem__)
-                high = min(s1, key=pos.__getitem__)
-            split = pos[low] + 1 if low in pos else 0  # high sits at split
-            regions.append(Region(low, high, r.below | _mask(window[:split]),
-                                  r.above | _mask(window[split:])))
-        return self._new_level(level.width - 1, regions)
+    def _next_level(self, level):  # visible order j keeps chain width - d + 2 + j lowest
+        j_t = level.t - (level.width - self.d + 2)
+        return self._new_level(level.width - 1, self._windows(level, j_t))
 
     def realizer_snapshot(self):
         return tuple(order.copy() for order in self.orders)

@@ -203,9 +203,12 @@ class Transcript:
             spans = _list_spans(raw) or ()
             bodies = [raw[i:j] for i, j in spans]
             kept = [_kept_mask(body, last, ids) for body in bodies] or [None, None]
-            for (i, j), mask in sorted(zip(spans, kept), reverse=True):
-                if mask is not None:
-                    raw = raw[:i] + raw[j:]  # "[...]" becomes "[]", the later one first
+            ends = [0, *(x for span, m in sorted(zip(spans, kept)) if m is not None for x in span)]
+            cut = "".join([raw[i:j] for i, j in zip(ends[::2], [*ends[1::2], len(raw)])])
+            if "\\" in cut or cut.count('"below"') != 1 or cut.count('"above"') != 1:
+                bodies, kept = [], [None, None]  # decode the whole line, remember no body
+            else:
+                raw = cut  # "[...]" became "[]"
             obj = _parse_object(raw, n)
             _expect_keys(obj, _ROUND_FIELDS, ("ext",), n)
             rnd = _field_int(obj, "round", n, minimum=1)
@@ -349,19 +352,18 @@ def _kept_mask(body: str, last: dict[str, int], ids: dict[str, int]) -> int | No
 
 
 def _list_spans(raw: str) -> list[tuple[int, int]] | None:
-    """Where the bodies of line ``raw``'s ``below`` and ``above`` lists lie,
-    each up to its first ``]``, if the line holds no backslash and each key
-    once, followed by ``:[``.  A body that ``parse`` cuts out is a flat list
-    of ids: one that decoded before, that list with a canonical id above its
-    top appended, or one canonical id.  No key is escaped, so the cut line
-    decodes to the same error, or to the same row once the body's mask is
-    put back."""
-    if "\\" in raw:
-        return None
+    """Where the bodies of line ``raw``'s ``below`` and ``above`` lists lie:
+    after the first ``"below":[`` and ``"above":[``, each up to its first
+    ``]``; None when either is missing.  A body that ``parse`` cuts out is
+    a flat list of ids: one that decoded before, that list with a canonical
+    id above its top appended, or one canonical id, with no quote or
+    backslash.  So the cut line holds the whole line's keys and backslashes,
+    and when it holds no backslash and each key once, it decodes to the same
+    error, or to the same row once the bodies' masks are put back."""
     spans = []
     for key in ('"below":[', '"above":['):
         i = raw.find(key) + len(key)
-        if raw.count(key[:7]) != 1 or i < len(key) or (j := raw.find("]", i)) < 0:
+        if i < len(key) or (j := raw.find("]", i)) < 0:
             return None
         spans.append((i, j))
     return spans

@@ -38,21 +38,22 @@ without the cycle collector.  A scan-rule instance keeps its scan target as
 colors arrive: a new point lands just before the target in walk order, so
 each color updates it in one step.
 
-While an instance places points, its region holds exactly its own
-stage-one points, because only the active instance inserts into its host
-and every region opens empty: a child region borders its parent's
-terminal or lies below its parent's first point (above, when dual), a
-level's dual root lies below the level's lowest stage-one point, and a
-``theorem2`` level's next window lies between two adjacent points of the
-level before.  So a new point's place follows from its slot among the
-instance's own points: its anchor is the own point below the slot (the
-region's low bound at slot 0), its host index the low bound's index, found
-once when the instance opens, plus the slot, and its masks in the host are
-the region's outside masks (``Region.below``/``above``) plus the
-instance's own points on either side of the slot.  A child region's bounds
-are its parent's points on either side of it, and its outside masks add
-those points.  :meth:`Builder.place_next` keeps the two masks on the root
-builder, and a game intersects its hosts by ANDing its roots' masks.
+While an instance places points, its region holds exactly its own stage-one
+points, because only the active instance inserts into its host and every
+region opens empty: a child region borders its parent's terminal or lies
+below its parent's first point (above, when dual), a level's dual root lies
+below the level's lowest stage-one point, and a staged game's next window
+lies between two adjacent points of the level before.  A host's one other
+write, a finished ``theorem1`` level splicing its block in place, reorders
+only points that no open region holds.  So a new point's place follows from
+its slot among the instance's own points: its anchor is the own point below
+the slot (the region's low bound at slot 0), its host index the low bound's
+index, found once when the instance opens, plus the slot, and its masks in
+the host are the region's outside masks (``Region.below``/``above``) plus
+the instance's own points on either side of the slot.  A child region's
+bounds are its parent's points on either side of it, and its outside masks
+add those points.  :meth:`Builder.place_next` keeps the two masks on the
+root builder, and a game intersects its hosts by ANDing its roots' masks.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ class Builder:
 
     __slots__ = (
         "spec", "region", "host", "done", "masks", "_in_host_order",
-        "colors_seen", "terminal", "_pending", "_color_by_point", "_lo",
+        "colors_seen", "terminal", "_pending", "_lo",
         "_deeper", "_scan", "_target", "_walked", "_own",
     )
 
@@ -177,8 +178,6 @@ class Builder:
         self.colors_seen: set[int] = set()
         self.terminal: int | None = None
         self._pending: int | None = None
-        # Own stage-one points, in arrival order, to their colors.
-        self._color_by_point: dict[int, int] = {}
         # Host index of the region's low bound; own points follow it.
         self._lo = -1 if low is BOTTOM else host.sequence.index(low)
         # Deeper instances, widest first; never this one, so no builder
@@ -252,7 +251,6 @@ class Builder:
             )
         b._pending = None
         b.colors_seen.add(color)
-        b._color_by_point[e] = color
         if b._scan:  # e went just before the target in walk order, or at the walk's end
             t, dual = b._target, b.spec.dual
             if color in b._walked:  # e is the new target
@@ -261,7 +259,7 @@ class Builder:
                 b._walked.add(color)
                 if t is not None and not dual:
                     b._target = t + 1  # e sits below it
-        if len(b._color_by_point) > 2 * b.spec.w - 1:
+        if len(b._in_host_order) > 2 * b.spec.w - 1:
             raise StrategyInvariantError(
                 f"stage one exceeded {2 * b.spec.w - 1} points at width {b.spec.w}"
             )

@@ -316,16 +316,17 @@ class Poset:
 class LinearOrder:
     """A growing sequence of element ids, lowest first.
 
-    Supports the single mutation the game needs: insert a fresh element
+    Grows by the one mutation the game needs: insert a fresh element
     directly above an existing anchor (or at the very bottom).  Existing
     relative order is never disturbed, which is exactly the on-line
-    extension property the adversaries rely on.  Insertions check
-    membership in a set built on first use (so read-only copies never pay
-    for one) and find the anchor with ``list.index``, unless the caller
-    passes a position hint that the sequence confirms: a stale hint costs
-    one comparison and a search.  Only whole-order checks build
-    :meth:`positions`.  The order keeps no masks; builders read those from
-    their windows (see :mod:`olcp.builders`).
+    extension property the adversaries rely on; a hidden host, which no
+    partitioner sees, may also have a finished block reordered in place
+    (:meth:`reorder`).  Insertions check membership in a set built on first
+    use (so read-only copies never pay for one) and find the anchor with
+    ``list.index``, unless the caller passes a position hint that the
+    sequence confirms: a stale hint costs one comparison and a search.
+    Only whole-order checks build :meth:`positions`.  The order keeps no
+    masks; builders read those from their windows (see :mod:`olcp.builders`).
     """
 
     __slots__ = ("sequence", "_members", "_pos", "_stale")
@@ -355,6 +356,12 @@ class LinearOrder:
             at = seq.index(anchor) + 1
         seq.insert(at, e)
         members.add(e)
+        self._stale = True
+
+    def reorder(self, at: int, block: list[int]) -> None:
+        """Write ``block``, the elements from index ``at`` on in another
+        order, over them."""
+        self.sequence[at:at + len(block)] = block
         self._stale = True
 
     def positions(self) -> dict[int, int]:

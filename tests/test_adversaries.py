@@ -272,6 +272,33 @@ def test_hidden_pair_game_width2_trace():
     assert r.ok
 
 
+def sandwiched_levels(reports) -> list[list[int]]:
+    """The two orders assembled from the level reports alone, deepest level
+    first: each level's hosts spliced to its t, its separator's blocks
+    around the orders of the levels below."""
+    first: list[int] = []
+    second: list[int] = []
+    for rep in reversed(reports):
+        a, b = splice(*rep.hosts, set().union(*rep.low_blocks[: rep.t]))
+        s1, s2 = set(rep.s1_points), set(rep.s2_points)
+        c_t, d_top = set(rep.chains[rep.t]), set(rep.dual_chains[rep.width])
+        first = [*a.restrict(s2), *a.restrict(c_t), *first, *a.restrict(s1 - c_t)]
+        second = [*b.restrict(s2 - d_top), *second, *b.restrict(d_top), *b.restrict(s1)]
+    return [first, second]
+
+
+@pytest.mark.parametrize("opponent", ["first-fit", 0, 1, 2, 3])
+@pytest.mark.parametrize("w", range(1, 8))
+def test_hidden_hosts_are_the_levels_sandwiched(w, opponent):
+    """Each level splices its block of the hosts to its t in place, inside
+    its parent's window between the separator's blocks: the extracted hosts
+    are the realizer a level-by-level sandwich of the reports assembles."""
+    s = HiddenRealizerStrategy(w)
+    _, r = run_game(s, FirstFit() if opponent == "first-fit" else RandomValid(opponent))
+    assert r.ok
+    assert [o.sequence for o in s.extract_realizer().orders] == sandwiched_levels(r.levels)
+
+
 def test_hidden_pair_separators_beat_strict_thresholds():
     for w in range(1, 6):
         s = HiddenRealizerStrategy(w)

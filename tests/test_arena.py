@@ -452,6 +452,54 @@ def test_separator_that_is_not_a_chain_is_named():
     assert f"level 2: separator is not a chain: ({x}, {y})" in arena._check_levels(s, part, reports)
 
 
+def _played_colors(t: Transcript) -> ChainPartition:
+    part = ChainPartition()
+    for row in t.rounds:
+        part.assign(row.element, row.color)
+    return part
+
+
+def test_szemeredi_certificate_gap_is_named(monkeypatch):
+    s = make_strategy("szemeredi", 3)
+    t, report = run_game(s, FirstFit())
+    assert report.ok
+    certificate = s.rainbow()
+    del certificate.chains[2]
+    monkeypatch.setattr(s, "rainbow", lambda: certificate)
+    violations = arena.build_report(s, _played_colors(t)).violations
+    assert "certificate chains do not cover sizes 1..w" in violations
+
+
+def test_szemeredi_tuned_chain_off_the_scan_host_bottom_is_named():
+    s = make_strategy("szemeredi", 3)
+    t, report = run_game(s, FirstFit())
+    assert report.ok
+    lowest, *rest = s.scan_host.sequence
+    s.scan_host = LinearOrder([*rest, lowest])
+    violations = arena.build_report(s, _played_colors(t)).violations
+    assert "tuned chain 3 is not lowest in the scan host" in violations
+
+
+@pytest.mark.parametrize("name, d", [("theorem1", None), ("theorem2", 3)])
+def test_level_chains_off_sizes_1_to_width_are_named(name, d):
+    """A level report whose chains carry a size above its width: each
+    family's cover check names it, and the other checks run on."""
+    s = make_strategy(name, 3, d=d)
+    t, _ = run_game(s, FirstFit())
+    part = _played_colors(t)
+    reports = s.level_reports()
+    assert arena._check_levels(s, part, reports) == []
+    rep = reports[0]
+    reports[0] = dataclasses.replace(rep, chains={**rep.chains, 4: []},
+                                     dual_chains={**rep.dual_chains, 4: []})
+    assert arena._check_levels(s, part, reports) == [
+        "level 3: forcing chains do not cover sizes 1..3",
+        "level 3: mirrored chains do not cover sizes 1..3",
+        "level 3: chain 4 has 0 points",
+        "level 3 mirror: chain 4 has 0 points",
+    ]
+
+
 def test_live_relations_off_the_visible_orders_fail_the_realizer_check():
     # The live game checks once, at the end, that the visible orders realize
     # the presented poset; a single wrong round must still reach that check.

@@ -274,7 +274,7 @@ def feasible_script(spec: BuilderSpec, rng: random.Random) -> list[int]:
         inst = b.active()
         b.place_next(e)
         needed = inst.spec.w - len(inst.colors_seen)
-        slots = (2 * inst.spec.w - 1) - len(inst._color_by_point)
+        slots = (2 * inst.spec.w - 1) - (len(inst._in_host_order) - 1)  # e awaits its color
         if needed >= slots or not script or rng.random() < 0.4:
             color = max(script, default=0) + 1
         else:
@@ -315,16 +315,16 @@ def test_dual_mirror_holds_for_every_k():
 # the kept scan target against the walk it replaces
 
 
-def walked_scan_target(b: Builder) -> tuple[int | None, set[int]]:
+def walked_scan_target(b: Builder, script: list[int]) -> tuple[int | None, set[int]]:
     """Oracle: walk the instance's own stage-one points from the near end
-    of its region; return the host-order slot of the first whose color
-    repeats an earlier one (None if all are distinct) and the colors walked
-    before it."""
+    of its region, point e colored ``script[e - 1]``; return the host-order
+    slot of the first whose color repeats an earlier one (None if all are
+    distinct) and the colors walked before it."""
     pts = b._in_host_order
     walk = range(len(pts) - 1, -1, -1) if b.spec.dual else range(len(pts))
     seen: set[int] = set()
     for i in walk:
-        c = b._color_by_point[pts[i]]
+        c = script[pts[i] - 1]
         if c in seen:
             return i, seen
         seen.add(c)
@@ -360,7 +360,7 @@ def test_kept_scan_target_matches_the_walk(spec, seed, foreign):
         b.observe_color(e, color)
         twin.observe_color(e, color)
         if (inst.spec.family == "scan") == (inst.spec.k == inst.spec.w):  # the scan rule
-            assert (inst._target, inst._walked) == walked_scan_target(inst)
+            assert (inst._target, inst._walked) == walked_scan_target(inst, script)
         assert [x for x in host.sequence if x < 1000] == twin_host.sequence
     assert b.done and twin.done
 
@@ -425,15 +425,29 @@ def test_spliced_hosts_equal_builders_tuned_to_k_in_games(w, opponent):
     assert_splices_match(w, [row.color for row in t.rounds])
 
 
-class EveryChainIndex(HiddenRealizerStrategy):
-    """theorem1 played with one scan and one stack host per chain index,
-    each grown by its own builders; it is only driven, never reported."""
+class EveryChainIndexLevel(_GameLevel):
+    """A theorem1 level with fresh scan and stack hosts for each chain
+    index, each grown by its own builders, and never spliced."""
 
-    def _new_level(self, width, extra_below, extra_above):
+    def __init__(self, poset, colors, width):
         specs = [BuilderSpec(family, k, width) for family in FAMILIES for k in range(1, width + 1)]
-        return _GameLevel(self.poset, self.colors, width, [LinearOrder() for _ in specs],
-                          specs, [Region(BOTTOM, TOP)] * len(specs), (1, width),
-                          extra_below=extra_below, extra_above=extra_above)
+        self.hosts = [LinearOrder() for _ in specs]
+        super().__init__(poset, colors, width, self.hosts, specs,
+                         [Region(BOTTOM, TOP)] * len(specs), (1, width))
+
+    def _splice_to_t(self):
+        pass
+
+
+class EveryChainIndex(HiddenRealizerStrategy):
+    """theorem1 played level by level in an ``EveryChainIndexLevel`` each;
+    the colors alone drive it, and it is never reported."""
+
+    def _new_level(self, width, regions=None):
+        return EveryChainIndexLevel(self.poset, self.colors, width)
+
+    def _next_level(self, level):
+        return self._new_level(level.width - 1)
 
 
 @pytest.mark.parametrize("opponent", ["first-fit", 0, 1, 2])

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from olcp import Transcript
+from olcp import HiddenRealizerStrategy, LinearOrder, Transcript
 from olcp.cli import main
 
 
@@ -54,6 +54,26 @@ def test_play_reruns_are_byte_identical(tmp_path, capsys):
         assert code == 0
         files.append(path.read_bytes())
     assert files[0] == files[1]
+
+
+def test_play_prints_each_violation_and_exits_1(capsys, monkeypatch):
+    extract = HiddenRealizerStrategy.extract_realizer
+
+    def reversed_second_order(self):
+        realizer = extract(self)
+        realizer.orders[1] = LinearOrder(reversed(realizer.orders[1].sequence))
+        return realizer
+
+    monkeypatch.setattr(HiddenRealizerStrategy, "extract_realizer", reversed_second_order)
+    code, out, _ = run(
+        capsys, "play", "--strategy", "theorem1", "--width", "2",
+        "--partitioner", "first-fit",
+    )
+    assert code == 1
+    assert out.splitlines() == [
+        "10 points, 4 colors, bound 2.58579, FAIL",
+        "violation: extracted realizer does not realize the presented poset",
+    ]
 
 
 def test_play_dim_is_required_for_visible_games(capsys):

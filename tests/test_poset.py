@@ -194,6 +194,16 @@ def test_insert_rejects_duplicates_and_unknown_anchor():
         order.insert_above(5, 2)
 
 
+def test_reorder_rewrites_a_block_and_its_positions():
+    order = LinearOrder([1, 2, 3, 4])
+    assert order.positions() == {1: 0, 2: 1, 3: 2, 4: 3}
+    order.reorder(1, [3, 2])
+    assert order.sequence == [1, 3, 2, 4]
+    assert order.positions() == {1: 0, 3: 1, 2: 2, 4: 3}
+    order.insert_above(3, 5)
+    assert order.sequence == [1, 3, 5, 2, 4]
+
+
 def test_restrict_preserves_order():
     order = LinearOrder([4, 1, 3, 2])
     assert order.restrict({3, 4}).sequence == [4, 3]

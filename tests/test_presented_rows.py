@@ -38,21 +38,11 @@ def brute_intersection(hosts: list[LinearOrder]) -> set[tuple[int, int]]:
 
 
 def host_relations(strategy) -> set[tuple[int, int]]:
-    """The presented relation, from the strategy's hidden hosts alone:
-    szemeredi's two hosts intersected; in theorem1, each level's hosts
-    intersected, plus the wrap sets (masks) that put a level's points above
-    or below earlier levels' points."""
+    """The presented relation, from the strategy's two hidden hosts alone,
+    intersected."""
     if strategy.name == "szemeredi":
         return brute_intersection([strategy.scan_host, strategy.stack_host])
-    rel: set[tuple[int, int]] = set()
-    for level in strategy._levels:
-        pts = level.hosts[0].sequence
-        rel |= brute_intersection(level.hosts)
-        below = [x for x in strategy.poset if level.extra_below >> x & 1]
-        above = [x for x in strategy.poset if level.extra_above >> x & 1]
-        rel |= {(x, y) for x in below for y in pts}
-        rel |= {(y, x) for x in above for y in pts}
-    return rel
+    return brute_intersection(strategy.hosts)
 
 
 class CheckingFirstFit(FirstFit):
