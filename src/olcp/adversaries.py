@@ -22,9 +22,12 @@ one point per round:
     poset are global, grown insertion-only, and *shown to the partitioner
     every round*.  The forced color count degrades gracefully with d.
 
-Both staged games keep their levels in one list, widest first; the last
-level plays each round, and a finished level above width 1 has the
-strategy lay out the next one down in windows of the orders it grows; a
+Every strategy grows its realizer as ``orders``, and ``d`` is their
+number exactly when the partitioner sees them.  ``theorem1`` is the staged
+game over two orders with ``d`` None, ``theorem2`` the one over d orders
+shown, and one driver plays both.  It keeps the levels in one list, widest
+first; the last level plays each round, and a finished level above width 1
+has the driver lay out the next one down in windows of the orders; a
 hidden-host level first splices its block of them from ``width`` to ``t``.
 
 Strategies follow a small protocol: ``done()``, ``next_move() -> Move``,
@@ -253,9 +256,13 @@ def _bank_chains(p: Poset, bank: _Bank, dual: bool) -> dict[int, list[int]]:
 
 
 class Strategy:
-    """Base for adversary strategies: owns the poset, records colors."""
+    """Base for adversary strategies: owns the poset, records colors, and
+    grows ``orders``, its realizer: the linear orders whose intersection is
+    the presented poset.  ``d`` is their number when the partitioner sees
+    them, and None when they stay hidden."""
 
     name = "?"
+    orders: list[LinearOrder]
 
     def __init__(self, w: int):
         self.w = w
@@ -299,16 +306,22 @@ class Strategy:
         self._after_color(e, color)
 
     def realizer_snapshot(self) -> tuple[LinearOrder, ...] | None:
-        """Visible realizer, when this strategy plays with one on the table."""
-        return None
+        """Copies of the orders when the partitioner sees them, else None."""
+        return None if self.d is None else tuple(order.copy() for order in self.orders)
+
+    def extract_realizer(self) -> Realizer:
+        """Copies of the orders, whose intersection is the presented poset."""
+        if not self.done():
+            raise StrategyInvariantError("realizer requested mid-game")
+        return Realizer([order.copy() for order in self.orders])
 
 
 class SzemerediStrategy(Strategy):
     """The two-host forcing game at width w.
 
-    The presented poset is the same whichever chain index k the hidden
-    hosts are tuned to; k only moves the certified chains around inside
-    them.
+    ``orders`` holds the scan and the stack host, hidden.  The presented
+    poset is the same whichever chain index k they are tuned to; k only
+    moves the certified chains around inside them.
     """
 
     name = "szemeredi"
@@ -317,12 +330,9 @@ class SzemerediStrategy(Strategy):
         check_strategy(self.name, w, k=k)
         super().__init__(w)
         self.k = w if k is None else k
-        self.scan_host = LinearOrder()
-        self.stack_host = LinearOrder()
-        self._bank = _Bank([
-            Builder(BuilderSpec("scan", self.k, w), Region(BOTTOM, TOP), self.scan_host),
-            Builder(BuilderSpec("stack", self.k, w), Region(BOTTOM, TOP), self.stack_host),
-        ])
+        self.orders = [LinearOrder(), LinearOrder()]
+        self._bank = _Bank([Builder(BuilderSpec(family, self.k, w), Region(BOTTOM, TOP), host)
+                            for family, host in zip(("scan", "stack"), self.orders)])
 
     def done(self) -> bool:
         return self._bank.done
@@ -346,12 +356,6 @@ class SzemerediStrategy(Strategy):
         chains = _bank_chains(self.poset, self._bank, dual=False)
         return RainbowChains(chains, frozenset(self.poset.elements))
 
-    def extract_realizer(self) -> Realizer:
-        """The two hidden hosts, whose intersection is the presented poset."""
-        if not self.done():
-            raise StrategyInvariantError("realizer requested mid-game")
-        return Realizer([self.scan_host.copy(), self.stack_host.copy()])
-
 
 # ---------------------------------------------------------------------------
 # staged realizer games
@@ -361,14 +365,15 @@ class _GameLevel:
     """One width level of a staged game: forcing stage, mirrored stage,
     then the separator choice, after which ``stage`` is 3.
 
-    Stage one runs one root builder per host, in one window of each; the
-    intersection of the hosts gives the level's relations, to earlier
-    levels too.  The mirrored stage follows from those builders alone.
-    ``t_range`` bounds the separator's chain index, and ``d`` is the number
-    of visible orders (None: the scan and the stack host, hidden; the level
-    plays its block of them tuned to chain index ``width``, keeps it in
-    ``kept`` when it finishes, and splices it in place to ``t``).  The
-    strategy lays a level out; the level never sees the next.
+    Stage one runs one root builder per order of the strategy, in one
+    window of each; the intersection of the orders gives the level's
+    relations, to earlier levels too.  The mirrored stage follows from those
+    builders alone.  ``t_range`` bounds the separator's chain index, and
+    ``d`` is the strategy's: the number of orders when shown, or None for
+    two hidden hosts, where the level plays its block of them tuned to chain
+    index ``width``, keeps it in ``kept`` when it finishes, and splices it
+    in place to ``t``.  The strategy lays a level out; the level never sees
+    the next.
 
     A level holds the owning strategy's poset and color record, never the
     strategy or another level, so a finished game is freed without the
@@ -490,13 +495,20 @@ class _GameLevel:
 
 
 class _StagedStrategy(Strategy):
-    """Driver of a staged game.  It keeps its levels in one list, widest
-    first: the last level places each point and takes its color, and when
-    a level above width 1 finishes, ``_next_level`` lays out the next one
-    down and appends it.  Only a color moves a level on, so the level that
-    placed a point takes its color."""
+    """Driver of a staged game over its m orders, hidden (``d`` None, m = 2)
+    or shown (m = d).  It keeps its levels in one list, widest first: the
+    last level places each point and takes its color, and when a level
+    above width 1 finishes, the next one down is laid out in windows of
+    the orders and appended.  Only a color moves a level on, so the level
+    that placed a point takes its color."""
 
     _levels: list[_GameLevel]
+
+    def __init__(self, w: int, d: int | None, orders: list[LinearOrder]):
+        super().__init__(w)
+        self.d = d
+        self.orders = orders
+        self._levels = [self._new_level(w, [Region(BOTTOM, TOP)] * len(orders))]
 
     def done(self) -> bool:
         return self._levels[-1].stage == 3
@@ -508,10 +520,21 @@ class _StagedStrategy(Strategy):
         level = self._levels[-1]
         level.observe(e, color)
         if level.stage == 3 and level.width > 1:
-            self._levels.append(self._next_level(level))
+            # The separator's home order: the first hidden host, spliced to t,
+            # or the visible order that keeps chain t lowest.
+            j_t = 0 if self.d is None else level.t - (level.width - len(self.orders) + 2)
+            self._levels.append(self._new_level(level.width - 1, self._windows(level, j_t)))
 
-    def _next_level(self, level: _GameLevel) -> _GameLevel:
-        raise NotImplementedError
+    def _new_level(self, width: int, regions: list[Region]) -> _GameLevel:
+        """A level in one window of each order: order j < m - 1 keeps chain
+        j0 + j lowest (j0 = width - m + 2), the last the top chain.  Hidden
+        hosts, spliced when the level finishes, may separate at any chain."""
+        m = len(self.orders)
+        j0 = width - m + 2
+        specs = [BuilderSpec("scan", j0 + j, width) for j in range(m - 1)]
+        specs.append(BuilderSpec("stack", width, width))
+        t_range = (1 if self.d is None else max(1, j0), width)
+        return _GameLevel(self.poset, self.colors, width, self.orders, specs, regions, t_range, self.d)
 
     def _windows(self, level: _GameLevel, j_t: int) -> list[Region]:
         """The next level's windows, chosen so that, by position alone,
@@ -543,39 +566,24 @@ class _StagedStrategy(Strategy):
 class HiddenRealizerStrategy(_StagedStrategy):
     """Staged game whose presented poset always has a two-order realizer.
 
-    The two hosts stay hidden during play (the point: even a partitioner
-    that knows the rules cannot exploit them) and can be extracted
-    afterwards for verification.
+    Its ``orders`` are two hosts that stay hidden during play (the point:
+    even a partitioner that knows the rules cannot exploit them); each
+    level's block of them is spliced to its ``t`` when the level finishes,
+    and they can be extracted afterwards for verification.
     """
 
     name = "theorem1"
 
     def __init__(self, w: int):
         check_strategy(self.name, w)
-        super().__init__(w)
-        self.hosts = (LinearOrder(), LinearOrder())
-        self._levels = [self._new_level(w, [Region(BOTTOM, TOP)] * 2)]
+        super().__init__(w, None, [LinearOrder(), LinearOrder()])
 
     def bound(self) -> float:
         return theorem1_total(self.w)
 
-    def _new_level(self, width: int, regions: list[Region]) -> _GameLevel:
-        """A level in windows of the hidden hosts, tuned to chain index ``width``."""
-        specs = [BuilderSpec(family, width, width) for family in ("scan", "stack")]
-        return _GameLevel(self.poset, self.colors, width, self.hosts, specs, regions, (1, width))
-
-    def _next_level(self, level):  # the scan host, spliced to t, keeps chain t lowest
-        return self._new_level(level.width - 1, self._windows(level, 0))
-
-    # bench/tracing.py wraps level_reports in each concrete class's own namespace.
+    # bench/tracing.py wraps these in each concrete class's own namespace.
     level_reports = _StagedStrategy.level_reports
-
-    def extract_realizer(self) -> Realizer:
-        """The two hidden hosts, each level's block spliced to its ``t``:
-        every level sits between its separator's blocks in both."""
-        if not self.done():
-            raise StrategyInvariantError("realizer requested mid-game")
-        return Realizer([host.copy() for host in self.hosts])
+    extract_realizer = Strategy.extract_realizer
 
 
 class PresentedRealizerStrategy(_StagedStrategy):
@@ -589,37 +597,15 @@ class PresentedRealizerStrategy(_StagedStrategy):
 
     def __init__(self, w: int, d: int):
         check_strategy(self.name, w, d=d)
-        super().__init__(w)
-        self.d = d
-        self.orders = [LinearOrder() for _ in range(d)]
-        self._levels = [self._new_level(w, [Region(BOTTOM, TOP)] * d)]
+        super().__init__(w, d, [LinearOrder() for _ in range(d)])
 
     def bound(self) -> float:
         return theorem2_total(self.w, self.d)
 
-    def _new_level(self, width: int, regions: list[Region]) -> _GameLevel:
-        """A level living inside the d visible orders, one window each;
-        cross-level relations come from where the windows sit."""
-        d = self.d
-        specs = [BuilderSpec("scan", width - d + 2 + j, width) for j in range(d - 1)]
-        specs.append(BuilderSpec("stack", width, width))
-        return _GameLevel(self.poset, self.colors, width, self.orders, specs, regions,
-                          (max(1, width - d + 2), width), d)
-
-    def _next_level(self, level):  # visible order j keeps chain width - d + 2 + j lowest
-        j_t = level.t - (level.width - self.d + 2)
-        return self._new_level(level.width - 1, self._windows(level, j_t))
-
-    def realizer_snapshot(self):
-        return tuple(order.copy() for order in self.orders)
-
-    # bench/tracing.py wraps level_reports in each concrete class's own namespace.
+    # bench/tracing.py wraps these in each concrete class's own namespace.
     level_reports = _StagedStrategy.level_reports
-
-    def extract_realizer(self) -> Realizer:
-        if not self.done():
-            raise StrategyInvariantError("realizer requested mid-game")
-        return Realizer([order.copy() for order in self.orders])
+    extract_realizer = Strategy.extract_realizer
+    realizer_snapshot = Strategy.realizer_snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +626,8 @@ def check_strategy(name: str, w: int, d: int | None = None, k: int | None = None
     """
     if name not in STRATEGY_NAMES:
         raise ValueError(f"unknown strategy {name!r}")
+    if type(w) is not int:
+        raise ValueError("w must be an integer")
     if w < 1:
         raise ValueError("w must be at least 1")
     if name == PresentedRealizerStrategy.name:
@@ -649,6 +637,8 @@ def check_strategy(name: str, w: int, d: int | None = None, k: int | None = None
         raise ValueError("d belongs only to visible-order games")
     if k is not None and name != SzemerediStrategy.name:
         raise ValueError("k belongs only to the szemeredi game")
+    if k is not None and type(k) is not int:
+        raise ValueError("k must be an integer")
     if k is not None and not 1 <= k <= w:
         raise ValueError(f"k must satisfy 1 <= k <= w, got k={k}")
 

@@ -474,12 +474,14 @@ class _ExtensionWatch:
     each order grew by inserting just the new element, directly above its
     recorded anchor, and everything already placed kept its relative
     position.  The first break, a round without an insertion record
-    included, is reported and ends the watch.
+    included, is reported and ends the watch.  Only orders the partitioner
+    sees (``strategy.d`` set) are watched: hidden hosts are spliced in
+    place, and their moves carry no ``ext``.
     """
 
     def __init__(self, strategy: Strategy):
-        self.orders: Sequence[LinearOrder] | None = getattr(strategy, "orders", None)
-        self.replicas = None if self.orders is None else [list(o.sequence) for o in self.orders]
+        self.orders = strategy.orders
+        self.replicas = None if strategy.d is None else [list(o.sequence) for o in self.orders]
 
     def check(self, rnd: int, e: int, ext: tuple[int | None, ...] | None,
               out: list[str]) -> None:
@@ -538,7 +540,7 @@ def build_report(strategy: Strategy, part: ChainPartition,
         # The chain the hosts are tuned to must come first in the scan host,
         # before every other point of the game.
         pinned = rb.chains.get(strategy.k, [])
-        if strategy.scan_host.sequence[: len(pinned)] != pinned:
+        if strategy.orders[0].sequence[: len(pinned)] != pinned:
             violations.append(
                 f"tuned chain {strategy.k} is not lowest in the scan host")
     else:
@@ -622,7 +624,8 @@ def _check_order_separation(strategy: Strategy, rep: LevelReport, tag: str,
                             tuned: Sequence[tuple[LinearOrder, LinearOrder]]) -> list[str]:
     """Placement checks in the keeper orders (the visible orders, or ``tuned``, a hidden-host
     level's pair tuned to each chain index): each certified chain sits at the bottom of the
-    order tuned to it, and the top mirrored chain at the top of every mirror-keeper order."""
+    order tuned to it, and the top mirrored chain at the top of every mirror-keeper order.
+    A chain size the report lacks is skipped; the cover checks name it."""
     if rep.hosts is not None:
         forcing = [(k, "its keeper order", scan) for k, (scan, _) in enumerate(tuned, start=1)]
         mirror = [(f"keeper order {k}", stack) for k, (_, stack) in enumerate(tuned, start=1)]
@@ -636,11 +639,10 @@ def _check_order_separation(strategy: Strategy, rep: LevelReport, tag: str,
     v: list[str] = []
     s1, s2 = set(rep.s1_points), set(rep.s2_points)
     for k, name, order in forcing:
-        seq = order.restrict(s1).sequence
-        if seq[: len(rep.chains[k])] != rep.chains[k]:
+        if k in rep.chains and order.restrict(s1).sequence[: len(rep.chains[k])] != rep.chains[k]:
             v.append(f"{tag}: chain {k} is not lowest in {name}")
-    top_mirror = rep.dual_chains[rep.width]
-    for name, order in mirror:
+    top_mirror = rep.dual_chains.get(rep.width)
+    for name, order in mirror if top_mirror is not None else ():
         seq = order.restrict(s2).sequence
         if seq[len(seq) - len(top_mirror):] != top_mirror:
             v.append(f"{tag}: top mirrored chain is not highest in {name}")
@@ -676,7 +678,7 @@ def verify_transcript(t: Transcript) -> list[str]:
         # main replay did not report shows a different game.
         main = set(v)
         elements = strategy.poset._elements
-        hosts = [h.restrict(elements) for h in (strategy.scan_host, strategy.stack_host)]
+        hosts = [h.restrict(elements) for h in strategy.orders]
         rows = _realized_rows(hosts, len(elements) + 1)
         for k, (_, tuned) in enumerate(
                 _chain_index_rows(*hosts, rows, strategy._bank.blocks(t.w - 1)), start=1):

@@ -29,6 +29,7 @@ from olcp import (
 )
 from olcp import adversaries
 from olcp.adversaries import _Bank
+from olcp.arena import _ExtensionWatch
 from olcp.builders import BOTTOM, TOP, Builder, BuilderSpec, Region, splice
 
 from poset_oracles import antichain, chain, from_pairs, relation_pairs
@@ -102,8 +103,8 @@ def test_two_host_game_width2_first_fit_trace():
     assert len(s.poset) == 4
     assert [row.color for row in t.rounds] == [1, 1, 2, 3]
     assert relation_pairs(s.poset) == {(1, 2), (1, 3), (4, 2)}
-    assert s.scan_host.sequence == [1, 3, 4, 2]
-    assert s.stack_host.sequence == [4, 1, 2, 3]
+    assert s.orders[0].sequence == [1, 3, 4, 2]  # the scan host
+    assert s.orders[1].sequence == [4, 1, 2, 3]  # the stack host
     rb = s.rainbow()
     assert rb.chains == {2: [1, 3], 1: [4]}
     assert r.width == 2 and r.colors == 3 and r.bound == 3
@@ -351,6 +352,65 @@ def test_visible_game_moves_carry_extension_anchors():
 def test_hidden_strategies_do_not_expose_orders():
     assert SzemerediStrategy(2).realizer_snapshot() is None
     assert HiddenRealizerStrategy(2).realizer_snapshot() is None
+
+
+class RealizerReader:
+    """First-fit, or uniform random with a seed, that reads the realizer on
+    the table every round and checks it against the strategy's orders."""
+
+    def __init__(self, strategy, seed=None):
+        self.strategy = strategy
+        self.inner = FirstFit() if seed is None else RandomValid(seed)
+        self.name = self.inner.name
+
+    def choose(self, view):
+        seen, orders = view.realizer, self.strategy.orders
+        if self.strategy.d is None:
+            assert seen is None
+        else:
+            assert list(seen) == orders
+            assert not any(a is b for a in seen for b in orders)
+        return self.inner.choose(view)
+
+
+REALIZER_GAMES = [
+    *[("szemeredi", w, None, k) for w in range(1, 6) for k in (None, (w + 1) // 2)],
+    *[("theorem1", w, None, None) for w in range(1, 6)],
+    *[("theorem2", w, d, None) for w in range(1, 6) for d in (2, 3, 4)],
+]
+
+
+@pytest.mark.parametrize("opponent", [None, 0, 1, 2])
+@pytest.mark.parametrize("name, w, d, k", REALIZER_GAMES)
+def test_every_strategy_keeps_its_realizer_in_orders(name, w, d, k, opponent):
+    """One attribute holds the realizer: the partitioner sees copies of it
+    exactly when ``d`` is set, and the extracted realizer copies it."""
+    s = make_strategy(name, w, k=k, d=d)
+    assert s.d == d
+    _, r = run_game(s, RealizerReader(s, opponent))
+    assert r.ok
+    extracted = s.extract_realizer().orders
+    assert extracted == s.orders
+    assert not any(a is b for a in extracted for b in s.orders)
+
+
+def test_hidden_hosts_are_not_watched():
+    assert _ExtensionWatch(HiddenRealizerStrategy(3)).replicas is None
+
+
+@pytest.mark.parametrize("opponent", [None, 0, 1, 2])
+def test_two_visible_orders_separate_at_the_top_chain_hidden_hosts_anywhere(opponent):
+    """With d = 2 the visible orders keep only chain ``width`` lowest, so every
+    level separates there; two hidden hosts are spliced to any chain."""
+    partitioner = FirstFit() if opponent is None else RandomValid(opponent)
+    ts = []
+    for w in range(1, 6):
+        _, shown = run_game(PresentedRealizerStrategy(w, 2), partitioner)
+        assert all(rep.t == rep.width for rep in shown.levels)
+        _, hidden = run_game(HiddenRealizerStrategy(w), partitioner)
+        ts += [(rep.t, rep.width) for rep in hidden.levels]
+    assert all(1 <= t <= width for t, width in ts)
+    assert any(t < width for t, width in ts)
 
 
 def test_visible_game_dimension_validation():

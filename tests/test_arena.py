@@ -474,8 +474,8 @@ def test_szemeredi_tuned_chain_off_the_scan_host_bottom_is_named():
     s = make_strategy("szemeredi", 3)
     t, report = run_game(s, FirstFit())
     assert report.ok
-    lowest, *rest = s.scan_host.sequence
-    s.scan_host = LinearOrder([*rest, lowest])
+    lowest, *rest = s.orders[0].sequence
+    s.orders[0] = LinearOrder([*rest, lowest])
     violations = arena.build_report(s, _played_colors(t)).violations
     assert "tuned chain 3 is not lowest in the scan host" in violations
 
@@ -498,6 +498,24 @@ def test_level_chains_off_sizes_1_to_width_are_named(name, d):
         "level 3: chain 4 has 0 points",
         "level 3 mirror: chain 4 has 0 points",
     ]
+
+
+@pytest.mark.parametrize("field, size, message", [
+    ("chains", 2, "level 3: forcing chains do not cover sizes 1..3"),
+    ("dual_chains", 3, "level 3: mirrored chains do not cover sizes 1..3"),
+])
+@pytest.mark.parametrize("name, d", [("theorem1", None), ("theorem2", 3)])
+def test_level_chains_missing_a_size_are_named_not_raised(name, d, field, size, message):
+    """A level report that lacks a chain size: the cover check names it, and
+    the keeper checks skip that size instead of raising KeyError."""
+    s = make_strategy(name, 3, d=d)
+    t, _ = run_game(s, FirstFit())
+    part = _played_colors(t)
+    reports = s.level_reports()
+    rep = reports[0]
+    kept = {k: v for k, v in getattr(rep, field).items() if k != size}
+    reports[0] = dataclasses.replace(rep, **{field: kept})
+    assert arena._check_levels(s, part, reports) == [message]
 
 
 def test_live_relations_off_the_visible_orders_fail_the_realizer_check():

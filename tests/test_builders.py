@@ -443,11 +443,8 @@ class EveryChainIndex(HiddenRealizerStrategy):
     """theorem1 played level by level in an ``EveryChainIndexLevel`` each;
     the colors alone drive it, and it is never reported."""
 
-    def _new_level(self, width, regions=None):
+    def _new_level(self, width, regions):
         return EveryChainIndexLevel(self.poset, self.colors, width)
-
-    def _next_level(self, level):
-        return self._new_level(level.width - 1)
 
 
 @pytest.mark.parametrize("opponent", ["first-fit", 0, 1, 2])

@@ -40,9 +40,7 @@ def brute_intersection(hosts: list[LinearOrder]) -> set[tuple[int, int]]:
 def host_relations(strategy) -> set[tuple[int, int]]:
     """The presented relation, from the strategy's two hidden hosts alone,
     intersected."""
-    if strategy.name == "szemeredi":
-        return brute_intersection([strategy.scan_host, strategy.stack_host])
-    return brute_intersection(strategy.hosts)
+    return brute_intersection(strategy.orders)
 
 
 class CheckingFirstFit(FirstFit):

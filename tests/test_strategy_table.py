@@ -64,3 +64,18 @@ def test_every_entry_point_agrees(name, w, d, k, accepted, tmp_path, capsys):
         verdicts["Transcript.parse"] = _accepts(
             lambda: Transcript.parse(json.dumps(header) + "\n"), TranscriptError)
     assert verdicts == dict.fromkeys(verdicts, accepted)
+
+
+@pytest.mark.parametrize("name, w, d, k, message", [
+    ("szemeredi", True, None, None, "w must be an integer"),
+    ("theorem1", 2.0, None, None, "w must be an integer"),
+    ("theorem2", "2", 2, None, "w must be an integer"),
+    ("szemeredi", 3, None, True, "k must be an integer"),
+    ("szemeredi", 3, None, 2.0, "k must be an integer"),
+])
+def test_a_width_or_chain_index_that_is_not_an_int_is_refused(name, w, d, k, message):
+    """A bool or a float would play a game whose header no parse accepts, or
+    fail mid-game; the validator refuses it, naming the parameter first."""
+    with pytest.raises(ValueError) as err:
+        make_strategy(name, w, k=k, d=d)
+    assert str(err.value) == message
