@@ -11,8 +11,9 @@ the masks that strategies present and the verifier compares.  Such a row
 is written from an id-text table (``_round_line``), any other by
 ``json.dumps`` (``_round_json``); a line's fields are checked in line order.
 Most lists repeat one of the previous row's two lists or add one id above
-its top, so such a list is written from that list's text (and the id's)
-and cut from the text before decoding.
+its top; such a list is written from that list's text (and the id's) and
+read back as its mask.  A line so written is read by matching the text
+around its two lists (``_canonical_row``), any other is decoded whole.
 ``verify_transcript`` re-runs the named strategy against the recorded
 colors — internal orders are re-derived, never trusted — and layers every
 structural check on top: per-round relation equality, chain validity,
@@ -32,6 +33,7 @@ visible orders from the recorded insertion anchors, so ``play`` and
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import dataclass, field
 from functools import reduce
@@ -170,10 +172,9 @@ class Transcript:
     @classmethod
     def parse(cls, text: str) -> "Transcript":
         """The transcript ``text`` holds, each row's id lists checked and kept
-        as masks; ``TranscriptError`` names the first line at fault.  A list
-        body whose text equals one of the previous row's two, or adds one id
-        above the top of one of them, is cut from the line before decoding
-        and takes its mask (``_list_spans``, ``_kept_mask``)."""
+        as masks; ``TranscriptError`` names the first line at fault.  A round
+        line as ``serialize`` writes it is read by ``_canonical_row``; any
+        other is decoded whole, and the next line's lists are decoded too."""
         lines = text.splitlines()
         if not lines:
             raise TranscriptError("empty transcript")
@@ -200,37 +201,29 @@ class Transcript:
         last: dict[str, int] = {}  # the previous row's list bodies and their masks
         ids = dict(zip(map(str, range(1, len(lines))), range(1, len(lines))))  # id text -> id
         for n, raw in enumerate(lines[1:], start=2):
-            spans = _list_spans(raw) or ()
-            bodies = [raw[i:j] for i, j in spans]
-            kept = [_kept_mask(body, last, ids) for body in bodies] or [None, None]
-            ends = [0, *(x for span, m in sorted(zip(spans, kept)) if m is not None for x in span)]
-            cut = "".join([raw[i:j] for i, j in zip(ends[::2], [*ends[1::2], len(raw)])])
-            if "\\" in cut or cut.count('"below"') != 1 or cut.count('"above"') != 1:
-                bodies, kept = [], [None, None]  # decode the whole line, remember no body
-            else:
-                raw = cut  # "[...]" became "[]"
-            obj = _parse_object(raw, n)
-            _expect_keys(obj, _ROUND_FIELDS, ("ext",), n)
-            rnd = _field_int(obj, "round", n, minimum=1)
-            if rnd != n - 1:
-                raise TranscriptError(f"round {rnd} out of sequence", line=n)
-            element = _field_int(obj, "element", n, minimum=1)
-            below, above = (_id_list(obj, key, n, len(lines)) if mask is None else mask
-                            for key, mask in zip(("below", "above"), kept))
-            last = dict(zip(bodies, (below, above))) if type(below) is type(above) is int else {}
-            color = _field_int(obj, "color", n, minimum=1)
-            level = _field_int(obj, "level", n, minimum=1)
-            stage = _field_int(obj, "stage", n)
-            if stage not in (1, 2):
-                raise TranscriptError(f"stage must be 1 or 2, got {stage}", line=n)
-            ext: tuple[int | None, ...] | None = None
-            if d is not None:
-                if "ext" not in obj:
-                    raise TranscriptError("visible-order rounds need an ext record", line=n)
-                ext = _parse_ext(obj["ext"], d, n)
-            elif "ext" in obj:
-                raise TranscriptError("ext belongs only to visible-order games", line=n)
-            rounds.append(TranscriptRound(rnd, element, below, above, color, level, stage, ext))
+            row, last = _canonical_row(raw, n, d, last, ids, len(lines)) or (None, {})
+            if row is None:  # decode the whole line, its fields checked in line order
+                obj = _parse_object(raw, n)
+                _expect_keys(obj, _ROUND_FIELDS, ("ext",), n)
+                rnd = _field_int(obj, "round", n, minimum=1)
+                if rnd != n - 1:
+                    raise TranscriptError(f"round {rnd} out of sequence", line=n)
+                element = _field_int(obj, "element", n, minimum=1)
+                below, above = (_id_list(obj, key, n, len(lines)) for key in ("below", "above"))
+                color = _field_int(obj, "color", n, minimum=1)
+                level = _field_int(obj, "level", n, minimum=1)
+                stage = _field_int(obj, "stage", n)
+                if stage not in (1, 2):
+                    raise TranscriptError(f"stage must be 1 or 2, got {stage}", line=n)
+                ext: tuple[int | None, ...] | None = None
+                if d is not None:
+                    if "ext" not in obj:
+                        raise TranscriptError("visible-order rounds need an ext record", line=n)
+                    ext = _parse_ext(obj["ext"], d, n)
+                elif "ext" in obj:
+                    raise TranscriptError("ext belongs only to visible-order games", line=n)
+                row = TranscriptRound(rnd, element, below, above, color, level, stage, ext)
+            rounds.append(row)
         return cls(strategy, w, d, partitioner, seed, rounds, version)
 
 
@@ -332,12 +325,13 @@ def _id_list(obj: dict, key: str, line: int, size: int) -> int | tuple[int, ...]
 
 
 def _kept_mask(body: str, last: dict[str, int], ids: dict[str, int]) -> int | None:
-    """The mask of list body ``body`` if ``parse`` may take it undecoded, else
-    None.  A body in ``last`` (the previous row's two bodies and their masks)
-    takes its mask, and one id's text in ``ids`` takes that id's bit; so does
-    a body in ``last`` with a nonzero mask followed by a comma and such an
-    id above its top, added to that mask.  ``ids`` maps the canonical text
-    of each id below the line count, whose masks ``_id_list`` builds."""
+    """The mask of list body ``body`` if ``_canonical_row`` may take it
+    undecoded, else None.  A body in ``last`` (the previous row's two bodies
+    and their masks) takes its mask, and one id's text in ``ids`` takes that
+    id's bit; so does a body in ``last`` with a nonzero mask followed by a
+    comma and such an id above its top, added to that mask.  ``ids`` maps
+    the canonical text of each id below the line count, whose masks
+    ``_id_list`` builds."""
     mask = last.get(body)
     if mask is not None:
         return mask
@@ -351,22 +345,44 @@ def _kept_mask(body: str, last: dict[str, int], ids: dict[str, int]) -> int | No
     return mask | 1 << x if mask and not mask >> x else None
 
 
-def _list_spans(raw: str) -> list[tuple[int, int]] | None:
-    """Where the bodies of line ``raw``'s ``below`` and ``above`` lists lie:
-    after the first ``"below":[`` and ``"above":[``, each up to its first
-    ``]``; None when either is missing.  A body that ``parse`` cuts out is
-    a flat list of ids: one that decoded before, that list with a canonical
-    id above its top appended, or one canonical id, with no quote or
-    backslash.  So the cut line holds the whole line's keys and backslashes,
-    and when it holds no backslash and each key once, it decodes to the same
-    error, or to the same row once the bodies' masks are put back."""
-    spans = []
-    for key in ('"below":[', '"above":['):
-        i = raw.find(key) + len(key)
-        if i < len(key) or (j := raw.find("]", i)) < 0:
-            return None
-        spans.append((i, j))
-    return spans
+# A round line as ``_round_line`` writes it but for its list bodies: ints of up to 16
+# ASCII digits, as ``int`` reads the other decimal digits that ``\d`` matches.
+_ROW_HEAD = re.compile(r'\{"round":([1-9][0-9]{0,15}),"element":([1-9][0-9]{0,15}),"below":\[')
+_ROW_MIDDLE = '],"above":['
+_EXT_RECORD = r'\[[0-9]{1,16},(?:[1-9][0-9]{0,15}|"BOTTOM")\]'
+_ROW_TAIL = re.compile(rf'\](?:,"ext":\[({_EXT_RECORD}(?:,{_EXT_RECORD})*)\])?'
+                       r',"color":([1-9][0-9]{0,15}),"level":([1-9][0-9]{0,15}),"stage":([12])\}')
+
+
+def _canonical_row(raw: str, n: int, d: int | None, last: dict[str, int], ids: dict[str, int],
+                   size: int) -> tuple[TranscriptRound, dict[str, int]] | None:
+    """Line ``n``'s row and the next line's ``last`` if the line is as
+    ``_round_line`` writes a valid row, else None.  Each list body runs to
+    the first ``]`` and is taken by ``_kept_mask`` or decoded alone by ``_id_list``:
+    one that passes holds only ints, so decoding the whole line gives this row."""
+    head = _ROW_HEAD.match(raw)
+    j = raw.find("]", head.end()) if head else -1
+    k = j + len(_ROW_MIDDLE)  # a "]" not found is -1, where the tail cannot start
+    tail = _ROW_TAIL.fullmatch(raw, raw.find("]", k)) if raw.startswith(_ROW_MIDDLE, j) else None
+    if tail is None or int(head[1]) != n - 1 or (tail[1] is None) != (d is None):
+        return None
+    bodies = raw[head.end():j], raw[k:tail.start()]
+    masks = []
+    for key, body in zip(("below", "above"), bodies):
+        mask = _kept_mask(body, last, ids)
+        if mask is None:
+            try:
+                mask = _id_list({key: json.loads("[" + body + "]")}, key, n, size)
+            except (ValueError, RecursionError, TranscriptError):
+                return None
+        masks.append(mask)
+    records, color, level, stage = tail.groups()
+    pairs = [record.split(",") for record in records[1:-1].split("],[")] if records else ()
+    if d is not None and (len(pairs) != d or any(x != str(i) for i, (x, _) in enumerate(pairs))):
+        return None
+    ext = None if d is None else tuple(None if a == _BOTTOM_TEXT else int(a) for _, a in pairs)
+    row = TranscriptRound(n - 1, int(head[2]), *masks, int(color), int(level), int(stage), ext)
+    return row, dict(zip(bodies, masks)) if type(masks[0]) is type(masks[1]) is int else {}
 
 
 def _parse_ext(raw, d: int, line: int) -> tuple[int | None, ...]:
@@ -657,16 +673,21 @@ def verify_transcript(t: Transcript) -> list[str]:
     """Re-run the whole game from the transcript and report every violation.
 
     Empty list means the transcript is a faithful record of a passing game.
-    A game's first stage one runs builders of widths w..1, each placing at
-    least as many points as its width, so fewer rows than w(w+1)/2 cannot
-    hold a complete game; such a transcript is rejected before any replay,
-    whose setup would cost O(w) or O(d) whatever the row count.
+    A header ``check_strategy`` refuses is one violation.  A game's first
+    stage one runs builders of widths w..1, each placing at least as many
+    points as its width, so fewer rows than w(w+1)/2 cannot hold a complete
+    game; such a transcript is rejected before any replay, whose setup
+    would cost O(w) or O(d) whatever the row count.
 
     A szemeredi transcript is replayed once, tuned to chain index w; the
     other chain indices' hosts are spliced.  Those whose cross pairs agree
     with the main hosts present the main poset, whose faults the main replay
     reported; only the others are compared with the rows (``_chain_index_rows``).
     """
+    try:
+        check_strategy(t.strategy, t.w, d=t.d)
+    except ValueError as exc:
+        return [f"header: {exc}"]
     if len(t.rounds) < t.w * (t.w + 1) // 2:
         return ["transcript ends before the game is over"]
     masks = _relation_masks(t)

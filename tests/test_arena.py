@@ -581,6 +581,24 @@ def test_faults_of_the_main_replay_are_not_repeated_per_chain_index():
     assert verify_transcript(cut) == ["transcript ends before the game is over"]
 
 
+@pytest.mark.parametrize("header, message", [
+    ({"d": 2}, "d belongs only to visible-order games"),
+    ({"w": 2.0}, "w must be an integer"),
+    ({"strategy": "nope"}, "unknown strategy 'nope'"),
+    ({"w": -1}, "w must be at least 1"),
+])
+def test_a_header_no_strategy_plays_is_one_violation(header, message):
+    """A transcript built with a header ``check_strategy`` refuses, which
+    ``Transcript.parse`` refuses on line 1, verifies to one violation
+    naming the header rather than raising."""
+    t, _ = game("theorem1", 2)
+    bad = dataclasses.replace(t, **header)
+    assert verify_transcript(bad) == [f"header: {message}"]
+    with pytest.raises(TranscriptError) as err:
+        Transcript.parse(bad.serialize())
+    assert err.value.line == 1
+
+
 @pytest.mark.parametrize("name, w, d", [
     ("szemeredi", 10**9, None), ("theorem1", 10**9, None),
     ("theorem2", 10**9, 2), ("theorem2", 1, 10**9),

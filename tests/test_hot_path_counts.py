@@ -23,7 +23,8 @@ indices are all accepted by their cross pairs.  A theorem2 report seeds
 its width matching from a chain cover along a visible order, which leaves
 at most a couple of augmenting searches.  Transcript rows stay masks from
 the move to the text and from the text to the verifier, and the visible
-orders are copied only for a partitioner that reads them.
+orders are copied only for a partitioner that reads them.  A played
+transcript's round lines are read as written, none decoded whole.
 """
 
 from __future__ import annotations
@@ -438,3 +439,21 @@ def test_a_theorem2_report_width_needs_few_augmenting_searches(monkeypatch, w, d
     _, report = run_game(make_strategy("theorem2", w, d=d), partitioner)
     assert report.ok and report.width == w
     assert len(augmented) == 1 and augmented[0] <= 2
+
+
+@pytest.mark.parametrize("opponent", ["first-fit", 0])
+@pytest.mark.parametrize("name, w, d", [("szemeredi", 6, None), ("theorem1", 4, None),
+                                        ("theorem2", 4, 2), ("theorem2", 4, 3)])
+def test_a_played_transcript_decodes_only_its_header_whole(monkeypatch, name, w, d, opponent):
+    """Every round line of a played game matches the text written around its
+    lists, so ``Transcript.parse`` decodes the header alone as a whole line."""
+    partitioner = FirstFit() if opponent == "first-fit" else RandomValid(opponent)
+    seed = None if opponent == "first-fit" else opponent
+    transcript, report = run_game(make_strategy(name, w, d=d), partitioner, seed=seed)
+    assert report.ok
+    decoded = []
+    parse_object = arena._parse_object
+    monkeypatch.setattr(arena, "_parse_object",
+                        lambda raw, line: decoded.append(line) or parse_object(raw, line))
+    assert Transcript.parse(transcript.serialize()) == transcript
+    assert decoded == [1]

@@ -1,12 +1,14 @@
-"""Repeated relation lists are cut from the text before decoding.
+"""Round lines as written are read without decoding them whole.
 
-``Transcript.parse`` cuts out a list body whose text equals one of the
-previous row's two bodies, or one of them followed by one id above its top,
-or one id alone, decodes the rest of the line and puts that body's mask
-back (``arena._list_spans`` finds the bodies).  The reference
-is the same parse with the span finder switched off, so that every list is
-decoded: on any one-token mutation of a small transcript, both give the
-same rows, or the same ``TranscriptError`` message and line.
+``Transcript.parse`` reads a line that matches the text ``serialize``
+writes around its two list bodies with ``arena._canonical_row``: a body
+whose text equals one of the previous row's two bodies, or one of them
+followed by one id above its top, or one id alone, takes its mask
+undecoded, and any other body is decoded alone.  Every other line is
+decoded whole.  The reference is the same parse with ``_canonical_row``
+switched off, so that every line is decoded whole: on any one-token
+mutation of a small transcript, or a near miss of the written text, both
+give the same rows, or the same ``TranscriptError`` message and line.
 """
 
 from __future__ import annotations
@@ -28,6 +30,30 @@ _INSERTED = ['"below"', '"above"', "\\", " ", ",", "]", "[", ":", "1", "1.0", "t
 _FIELDS = ['"below":[1],', '"below":[],', '"b\\u0065low":[1],', '"above":[1],']
 
 
+def arabic_indic(m: re.Match) -> str:
+    """Match ``m`` with its last group, a digit, written as the ARABIC-INDIC
+    digit of that value: a decimal digit to ``int``, but not JSON."""
+    return m[1] + chr(0x660 + int(m[2]))
+
+
+# Near misses of the written text, as (pattern, replacement) for one re.sub.
+_NEAR_MISSES = [
+    (r'("below":\[\d+),', r'\1, '),  # "below":[1, 3]: valid JSON, not as written
+    (r'"round":', '"round":0'),  # a round written 01
+    (r'"color":', '"color":0'),
+    (r'"stage"', r'"st\\u0061ge"'),  # an escaped key in the tail
+    (r'\[0,([^\]]*)\],\[1,([^\]]*)\]', r'[1,\2],[0,\1]'),  # ext records out of order
+    ('"BOTTOM"', '"bottom"'),
+    (r'"stage":\d', '"stage":3'),
+    ('"element":', '"element":1000000000000000'),  # an element of 17 digits or more
+    ('"color":', '"ext":[[0,1],[1,1]],"color":'),  # an ext record where none or one belongs
+    (r',"ext":\[.*\](?=,"color")', ''),  # no ext record
+    ('"round":', '"round":1'),  # a round out of sequence
+    (r'("round":\d+)(\d)', arabic_indic),  # a round's last digit not ASCII
+    (r'(\[0,\d+)(\d)', arabic_indic),  # an ext anchor's last digit not ASCII
+]
+
+
 def outcome(text: str):
     """The parsed rows with their kept fields, or the error and its line."""
     try:
@@ -37,7 +63,7 @@ def outcome(text: str):
 
 
 def decoding_every_list(text: str):
-    with mock.patch.object(arena, "_list_spans", lambda raw: None):
+    with mock.patch.object(arena, "_canonical_row", lambda *args: None):
         return outcome(text)
 
 
@@ -73,15 +99,30 @@ def extended(lines: list[str], line: int, side: str, j: int, pick: int) -> str:
 @example(0, 1, "extend", 0, 0, 3)  # [ ,1] after a whitespace-only list
 @example(0, 2, "extend", 0, 12, 0)  # [1,1]: the top repeated
 @example(0, 1, "extend", 0, 35, 0)  # [17]: an id at the line count
+@example(0, 6, "edit", 0, 0, 0)  # [1, 3,5]
+@example(0, 6, "edit", 0, 0, 1)  # "round":07
+@example(0, 6, "edit", 0, 0, 2)  # "color":04
+@example(2, 6, "edit", 0, 0, 3)  # "st\u0061ge"
+@example(2, 27, "edit", 0, 0, 4)  # [[1,26],[0,22],[2,26]]
+@example(2, 28, "edit", 0, 0, 5)  # [0,"bottom"]
+@example(1, 6, "edit", 0, 0, 6)  # "stage":3
+@example(0, 6, "edit", 0, 0, 7)  # "element":10000000000000007
+@example(1, 6, "edit", 0, 0, 8)  # "ext" in a game of hidden orders
+@example(2, 6, "edit", 0, 0, 8)  # a second "ext"
+@example(2, 6, "edit", 0, 0, 9)  # no "ext"
+@example(0, 6, "edit", 0, 0, 10)  # "round":17
+@example(0, 13, "edit", 0, 0, 11)  # "round":1\u0664, which int reads as 14
+@example(2, 27, "edit", 0, 0, 12)  # [0,2\u0662] on round 28, which int reads as 22
 @given(st.integers(0, len(_GAMES) - 1), st.integers(1, 10**6),
-       st.sampled_from(["swap", "delete", "insert", "field", "copy", "extend"]),
+       st.sampled_from(["swap", "delete", "insert", "field", "copy", "extend", "edit"]),
        st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6))
 def test_cutting_repeated_lists_changes_no_row_and_no_error(which, line, op, i, j, pick):
     """A token swapped, deleted or inserted, a field inserted after a comma
     (a second list field, an escaped key, a copy of the line before's
     list), a list replaced by one of the line before's, or by one of them
-    with one more id or a near miss of that (``extended``): the memo gives
-    what decoding every list gives."""
+    with one more id or a near miss of that (``extended``), or a near miss
+    of the written text (``_NEAR_MISSES``): reading lines as written gives
+    what decoding every line whole gives."""
     lines = list(_GAMES[which])
     line = 1 + line % (len(lines) - 1)
     tokens = _TOKEN.findall(lines[line])
@@ -95,6 +136,9 @@ def test_cutting_repeated_lists_changes_no_row_and_no_error(which, line, op, i, 
         side = ("below", "above")[i % 2]
         body = extended(lines, line, side, j, pick)
         lines[line] = re.sub(rf'"{side}":\[[^\]]*\]', f'"{side}":[{body}]', lines[line], count=1)
+    elif op == "edit":
+        pattern, replacement = _NEAR_MISSES[pick % len(_NEAR_MISSES)]
+        lines[line] = re.sub(pattern, replacement, lines[line], count=1)
     else:
         i %= len(tokens) + (op == "insert")
         if op == "swap":
