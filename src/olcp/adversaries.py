@@ -71,7 +71,9 @@ def theorem2_level_threshold(width: int, dim: int) -> float:
 
 
 def theorem2_total(w: int, dim: int) -> float:
-    return sum(theorem2_level_threshold(i, dim) for i in range(1, w + 1))
+    """The level thresholds summed exactly, over the common denominator 2(d - 1),
+    and rounded once: a float sum can land above an integer it equals."""
+    return (w * (w + 1) * (2 * dim - 3) - w * (dim - 1) * (dim - 2)) / (2 * (dim - 1))
 
 
 def separator_threshold(width: int, d: int | None) -> tuple[float, bool]:
@@ -136,8 +138,10 @@ class RainbowChains:
             if stray:
                 problems.append(f"chain {size} leaves its game: {sorted(stray)}")
             chains[size] = pts = [x for x in pts if x in self.universe and x in p]
-            problems += [f"chain {size}: ({x}, {y}) incomparable"
-                         for x, y in p.incomparable_pairs(pts)]
+            m = _mask(pts)
+            if any((below[x] | above[x] | 1 << x) & m != m for x in pts):
+                problems += [f"chain {size}: ({x}, {y}) incomparable"
+                             for x, y in p.incomparable_pairs(pts)]
         sizes = list(chains)
         masks = [_mask(chains[s]) for s in sizes]
         for i, s in enumerate(sizes):

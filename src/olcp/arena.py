@@ -20,9 +20,9 @@ structural check on top: per-round relation equality, chain validity,
 rainbow certificates, separator placement in the keeper orders,
 insertion-only growth of visible orders, thresholds, and realizer
 extraction.  The other chain indices of a szemeredi game or a ``theorem1``
-level are checked without a builder, by one check: their hosts are spliced
-from the two tuned to the widest (``builders.splice``) and accepted by
-their cross pairs, or else their rows are compared with the game's.
+level are checked without a builder, from positions in the two hosts tuned
+to the widest: each is accepted by its cross pairs, or else the hosts tuned
+to it (``_tuned_hosts``) are built and their rows compared with the game's.
 
 Live games and replays share the verification engine: one report builder,
 and one insertion-only checker (``_ExtensionWatch``) that rebuilds the
@@ -37,8 +37,8 @@ import re
 import time
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate, combinations, compress, count, filterfalse
-from operator import and_, not_, or_
+from itertools import accumulate, chain, combinations, compress, count, filterfalse, islice
+from operator import and_, or_
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -52,7 +52,6 @@ from .adversaries import (
     make_strategy,
     separator_threshold,
 )
-from .builders import splice
 from .errors import (
     IllegalMoveError,
     OlcpError,
@@ -579,7 +578,7 @@ def _check_levels(strategy: Strategy, part: ChainPartition,
     """Each level's certificates, separator and keeper orders, read from
     ``p``'s rows, taken once (the mirror's from a view of the mirrored block
     whose below rows are ``p``'s above rows); only a fault found by a mask
-    test is walked.  Hidden hosts are spliced once per chain index."""
+    test is walked.  Hidden hosts are read per chain index, not rebuilt."""
     v: list[str] = []
     p = strategy.poset
     below, above = p._rows()
@@ -613,7 +612,7 @@ def _check_levels(strategy: Strategy, part: ChainPartition,
         sep_colors.append({part.color_of[x] for x in sep})
         if reduce(or_, reach, 0) & deep:
             v.append(f"{tag}: separator is comparable to a deeper point")
-        tuned = []
+        hosts = []
         if rep.hosts is not None:
             # Each chain index's hidden host pair presents the level's rows.
             # One whose cross pairs agree presents the main pair's poset.
@@ -622,12 +621,11 @@ def _check_levels(strategy: Strategy, part: ChainPartition,
             hosts = [h.restrict(ids) for h in rep.hosts]
             main = _realized_rows(hosts, len(rows[0]))
             y_main = _first_difference(*main, *rows, ids)
-            tuned = list(_chain_index_rows(*hosts, main, rep.low_blocks))
-            for k, (_, rows_k) in enumerate(tuned, start=1):
+            for k, rows_k in enumerate(_chain_index_rows(*hosts, main, rep.low_blocks), start=1):
                 y = y_main if rows_k is None else _first_difference(*rows_k, *rows, ids)
                 if y is not None:
                     v.append(f"{tag}: hosts tuned to chain index {k} present other relations at {y}")
-        v += _check_order_separation(strategy, rep, tag, [pair for pair, _ in tuned])
+        v += _check_order_separation(strategy, rep, tag, hosts)
 
     for (i, a), (j, b) in combinations(enumerate(sep_colors), 2):
         if a & b:
@@ -637,30 +635,37 @@ def _check_levels(strategy: Strategy, part: ChainPartition,
 
 
 def _check_order_separation(strategy: Strategy, rep: LevelReport, tag: str,
-                            tuned: Sequence[tuple[LinearOrder, LinearOrder]]) -> list[str]:
-    """Placement checks in the keeper orders (the visible orders, or ``tuned``, a hidden-host
-    level's pair tuned to each chain index): each certified chain sits at the bottom of the
-    order tuned to it, and the top mirrored chain at the top of every mirror-keeper order.
+                            hosts: Sequence[LinearOrder]) -> list[str]:
+    """Placement checks in the keeper orders (the visible orders, or ``_tuned_hosts`` of
+    ``hosts``, a hidden-host level's two restricted to its points, at each chain index): each
+    certified chain sits at the bottom of the order tuned to it, and the top mirrored chain at
+    the top of every mirror-keeper order.  When ``hosts`` hold one multiset, a tuned stack host
+    holds its low points in ``hosts[1]``'s order, and so a mirrored block inside the low block.
     A chain size the report lacks is skipped; the cover checks name it."""
+    s1, s2 = set(rep.s1_points), set(rep.s2_points)
     if rep.hosts is not None:
-        forcing = [(k, "its keeper order", scan) for k, (scan, _) in enumerate(tuned, start=1)]
-        mirror = [(f"keeper order {k}", stack) for k, (_, stack) in enumerate(tuned, start=1)]
+        seq, stack_seq = (h.sequence for h in hosts)
+        stack_s2 = [x for x in stack_seq if x in s2] if sorted(seq) == sorted(stack_seq) else None
+        forcing, mirror = [], []
+        for k, low in enumerate(accumulate(map(set, rep.low_blocks), or_), start=1):
+            scan_k, stack_k = _tuned_hosts(seq, stack_seq, low.__contains__)
+            forcing.append((k, "its keeper order", scan_k))
+            mirror.append((f"keeper order {k}",
+                           stack_s2 if stack_s2 is not None and s2 <= low else [*stack_k]))
     else:
         d = strategy.d
         assert d is not None
         j0 = rep.width - d + 2  # chain k keeps visible order k - j0
-        forcing = [(k, f"visible order {k - j0}", strategy.orders[k - j0])
+        forcing = [(k, f"visible order {k - j0}", strategy.orders[k - j0].sequence)
                    for k in range(max(1, j0), rep.width + 1)]
-        mirror = [("the last visible order", strategy.orders[d - 1])]
+        mirror = [("the last visible order", strategy.orders[d - 1].sequence)]
     v: list[str] = []
-    s1, s2 = set(rep.s1_points), set(rep.s2_points)
     for k, name, order in forcing:
-        if k in rep.chains and order.restrict(s1).sequence[: len(rep.chains[k])] != rep.chains[k]:
+        if k in rep.chains and [*islice(filter(s1.__contains__, order), len(rep.chains[k]))] != rep.chains[k]:
             v.append(f"{tag}: chain {k} is not lowest in {name}")
     top_mirror = rep.dual_chains.get(rep.width)
     for name, order in mirror if top_mirror is not None else ():
-        seq = order.restrict(s2).sequence
-        if seq[len(seq) - len(top_mirror):] != top_mirror:
+        if [*islice(filter(s2.__contains__, reversed(order)), len(top_mirror))][::-1] != top_mirror:
             v.append(f"{tag}: top mirrored chain is not highest in {name}")
     return v
 
@@ -679,10 +684,11 @@ def verify_transcript(t: Transcript) -> list[str]:
     game; such a transcript is rejected before any replay, whose setup
     would cost O(w) or O(d) whatever the row count.
 
-    A szemeredi transcript is replayed once, tuned to chain index w; the
-    other chain indices' hosts are spliced.  Those whose cross pairs agree
-    with the main hosts present the main poset, whose faults the main replay
-    reported; only the others are compared with the rows (``_chain_index_rows``).
+    A szemeredi transcript is replayed once, tuned to chain index w.  Every
+    other chain index must present the same game: one whose cross pairs agree
+    with the main hosts presents the main poset, and any other one's first
+    fault that the main replay did not report (``_chain_index_rows``) shows a
+    different game.
     """
     try:
         check_strategy(t.strategy, t.w, d=t.d)
@@ -694,14 +700,11 @@ def verify_transcript(t: Transcript) -> list[str]:
     strategy = make_strategy(t.strategy, t.w, d=t.d)
     v, part = _replay(strategy, t, masks)
     if isinstance(strategy, SzemerediStrategy):
-        # Every chain index must present the same game.  One whose cross pairs
-        # agree presents the main poset; any other one's first fault that the
-        # main replay did not report shows a different game.
         main = set(v)
         elements = strategy.poset._elements
         hosts = [h.restrict(elements) for h in strategy.orders]
         rows = _realized_rows(hosts, len(elements) + 1)
-        for k, (_, tuned) in enumerate(
+        for k, tuned in enumerate(
                 _chain_index_rows(*hosts, rows, strategy._bank.blocks(t.w - 1)), start=1):
             if tuned is not None:
                 s = next((s for s in _relation_faults(t, tuned, masks) if s not in main), None)
@@ -802,17 +805,14 @@ def _relation_faults(t: Transcript, rows: tuple[list[int], list[int]],
 
 
 def _chain_index_rows(scan: LinearOrder, stack: LinearOrder, rows: tuple[list[int], list[int]],
-                      blocks: Iterable[Iterable[int]]
-                      ) -> Iterator[tuple[tuple[LinearOrder, LinearOrder],
-                                          tuple[list[int], list[int]] | None]]:
-    """For the low block grown by each of ``blocks`` in turn: the hosts
-    ``splice`` tunes to it, and None if they present the poset of ``scan``
-    and ``stack``, whose rows are ``rows``, else their rows, as long as ``rows``.
-    Only cross pairs, one point low and one in the rest, can differ: a low x
-    comes first in the tuned scan host, so it lies below no rest point, and
-    below a rest y iff y follows x's slot (its place in the tuned stack host)
-    in ``scan``.  So the check is the splice's shape, two orders on one set,
-    and each low x's rows; suffix masks and the low mask are built once."""
+                      blocks: Iterable[Iterable[int]]) -> Iterator[tuple[list[int], list[int]] | None]:
+    """For the low block grown by each of ``blocks`` in turn: None if the
+    hosts tuned to it (``_tuned_hosts``) present the poset of ``scan`` and
+    ``stack``, whose rows are ``rows``, else their rows, as long as ``rows``.
+    On one element set, only cross pairs, one point low and one in the rest,
+    can differ: a low x comes first in the tuned scan host, so it lies below
+    no rest point, and below a rest y iff y follows x's slot (its place in
+    the tuned stack host) in ``scan``.  Only a failing block's hosts are built."""
     seq, stack_seq = scan.sequence, stack.sequence
     members = set(seq)
     one_set = len(members) == len(seq) and sorted(seq) == sorted(stack_seq)
@@ -828,18 +828,21 @@ def _chain_index_rows(scan: LinearOrder, stack: LinearOrder, rows: tuple[list[in
             low_mask |= 1 << x
             low_below |= below[x]
         rest, is_low = full & ~low_mask, low.__contains__
-        tuned = splice(scan, stack, low)
-        tuned_scan, tuned_stack = (h.sequence for h in tuned)
-        at_low = bytes(map(is_low, seq))  # 1 where seq holds a low point
-        at_rest = bytes(map(not_, at_low))
-        stack_low = list(filter(is_low, stack_seq))
-        same = (one_set and tuned_scan == [*filter(is_low, seq), *filterfalse(is_low, stack_seq)]
-                and len(tuned_stack) == len(seq) and [*compress(tuned_stack, at_low)] == stack_low
-                and [*compress(tuned_stack, at_rest)] == [*compress(seq, at_rest)]
-                and not low_below & rest
+        same = (one_set and not low_below & rest
                 and not any((above[x] ^ after[i]) & rest
-                            for x, i in zip(stack_low, compress(count(), at_low))))
-        yield tuned, None if same else _realized_rows(list(tuned), len(below))
+                            for x, i in zip(filter(is_low, stack_seq), compress(count(), map(is_low, seq)))))
+        yield None if same else _realized_rows([*map(LinearOrder, _tuned_hosts(seq, stack_seq, is_low))],
+                                               len(below))
+
+
+def _tuned_hosts(seq: list[int], stack_seq: list[int], is_low) -> tuple[Iterator[int], Iterator[int]]:
+    """The scan and stack hosts tuned to the low block ``is_low`` tests, lowest
+    point first, from ``seq`` and ``stack_seq``, the two tuned to the widest:
+    the scan host is ``seq``'s low points, then ``stack_seq``'s rest; the stack host
+    is ``seq`` with its low slots refilled in order by ``stack_seq``'s, while they last."""
+    refill = filter(is_low, stack_seq)
+    return (chain(filter(is_low, seq), filterfalse(is_low, stack_seq)),
+            (next(refill, x) if is_low(x) else x for x in seq))
 
 
 # ---------------------------------------------------------------------------

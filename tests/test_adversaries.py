@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -29,7 +30,7 @@ from olcp import (
 )
 from olcp import adversaries
 from olcp.adversaries import _Bank
-from olcp.arena import _ExtensionWatch
+from olcp.arena import _ExtensionWatch, build_report
 from olcp.builders import BOTTOM, TOP, Builder, BuilderSpec, Region, splice
 
 from poset_oracles import antichain, chain, from_pairs, relation_pairs
@@ -85,6 +86,34 @@ def test_theorem2_total_literals():
     assert [theorem2_total(w, 3) for w in range(1, 7)] == [1, 3.5, 7.5, 13, 20, 28.5]
     for w, want in zip(range(1, 7), [2 / 3, 3, 7, 38 / 3, 20, 29]):
         assert theorem2_total(w, 4) == pytest.approx(want, abs=1e-12)
+
+
+def test_theorem2_total_is_the_exact_sum():
+    """A float sum of the level thresholds reads 330.00000000000006 at
+    w=20, d=8 and 366.00000000000006 at w=21; the exact sums are 330 and 366."""
+    def exact(w, d):
+        return sum(2 * i - Fraction(i, d - 1) - Fraction(d - 2, 2) for i in range(1, w + 1))
+
+    assert theorem2_total(20, 8) == exact(20, 8) == 330
+    assert theorem2_total(21, 8) == exact(21, 8) == 366
+    assert all(theorem2_total(w, d) == float(exact(w, d)) for w in range(1, 60) for d in range(2, 12))
+
+
+def test_a_game_forcing_exactly_an_integer_theorem2_total_meets_its_bound(monkeypatch):
+    """A report whose color count equals ``theorem2_total(20, 8)`` meets
+    that bound: a small game stands in, with its bound and color count set."""
+    s = make_strategy("theorem2", 3, d=8)
+    t, _ = run_game(s, FirstFit())
+    part = ChainPartition()
+    for row in t.rounds:
+        part.assign(row.element, row.color)
+    distinct_colors = ChainPartition.distinct_colors
+    monkeypatch.setattr(ChainPartition, "distinct_colors",
+                        lambda self, pts=None: 330 if pts is None else distinct_colors(self, pts))
+    monkeypatch.setattr(s, "bound", lambda: theorem2_total(20, 8))
+    report = build_report(s, part)
+    assert (report.colors, report.bound, report.bound_met) == (330, 330, True)
+    assert report.ok
 
 
 def test_bound_for_dispatch():

@@ -33,8 +33,10 @@ from olcp import (
     sweep,
     verify_transcript,
 )
-from olcp import arena
+from olcp import adversaries, arena
 from olcp.arena import TranscriptRound
+
+from test_chain_index_check import keeper_checks_of_spliced_hosts
 
 
 def game(name: str, w: int, d=None, seed=None):
@@ -396,32 +398,26 @@ def _swap_ends(order: LinearOrder, keep) -> LinearOrder:
     return LinearOrder(swap.get(x, x) for x in order.sequence)
 
 
-def _tuned(rep) -> list:
-    """A hidden-host level's host pair tuned to each chain index, spliced
-    by ``arena.splice`` as ``_check_levels`` splices it."""
-    return [arena.splice(*rep.hosts, set().union(*rep.low_blocks[:k]))
-            for k in range(1, rep.width + 1)]
-
-
-def test_keeper_checks_fire_on_hidden_hosts(monkeypatch):
+def test_keeper_checks_fire_on_hidden_hosts():
+    """A hidden-host level's keeper orders are read from its two hosts and
+    its low blocks.  With the forcing block's ends swapped in the scan host,
+    chain 2 is not lowest in the scan host tuned to it, the scan host itself.
+    With the mirrored block joining the low block at chain index 2, not 1,
+    the stack host tuned to chain index 1 keeps that block in scan order,
+    whose top is not the top mirrored chain."""
     s = make_strategy("theorem1", 2)
     run_game(s, FirstFit())
     rep = s.level_reports()[0]
-    assert arena._check_order_separation(s, rep, "level 2", _tuned(rep)) == []
-    low_1 = set(rep.low_blocks[0])  # the low block at chain index 1; at 2 it is everything
-    splice = arena.splice
-
-    def swapped(scan, stack, low):
-        scan, stack = splice(scan, stack, low)
-        if low == low_1:
-            return scan, _swap_ends(stack, rep.s2_points)
-        return _swap_ends(scan, rep.s1_points), stack
-
-    monkeypatch.setattr(arena, "splice", swapped)
-    assert arena._check_order_separation(s, rep, "level 2", _tuned(rep)) == [
+    scan, stack = rep.hosts
+    assert arena._check_order_separation(s, rep, "level 2", [scan, stack]) == []
+    first, second = rep.low_blocks
+    late = dataclasses.replace(rep, low_blocks=[
+        [x for x in first if x not in rep.s2_points], second + rep.s2_points])
+    hosts = [_swap_ends(scan, rep.s1_points), stack]
+    assert arena._check_order_separation(s, late, "level 2", hosts) == [
         "level 2: chain 2 is not lowest in its keeper order",
         "level 2: top mirrored chain is not highest in keeper order 1",
-    ]
+    ] == keeper_checks_of_spliced_hosts(late, "level 2", hosts)
 
 
 def test_keeper_checks_fire_on_visible_orders():
@@ -553,25 +549,22 @@ def test_extra_round_after_the_end_is_flagged():
     assert any("already over" in v for v in verify_transcript(long))
 
 
-def test_chain_index_that_ends_early_is_flagged(monkeypatch):
-    """Every chain index must present the whole recorded game; a chain
-    index whose spliced hosts end one round early is named at that round,
-    and the main replay is clean."""
-    s = make_strategy("szemeredi", 4)
-    t, _ = run_game(s, FirstFit())
-    n = len(t.rounds)
-    low_1 = set(s._bank.instances()[-1]._in_host_order)  # the width-1 instance's points
-    splice = arena.splice
+def test_a_chain_index_whose_low_block_misses_a_point_is_flagged(monkeypatch):
+    """Every chain index must present the recorded game.  The low blocks
+    come from the main replay's builder bank; with the last point of the
+    width-3 instance's block left out, chain index 3 alone is tuned to
+    another low block, and the first round whose relations differ there
+    is named.  The main replay is clean."""
+    t, _ = run_game(make_strategy("szemeredi", 4), FirstFit())
+    blocks = adversaries._Bank.blocks
 
-    def early(scan, stack, low):
-        hosts = splice(scan, stack, low)
-        return tuple(h.restrict(range(1, n)) for h in hosts) if low == low_1 else hosts
+    def missing(bank, w):
+        *lower, last = blocks(bank, w)
+        return [*lower, last[:-1]]
 
-    monkeypatch.setattr(arena, "splice", early)
-    side = "below" if t.rounds[-1].below else "above"
-    assert getattr(t.rounds[-1], side)
+    monkeypatch.setattr(adversaries._Bank, "blocks", missing)
     assert verify_transcript(t) == [
-        f"chain index 1 presents a different game: round {n}: relations {side} the new element differ"
+        "chain index 3 presents a different game: round 10: relations above the new element differ"
     ]
 
 

@@ -1,30 +1,38 @@
 """A szemeredi transcript's chain indices, checked once at the end.
 
-``verify_transcript`` checks chain indices 1..w-1 by splicing their hosts
-from the main replay's two (``builders.splice``) and comparing the
-relations they present with the rows once, at the end of the game.  The
-oracle here is the check it replaced: one full strategy replay per chain
-index, compared with the rows round by round.  Both must report the same
-violations, in the same order, on played and tampered transcripts alike.
-A fault injected into one chain index's spliced hosts is named by its
-round.  The cross-pair check that lets most chain indices skip that
-comparison accepts, on random orders and low blocks, exactly the splices
-that keep the poset.  A ``theorem1`` level's chain indices go through the
-same check, and ``_check_levels`` says what comparing every chain index's
-spliced hosts with the level's rows said, a moved host point included.
+``verify_transcript`` checks chain indices 1..w-1 from the positions in
+the main replay's two hosts and the low blocks of its builder bank: a
+chain index whose cross pairs agree presents the main poset, and only the
+hosts of any other one are built, by the formula ``builders.splice``
+implements, and their relations compared with the rows once, at the end
+of the game.  The oracle here is the check it replaced: one full strategy
+replay per chain index, compared with the rows round by round.  Both must
+report the same violations, in the same order, on played and tampered
+transcripts alike.  A point moved into one chain index's low block is
+named by its round.  On random orders and low blocks, and on a game's
+hosts with one point moved, the cross-pair check accepts exactly the
+chain indices whose spliced hosts keep the poset, a failing one's rows
+are its spliced hosts', and the keeper checks say what the spliced hosts
+say.  A ``theorem1`` level's chain indices go through the same check, and
+``_check_levels`` says what splicing every chain index's hosts and
+comparing them with the level's rows said, with a host point or the
+mirrored block's low block moved.  ``arena`` imports nothing from
+``builders``.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
-from unittest import mock
+import inspect
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from olcp import FirstFit, RandomValid, Transcript, make_strategy, run_game, verify_transcript
-from olcp import arena
+from olcp import adversaries, arena
 from olcp.builders import BOTTOM, Builder
 from olcp.builders import splice
 from olcp.errors import StrategyInvariantError
@@ -147,39 +155,33 @@ def test_injected_chain_index_faults_are_reported_as_a_replay_per_chain_index_di
     assert got
 
 
-def _moved(low_k: set[int], target: int):
-    """``arena.splice``, except that the stack host of the chain index
-    whose low block is ``low_k`` holds ``target`` at its top."""
-    splice = arena.splice
-
-    def moved(scan, stack, low):
-        tuned_scan, tuned_stack = splice(scan, stack, low)
-        if low == low_k:
-            rest = [x for x in tuned_stack.sequence if x != target]
-            tuned_stack = LinearOrder([*rest, target])
-        return tuned_scan, tuned_stack
-    return moved
+def first_fault_of_spliced_hosts(s, t: Transcript, low: set[int]) -> str | None:
+    """The first relation fault on ``t`` of the hosts ``builders.splice``
+    tunes to the low block ``low`` from the main replay's two."""
+    elements = s.poset._elements
+    tuned = splice(*(h.restrict(elements) for h in s.orders), low)
+    rows = _realized_rows(list(tuned), len(elements) + 1)
+    return next(arena._relation_faults(t, rows, arena._relation_masks(t)), None)
 
 
-@pytest.mark.parametrize("k, late", [(1, False), (3, True)])
-def test_a_point_moved_in_one_spliced_host_is_named_by_its_round(monkeypatch, k, late):
-    """Chain index k's stack host holds one point at its top, not where
-    the splice puts it.  Older points lie above it in the rows but not in
-    that pair of hosts, so the check names chain index k and the point's
-    round, and nothing else: the main replay is clean.  (Older points below
-    it in the scan host may come below it in the pair too.)"""
+@pytest.mark.parametrize("k, late", [(1, False), (2, True), (3, True)])
+def test_a_point_moved_into_one_low_block_is_named_by_its_round(monkeypatch, k, late):
+    """Chain index k's low block gains the first (or last) point of the
+    next wider instance, which leaves every other chain index's low block
+    as it was.  Its spliced hosts present other relations, so the check
+    names chain index k and the first round whose relations differ there,
+    as splicing its hosts says, and nothing else: the main replay is clean."""
     s = make_strategy("szemeredi", W)
     t, _ = run_game(s, FirstFit())
-    n = len(t.rounds)
-    target = n - 3 if late else n // 2
-    assert t.rounds[target - 1].above
-    low_k = {x for inst in s._bank.instances() if inst.spec.w <= k for x in inst._in_host_order}
-    monkeypatch.setattr(arena, "splice", _moved(low_k, target))
-    got = verify_transcript(t)
-    assert len(got) == 1
-    assert got[0].startswith(f"chain index {k} presents a different game: "
-                             f"round {target}: relations ")
-    assert got[0].endswith(" the new element differ")
+    blocks = s._bank.blocks(W - 1)
+    points = set(range(1, len(t.rounds) + 1)).difference(*blocks)
+    wider = blocks[k] if k < len(blocks) else [x for x in s.orders[0].sequence if x in points]
+    x = wider[-1] if late else wider[0]
+    moved = [[*b, x] if i == k - 1 else [y for y in b if y != x] for i, b in enumerate(blocks)]
+    monkeypatch.setattr(adversaries._Bank, "blocks", lambda bank, w: [list(b) for b in moved])
+    fault = first_fault_of_spliced_hosts(s, t, set().union(*moved[:k]))
+    assert fault is not None
+    assert verify_transcript(t) == [f"chain index {k} presents a different game: {fault}"]
 
 
 def test_rounds_the_main_replay_never_reached_are_left_to_it(monkeypatch):
@@ -242,54 +244,141 @@ def _rows(scan: LinearOrder, stack: LinearOrder):
     return _realized_rows([scan, stack], len(scan) + 1)
 
 
-@settings(max_examples=300, deadline=None)
-@given(host_pairs())
-def test_the_cross_pair_check_accepts_exactly_the_splices_that_keep_the_poset(pairs):
-    """For each low block, the check accepts exactly when the two spliced
-    hosts intersect to the poset of the two orders they came from."""
-    scan, stack, blocks = pairs
+def assert_chain_index_rows_say_what_splices_say(scan, stack, blocks) -> None:
+    """For each low block, ``_chain_index_rows`` accepts exactly when the two
+    spliced hosts intersect to the poset of the two orders they came from,
+    and otherwise gives the spliced hosts' rows."""
     low: set[int] = set()
     checks = arena._chain_index_rows(scan, stack, _rows(scan, stack), blocks)
     for block in blocks:
         low |= block
         pair = splice(scan, stack, low)
-        tuned, rows = next(checks)
-        assert tuned == pair
+        rows = next(checks)
         assert (rows is None) == (intersect(pair) == intersect([scan, stack]))
         assert rows is None or rows == _rows(*pair)
     assert next(checks, None) is None
 
 
 @settings(max_examples=300, deadline=None)
-@given(host_pairs(), st.integers(0, 1), st.integers(0, 10**6), st.integers(0, 10**6))
-def test_a_spliced_host_with_a_point_moved_is_accepted_only_if_the_poset_is_kept(
-        pairs, host, point, to):
-    """One point of one spliced host sits elsewhere: acceptance still means
-    that the pair presents the poset of the two orders."""
+@given(host_pairs())
+def test_the_cross_pair_check_accepts_exactly_the_splices_that_keep_the_poset(pairs):
+    assert_chain_index_rows_say_what_splices_say(*pairs)
+
+
+def _game_hosts(w: int, opponent: int | None):
+    s = make_strategy("szemeredi", w)
+    run_game(s, FirstFit() if opponent is None else RandomValid(opponent))
+    return [list(h.sequence) for h in s.orders], [set(b) for b in s._bank.blocks(w - 1)]
+
+
+GAME_HOSTS = [_game_hosts(w, opponent) for w in range(2, 6) for opponent in (None, 0, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(GAME_HOSTS), st.integers(0, 1), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_a_game_host_with_a_point_moved_is_accepted_only_if_the_splice_keeps_the_poset(
+        game, host, point, to):
+    """A played game's two hosts and low blocks, where most chain indices
+    are accepted, with one point of one host moved elsewhere: acceptance
+    still means that the spliced pair presents the poset of the two hosts."""
+    hosts, blocks = game
+    hosts = [list(h) for h in hosts]
+    seq = hosts[host]
+    seq.insert(to % len(seq), seq.pop(point % len(seq)))
+    assert_chain_index_rows_say_what_splices_say(*map(LinearOrder, hosts), blocks)
+
+
+def keeper_checks_of_spliced_hosts(rep, tag: str, hosts) -> list[str]:
+    """``arena._check_order_separation`` of a hidden-host level as it was:
+    the pair tuned to each chain index spliced from ``hosts`` by the union
+    of the report's first k low blocks, restricted to each block."""
+    pairs = [splice(*hosts, set().union(*rep.low_blocks[:k]))
+             for k in range(1, len(rep.low_blocks) + 1)]
+    v = []
+    s1, s2 = set(rep.s1_points), set(rep.s2_points)
+    for k, (scan, _) in enumerate(pairs, start=1):
+        if k in rep.chains and scan.restrict(s1).sequence[: len(rep.chains[k])] != rep.chains[k]:
+            v.append(f"{tag}: chain {k} is not lowest in its keeper order")
+    top = rep.dual_chains.get(rep.width)
+    for k, (_, stack) in enumerate(pairs, start=1):
+        seq = stack.restrict(s2).sequence
+        if top is not None and seq[len(seq) - len(top):] != top:
+            v.append(f"{tag}: top mirrored chain is not highest in keeper order {k}")
+    return v
+
+
+def made_up_level(scan: LinearOrder, stack: LinearOrder, blocks, data) -> SimpleNamespace:
+    """A hidden-host level report on two orders and their low blocks: its
+    points split into a forcing and a mirrored block, its chains the true
+    lowest points of the spliced scan hosts or random ones, its top mirrored
+    chain the true top of a spliced stack host or a random one."""
+    ids = sorted(set(scan.sequence))
+    s2 = data.draw(st.sets(st.sampled_from(ids)))
+    s1 = [x for x in ids if x not in s2]
+    width = len(blocks)
+    chains = {}
+    for k in data.draw(st.sets(st.integers(1, width))):
+        tuned = splice(scan, stack, set().union(*blocks[:k]))[0].restrict(s1).sequence
+        size = data.draw(st.integers(0, len(s1)))
+        chains[k] = tuned[:size] if data.draw(st.booleans()) else data.draw(st.permutations(s1))[:size]
+    low = set().union(*blocks[: data.draw(st.integers(1, width))])
+    top = splice(scan, stack, low)[1].restrict(s2).sequence
+    size = data.draw(st.integers(0, len(top)))
+    dual = data.draw(st.sampled_from([{}, {width: top[len(top) - size:]},
+                                      {width: data.draw(st.permutations(sorted(s2)))[:size]}]))
+    return SimpleNamespace(width=width, s1_points=s1, s2_points=sorted(s2), chains=chains,
+                           dual_chains=dual, hosts=(scan, stack), low_blocks=[sorted(b) for b in blocks])
+
+
+@settings(max_examples=300, deadline=None)
+@given(host_pairs(), st.data())
+def test_keeper_checks_say_what_the_spliced_hosts_say(pairs, data):
     scan, stack, blocks = pairs
-    tuned = []
+    rep = made_up_level(scan, stack, blocks, data)
+    assert arena._check_order_separation(None, rep, "level", [scan, stack]) == (
+        keeper_checks_of_spliced_hosts(rep, "level", [scan, stack]))
 
-    def moved(s, t, low):
-        hosts = [list(h.sequence) for h in splice(s, t, low)]
-        seq = hosts[host]
-        seq.insert(to % len(seq), seq.pop(point % len(seq)))
-        tuned[:] = [LinearOrder(h) for h in hosts]
-        return tuned
 
-    with mock.patch.object(arena, "splice", moved):
-        for pair, rows in arena._chain_index_rows(scan, stack, _rows(scan, stack), blocks):
-            assert pair is tuned
-            assert intersect(tuned) == intersect([scan, stack]) if rows is None else rows == _rows(*tuned)
+@settings(max_examples=200, deadline=None)
+@given(host_pairs(), st.integers(0, 10**6), st.integers(0, 10**6), st.data())
+def test_a_stack_host_that_repeats_a_point_is_read_as_its_splices(pairs, point, to, data):
+    """The stack host holds one point twice, so the two hosts are not one
+    set: no chain index is accepted by its cross pairs, each one's rows are
+    its spliced hosts', and the keeper checks say what those hosts say."""
+    scan, stack, blocks = pairs
+    seq = list(stack.sequence)
+    seq.insert(to % (len(seq) + 1), seq[point % len(seq)])
+    stack = LinearOrder(seq)
+    low: set[int] = set()
+    for block, rows in zip(blocks, arena._chain_index_rows(scan, stack, _rows(scan, stack), blocks)):
+        low |= block
+        assert rows == _realized_rows(list(splice(scan, stack, low)), len(scan) + 1)
+    rep = made_up_level(scan, stack, blocks, data)
+    assert arena._check_order_separation(None, rep, "level", [scan, stack]) == (
+        keeper_checks_of_spliced_hosts(rep, "level", [scan, stack]))
+
+
+def test_arena_imports_nothing_from_builders():
+    """The verifier reads chain indices from the hosts' positions and keeps
+    no strategy code for it: no import of ``olcp.builders`` in ``arena``."""
+    tree = ast.parse(inspect.getsource(arena))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert "builders" not in imported and "olcp.builders" not in imported
+    assert not any(getattr(value, "__module__", None) == "olcp.builders"
+                   for value in vars(arena).values())
 
 
 def levels_with_a_splice_per_chain_index(s, part: ChainPartition, reports) -> list[str]:
     """``arena._check_levels`` as it was: each level's hosts tuned to every
-    chain index k are spliced from its two (``arena.splice``), their rows
-    realized and compared with the level's, and read for the keeper checks."""
+    chain index k are spliced from its two (``builders.splice``) by the union
+    of its first k low blocks, their rows realized and compared with the
+    level's, and read for the keeper checks."""
     v: list[str] = []
     p = s.poset
     sep_colors = []
-    for i, (rep, lvl) in enumerate(zip(reports, s._levels)):
+    for i, rep in enumerate(reports):
         tag = f"level {rep.width}"
         if sorted(rep.chains) != list(range(1, rep.width + 1)):
             v.append(f"{tag}: forcing chains do not cover sizes 1..{rep.width}")
@@ -314,11 +403,8 @@ def levels_with_a_splice_per_chain_index(s, part: ChainPartition, reports) -> li
         if deeper and not p.is_completely_incomparable(sep, deeper):
             v.append(f"{tag}: separator is comparable to a deeper point")
 
-        pairs = []
-        for k in range(1, rep.width + 1):
-            low = {x for inst in lvl._bank.instances() if inst.spec.w <= k
-                   for x in inst._in_host_order}
-            pairs.append(arena.splice(*rep.hosts, low.union(lvl.s2_points)))
+        pairs = [splice(*rep.hosts, set().union(*rep.low_blocks[:k]))
+                 for k in range(1, len(rep.low_blocks) + 1)]
         level = p.restrict(rep.s1_points + rep.s2_points)
         for k, pair in enumerate(pairs, start=1):
             rows = _realized_rows([h.restrict(level._elements) for h in pair], len(level._below))
@@ -352,23 +438,15 @@ def _lowest_moved_up(pair, host: int) -> tuple[LinearOrder, LinearOrder]:
     return tuple(tuned)
 
 
-def _moved_splice(low_k: set[int], host: int):
-    """``arena.splice``, except for the pair tuned to the low block
-    ``low_k``, whose host ``host`` holds its lowest point at its top."""
-    splice = arena.splice
-
-    def moved(scan, stack, low):
-        tuned = splice(scan, stack, low)
-        return _lowest_moved_up(tuned, host) if low == low_k else tuned
-    return moved
-
-
 @pytest.mark.parametrize("opponent", ["first-fit", 0, 1, 2])
 @pytest.mark.parametrize("w", range(1, 7))
-def test_level_checks_say_what_a_splice_per_chain_index_said(monkeypatch, w, opponent):
+def test_level_checks_say_what_a_splice_per_chain_index_said(w, opponent):
     """On a clean theorem1 game, and, for each level in turn, with the
-    lowest point of one host of the pair tuned to one chain index, or of
-    the level's own pair, moved to its top."""
+    mirrored block joining the low block at chain index k + 1, not 1, or
+    with the lowest point of one of the level's two hosts moved to its top.
+    In the first case the scan hosts tuned to chain indices 1..k hold low
+    forcing points below the mirrored block, so those chain indices present
+    other relations; in the second every chain index does."""
     s = make_strategy("theorem1", w)
     t, _ = run_game(s, FirstFit() if opponent == "first-fit" else RandomValid(opponent))
     part = ChainPartition()
@@ -379,12 +457,15 @@ def test_level_checks_say_what_a_splice_per_chain_index_said(monkeypatch, w, opp
         s, part, reports) == []
     for i, rep in enumerate(reports):
         k = i % rep.width + 1
-        with monkeypatch.context() as m:
-            m.setattr(arena, "splice", _moved_splice(set().union(*rep.low_blocks[:k]), i % 2))
-            got = arena._check_levels(s, part, reports)
-            assert got == levels_with_a_splice_per_chain_index(s, part, reports)
-        assert f"level {rep.width}: hosts tuned to chain index {k} present" in "\n".join(got)
+        first, *rest = rep.low_blocks
+        low_blocks = [[x for x in first if x not in rep.s2_points], *rest]
+        if k < rep.width:
+            low_blocks[k] = low_blocks[k] + rep.s2_points
         moved = list(reports)
+        moved[i] = dataclasses.replace(rep, low_blocks=low_blocks)
+        got = arena._check_levels(s, part, moved)
+        assert got == levels_with_a_splice_per_chain_index(s, part, moved)
+        assert sum(f"level {rep.width}: hosts tuned to" in x for x in got) == k
         moved[i] = dataclasses.replace(rep, hosts=_lowest_moved_up(rep.hosts, i % 2))
         got = arena._check_levels(s, part, moved)
         assert got == levels_with_a_splice_per_chain_index(s, part, moved)

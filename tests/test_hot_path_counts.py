@@ -17,14 +17,16 @@ element.  The rows arrive as the masks the builders record in their hosts,
 read from their windows, so no on-line round builds a mask from the ids
 of the poset.  A szemeredi transcript is replayed once, and a
 theorem1 level runs two roots and two dual roots: hosts tuned to other
-chain indices are spliced, by no builder, once per chain index for the
-cross-pair and the keeper checks alike, and a clean level's chain
-indices are all accepted by their cross pairs.  A theorem2 report seeds
-its width matching from a chain cover along a visible order, which leaves
-at most a couple of augmenting searches.  Transcript rows stay masks from
-the move to the text and from the text to the verifier, and the visible
-orders are copied only for a partitioner that reads them.  A played
-transcript's round lines are read as written, none decoded whole.
+chain indices are neither grown by a builder nor spliced, as their
+cross-pair and keeper checks read the two hosts' positions, and a clean
+level's chain indices are all accepted by their cross pairs.  A clean
+report tests each certified chain with one mask test, walking no pairs.
+A theorem2 report seeds its width matching from a chain cover along a
+visible order, which leaves at most a couple of augmenting searches.
+Transcript rows stay masks from the move to the text and from the text to
+the verifier, and the visible orders are copied only for a partitioner
+that reads them.  A played transcript's round lines are read as written,
+none decoded whole.
 """
 
 from __future__ import annotations
@@ -386,11 +388,11 @@ def test_a_clean_theorem1_play_realizes_rows_once_a_level(monkeypatch):
 
 
 @pytest.mark.parametrize("w", range(3, 7))
-def test_a_theorem1_level_splices_each_chain_index_once(monkeypatch, w):
-    """Playing and verifying a clean theorem1 game: the level checks splice
-    each level's hosts once per chain index, one pair for the cross-pair
-    check and the keeper checks, and ``extract_realizer`` once per level.
-    Every module's binding of ``splice`` is counted, with the caller."""
+def test_a_theorem1_level_check_splices_no_chain_index(monkeypatch, w):
+    """Playing and verifying a clean theorem1 game: the level checks read
+    each chain index's hosts from the level's two and splice none; only
+    ``extract_realizer`` splices, once per level.  Every module's binding
+    of ``splice`` is counted, with the caller, ``arena``'s too if it had one."""
     calls = {"levels": 0, "realizer": 0, "other": 0}
     checking = []
     splice, check_levels = builders.splice, arena._check_levels
@@ -409,13 +411,65 @@ def test_a_theorem1_level_splices_each_chain_index_once(monkeypatch, w):
             checking.pop()
 
     for module, name in ((arena, "other"), (adversaries, "realizer"), (builders, "other")):
-        monkeypatch.setattr(module, "splice", counted(name))
+        monkeypatch.setattr(module, "splice", counted(name), raising=False)
     monkeypatch.setattr(arena, "_check_levels", spy_check_levels)
     transcript, report = run_game(make_strategy("theorem1", w), FirstFit())
     assert report.ok
     assert verify_transcript(transcript) == []
     widths = [rep.width for rep in report.levels]
-    assert calls == {"levels": 2 * sum(widths), "realizer": 2 * len(widths), "other": 0}
+    assert calls == {"levels": 0, "realizer": 2 * len(widths), "other": 0}
+
+
+def test_a_clean_szemeredi_verify_builds_no_order_for_its_chain_indices(monkeypatch):
+    """Each chain index 1..w-1 of a clean szemeredi transcript is accepted
+    by its cross pairs, read from the main hosts' positions: no
+    ``LinearOrder`` is built while ``_chain_index_rows`` runs (a splice per
+    chain index built two)."""
+    w = 8
+    transcript, report = run_game(make_strategy("szemeredi", w), FirstFit())
+    assert report.ok
+    inside, built, checked, done = [], [], [], object()
+    init, chain_index_rows = LinearOrder.__init__, arena._chain_index_rows
+
+    def spy_init(self, sequence=()):
+        built.extend(inside)
+        init(self, sequence)
+
+    def spy_rows(*args):
+        rows = chain_index_rows(*args)
+        while True:
+            inside.append(True)
+            try:
+                item = next(rows, done)
+            finally:
+                inside.pop()
+            if item is done:
+                return
+            checked.append(item)
+            yield item
+
+    monkeypatch.setattr(LinearOrder, "__init__", spy_init)
+    monkeypatch.setattr(arena, "_chain_index_rows", spy_rows)
+    assert verify_transcript(transcript) == []
+    assert len(built) == 0
+    assert checked == [None] * (w - 1)
+
+
+@pytest.mark.parametrize("name", ["szemeredi", "theorem1"])
+def test_a_clean_report_walks_no_incomparable_pairs(monkeypatch, name):
+    """Every certified chain of a clean game passes its one mask test, so
+    ``Poset.incomparable_pairs`` is never called to name a pair."""
+    calls = []
+    incomparable_pairs = Poset.incomparable_pairs
+
+    def spy(self, pts):
+        calls.append(pts)
+        return incomparable_pairs(self, pts)
+
+    monkeypatch.setattr(Poset, "incomparable_pairs", spy)
+    _, report = run_game(make_strategy(name, 4), FirstFit())
+    assert report.ok
+    assert calls == []
 
 
 @pytest.mark.parametrize("opponent", ["first-fit", 0])
