@@ -487,14 +487,14 @@ class _GameLevel:
 
     def report(self) -> LevelReport:
         hidden = self.d is None
-        hosts = self.kept or [LinearOrder(block) for block in self.host_blocks()]
+        hosts = tuple(map(LinearOrder, self.kept or self.host_blocks())) if hidden else None
         return LevelReport(
             width=self.width, t=self.t, threshold=separator_threshold(self.width, self.d)[0],
             separator_colors=self.separator_colors, separator=list(self.separator),
             s1_points=list(self.s1_points), s2_points=list(self.s2_points),
             chains={k: list(v) for k, v in self.chains.items()},
             dual_chains={k: list(v) for k, v in self.dual_chains.items()},
-            hosts=(hosts[0].copy(), hosts[1].copy()) if hidden else None,
+            hosts=hosts,
             low_blocks=self.low_blocks() if hidden else None)
 
 

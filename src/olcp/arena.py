@@ -22,7 +22,7 @@ insertion-only growth of visible orders, thresholds, and realizer
 extraction.  The other chain indices of a szemeredi game or a ``theorem1``
 level are checked without a builder, from positions in the two hosts tuned
 to the widest: each is accepted by its cross pairs, or else the hosts tuned
-to it (``_tuned_hosts``) are built and their rows compared with the game's.
+to it (``_tuned_hosts``) are built and their rows compared with the poset's.
 
 Live games and replays share the verification engine: one report builder,
 and one insertion-only checker (``_ExtensionWatch``) that rebuilds the
@@ -55,6 +55,7 @@ from .adversaries import (
 from .errors import (
     IllegalMoveError,
     OlcpError,
+    RelationError,
     StrategyInvariantError,
     TranscriptError,
 )
@@ -502,7 +503,10 @@ class _ExtensionWatch:
               out: list[str]) -> None:
         if self.replicas is None:
             return
-        fault = self._grow(e, ext)
+        try:
+            fault = self._grow(e, ext)
+        except (IndexError, TypeError):  # more anchors than orders, or no sequence of them
+            fault = f"malformed insertion record {ext!r}"
         if fault is not None:
             out.append(f"round {rnd}: {fault}; insertion-only growth broken")
             self.replicas = None
@@ -544,8 +548,10 @@ def build_report(strategy: Strategy, part: ChainPartition,
     bound_met = colors >= bound
 
     # Checked first: when it holds, it gives the poset its full rows.
-    realizer = strategy.extract_realizer()
-    realized = verify_realizer(realizer, p)
+    try:
+        realized = verify_realizer(strategy.extract_realizer(), p)
+    except RelationError:  # the orders, or the orders and the poset, hold other element sets
+        realized = False
     levels: list[LevelReport] | None = None
     if isinstance(strategy, SzemerediStrategy):
         rb = strategy.rainbow()
@@ -564,7 +570,7 @@ def build_report(strategy: Strategy, part: ChainPartition,
     if not realized:
         violations.append("extracted realizer does not realize the presented poset")
 
-    width = _realizer_width(p, realizer.orders, realized)
+    width = _realizer_width(p, strategy.orders, realized)
     if width != strategy.w:
         violations.append(f"presented poset has width {width}, the game promises {strategy.w}")
 
@@ -685,10 +691,10 @@ def verify_transcript(t: Transcript) -> list[str]:
     would cost O(w) or O(d) whatever the row count.
 
     A szemeredi transcript is replayed once, tuned to chain index w.  Every
-    other chain index must present the same game: one whose cross pairs agree
-    with the main hosts presents the main poset, and any other one's first
-    fault that the main replay did not report (``_chain_index_rows``) shows a
-    different game.
+    other chain index must present the replayed poset: one whose cross pairs
+    agree with the main hosts does, and any other one's rows
+    (``_chain_index_rows``) are compared with the poset's, restricted to
+    older ids; the first id that differs names the round.
     """
     try:
         check_strategy(t.strategy, t.w, d=t.d)
@@ -696,20 +702,19 @@ def verify_transcript(t: Transcript) -> list[str]:
         return [f"header: {exc}"]
     if len(t.rounds) < t.w * (t.w + 1) // 2:
         return ["transcript ends before the game is over"]
-    masks = _relation_masks(t)
     strategy = make_strategy(t.strategy, t.w, d=t.d)
-    v, part = _replay(strategy, t, masks)
+    v, part = _replay(strategy, t, _relation_masks(t))
     if isinstance(strategy, SzemerediStrategy):
-        main = set(v)
-        elements = strategy.poset._elements
-        hosts = [h.restrict(elements) for h in strategy.orders]
-        rows = _realized_rows(hosts, len(elements) + 1)
+        p = strategy.poset
+        hosts = [h.restrict(p._elements) for h in strategy.orders]
+        rows = _realized_rows(hosts, len(p._below))
         for k, tuned in enumerate(
                 _chain_index_rows(*hosts, rows, strategy._bank.blocks(t.w - 1)), start=1):
-            if tuned is not None:
-                s = next((s for s in _relation_faults(t, tuned, masks) if s not in main), None)
-                if s is not None:
-                    v.append(f"chain index {k} presents a different game: {s}")
+            e = None if tuned is None else _first_difference(*tuned, p._below, p._above, p._elements)
+            if e is not None:
+                side = "below" if (tuned[0][e] ^ p._below[e]) & (1 << e) - 1 else "above"
+                v.append(f"chain index {k} presents a different game: "
+                         f"round {t.rounds[e - 1].round}: relations {side} the new element differ")
 
     if not strategy.done():
         return v
@@ -772,14 +777,18 @@ def _replay(strategy: Strategy, t: Transcript,
             v.append(f"round {row.round}: stage annotation {row.stage}, re-run says {move.stage}")
         if row.ext is not None and t.d is None:
             v.append(f"round {row.round}: ext belongs only to visible-order games")
-        ok, pair = part.legal(strategy.poset, move.element, row.color)
+        try:
+            ok, pair = part.legal(strategy.poset, move.element, row.color)
+            part.assign(move.element, row.color)
+        except (TypeError, RelationError):  # unhashable, not comparable with 1, or below it
+            v.append(f"round {row.round}: color {row.color!r} is not a positive integer")
+            break
         if not ok:
             assert pair is not None
             v.append(
                 f"round {row.round}: color {row.color} is not a chain: "
                 f"({pair[0]}, {pair[1]}) incomparable"
             )
-        part.assign(move.element, row.color)
         try:
             strategy.observe(row.color)
         except StrategyInvariantError as exc:
@@ -789,19 +798,6 @@ def _replay(strategy: Strategy, t: Transcript,
     if not strategy.done():
         v.append("transcript ends before the game is over")
     return v, part
-
-
-def _relation_faults(t: Transcript, rows: tuple[list[int], list[int]],
-                     masks: tuple[list[int | None], list[int | None]]) -> Iterator[str]:
-    """The relation faults, in round order, that a szemeredi replay whose
-    hosts end with rows ``rows`` reports on ``t``: hosts only grow by
-    insertion, so one comparison with ``masks``, restricted to older ids,
-    checks every round.  Its other faults depend on the colors alone."""
-    e = 0
-    while (e := _first_difference(*rows, *masks, range(e + 1, len(rows[0])))) is not None:
-        for side, got, recorded in zip(("below", "above"), rows, masks):
-            if recorded[e] is None or (got[e] ^ recorded[e]) & (1 << e) - 1:
-                yield f"round {t.rounds[e - 1].round}: relations {side} the new element differ"
 
 
 def _chain_index_rows(scan: LinearOrder, stack: LinearOrder, rows: tuple[list[int], list[int]],

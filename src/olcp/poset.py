@@ -149,9 +149,6 @@ class Poset:
     def elements(self) -> list[int]:
         return list(self._elements)
 
-    def less(self, x: int, y: int) -> bool:
-        return bool(self._below[self._full(y)] >> x & 1)
-
     def comparable(self, x: int, y: int) -> bool:
         return x == y or bool(self.comparable_mask(y) >> x & 1)
 
@@ -192,22 +189,7 @@ class Poset:
         return self._elements == other._elements and all(
             mine[e] == theirs[e] for e in self._elements)
 
-    # -- whole-poset classification ----------------------------------------
-
-    def is_completely_below(self, U: Iterable[int], V: Iterable[int]) -> bool:
-        vm = _mask(V)
-        return all(self._above[self._full(u)] & vm == vm for u in U)
-
-    def is_completely_incomparable(self, U: Iterable[int], V: Iterable[int]) -> bool:
-        vm = _mask(V)
-        return not any(self.comparable_mask(u) & vm for u in U)
-
     # -- derived posets ------------------------------------------------------
-
-    def dual(self) -> "Poset":
-        """The same elements with every relation flipped."""
-        below, above = self._rows()
-        return Poset._of_rows(list(self._elements), list(above), list(below))
 
     def restrict(self, keep: Iterable[int]) -> "Poset":
         """Induced sub-poset on ``keep`` (ids preserved)."""

@@ -1,8 +1,9 @@
-"""Poset builders and exhaustive checks that only the tests need.
+"""Poset builders, queries and exhaustive checks that only the tests need.
 
 Games grow posets one element at a time through ``Poset.add_element``;
-these helpers build whole fixtures from relation lists and read a poset
-back as explicit pairs, as oracles for the mask-backed code.
+these helpers build whole fixtures from relation lists, answer the block
+and pair queries that no game asks, and read a poset back as explicit
+pairs, as oracles for the mask-backed code.
 """
 
 from __future__ import annotations
@@ -32,6 +33,29 @@ def chain(n: int) -> Poset:
 
 def antichain(n: int) -> Poset:
     return from_pairs(n, ())
+
+
+def less(p: Poset, x: int, y: int) -> bool:
+    """x < y in ``p``; KeyError if y is not an element."""
+    return x in p.below(y)
+
+
+def dual(p: Poset) -> Poset:
+    """The same elements with every relation flipped."""
+    below, above = p._rows()
+    return Poset._of_rows(list(p._elements), list(above), list(below))
+
+
+def is_completely_below(p: Poset, U: Iterable[int], V: Iterable[int]) -> bool:
+    """Every point of U lies below every point of V."""
+    V = set(V)
+    return all(V <= p.above(u) for u in U)
+
+
+def is_completely_incomparable(p: Poset, U: Iterable[int], V: Iterable[int]) -> bool:
+    """No point of U equals or is comparable to a point of V."""
+    V = set(V)
+    return not any(V & (p.below(u) | p.above(u) | {u}) for u in U)
 
 
 def relation_pairs(p: Poset) -> set[tuple[int, int]]:

@@ -550,11 +550,11 @@ def test_extra_round_after_the_end_is_flagged():
 
 
 def test_a_chain_index_whose_low_block_misses_a_point_is_flagged(monkeypatch):
-    """Every chain index must present the recorded game.  The low blocks
+    """Every chain index must present the replayed poset.  The low blocks
     come from the main replay's builder bank; with the last point of the
     width-3 instance's block left out, chain index 3 alone is tuned to
-    another low block, and the first round whose relations differ there
-    is named.  The main replay is clean."""
+    another low block, and the first round whose relations differ from the
+    poset's there is named.  The main replay is clean."""
     t, _ = run_game(make_strategy("szemeredi", 4), FirstFit())
     blocks = adversaries._Bank.blocks
 
@@ -627,6 +627,49 @@ def test_tampered_annotations_name_the_round(name, w, d, idx, tamper, message):
     yet in any order) that differs from the re-run is the one violation."""
     t, _ = game(name, w, d)
     assert verify_transcript(reround(t, idx, **tamper(t.rounds[idx]))) == [message]
+
+
+ENDS = "transcript ends before the game is over"
+
+
+@pytest.mark.parametrize("tamper, messages", [
+    (lambda row: {"ext": (*row.ext, None)},
+     ["round 4: malformed insertion record (3, 3, None); insertion-only growth broken"]),
+    (lambda row: {"ext": 5}, ["round 4: malformed insertion record 5; insertion-only growth broken"]),
+    (lambda row: {"color": "1"}, ["round 4: color '1' is not a positive integer", ENDS]),
+    (lambda row: {"color": 0}, ["round 4: color 0 is not a positive integer", ENDS]),
+    (lambda row: {"color": True}, ["round 4: color True is not a chain: (2, 4) incomparable"]),
+])
+def test_hand_built_rows_the_replay_cannot_take_name_the_round(tamper, messages):
+    """A row built in memory, where the parser checks nothing: an insertion
+    record with more anchors than visible orders, or none at all, ends the
+    insertion watch; a color the partition cannot take stops the replay, as
+    a derail does.  A color it can take, True among them, is judged as ever."""
+    t, _ = game("theorem2", 3, 2)
+    assert verify_transcript(reround(t, 3, **tamper(t.rounds[3]))) == messages
+
+
+def _replayed(name: str, w: int):
+    t, _ = game(name, w)
+    s = make_strategy(name, w)
+    v, part = arena._replay(s, t, arena._relation_masks(t))
+    assert v == []
+    return s, part
+
+
+@pytest.mark.parametrize("doctor", [
+    lambda orders: orders[1].sequence.pop(),
+    lambda orders: [o.sequence.append(99) for o in orders],
+])
+def test_hosts_on_other_element_sets_fail_the_realizer_check(doctor):
+    """A replayed szemeredi game whose stack host lost its last point, or
+    whose hosts both gained a point the poset lacks: the realizer check
+    fails, with no exception, and the width is the poset's own."""
+    s, part = _replayed("szemeredi", 4)
+    doctor(s.orders)
+    report = arena.build_report(s, part)
+    assert report.violations == ["extracted realizer does not realize the presented poset"]
+    assert report.width == s.poset.width() == 4
 
 
 @pytest.mark.parametrize("side", ["below", "above"])

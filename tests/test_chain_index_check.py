@@ -4,12 +4,15 @@
 the main replay's two hosts and the low blocks of its builder bank: a
 chain index whose cross pairs agree presents the main poset, and only the
 hosts of any other one are built, by the formula ``builders.splice``
-implements, and their relations compared with the rows once, at the end
-of the game.  The oracle here is the check it replaced: one full strategy
-replay per chain index, compared with the rows round by round.  Both must
-report the same violations, in the same order, on played and tampered
-transcripts alike.  A point moved into one chain index's low block is
-named by its round.  On random orders and low blocks, and on a game's
+implements, and their relations compared with the replayed poset's rows
+once, at the end of the game.  The oracle here is the check it replaced:
+one full strategy replay per chain index, compared with the rows round by
+round.  Both must report the same violations, in the same order, on played
+and tampered transcripts alike.  A point moved into one chain index's low
+block is named by its round: the first id whose rows in the spliced hosts
+differ from the replayed poset's, even on a tampered transcript whose main
+replay reports that round too; every other violation is still the
+oracle's.  On random orders and low blocks, and on a game's
 hosts with one point moved, the cross-pair check accepts exactly the
 chain indices whose spliced hosts keep the poset, a failing one's rows
 are its spliced hosts', and the keeper checks say what the spliced hosts
@@ -37,6 +40,8 @@ from olcp.builders import BOTTOM, Builder
 from olcp.builders import splice
 from olcp.errors import StrategyInvariantError
 from olcp.poset import ChainPartition, LinearOrder, _first_difference, _realized_rows, intersect
+
+from poset_oracles import dual, is_completely_below, is_completely_incomparable
 
 
 def verify_with_a_replay_per_chain_index(t: Transcript) -> list[str]:
@@ -156,32 +161,81 @@ def test_injected_chain_index_faults_are_reported_as_a_replay_per_chain_index_di
 
 
 def first_fault_of_spliced_hosts(s, t: Transcript, low: set[int]) -> str | None:
-    """The first relation fault on ``t`` of the hosts ``builders.splice``
-    tunes to the low block ``low`` from the main replay's two."""
-    elements = s.poset._elements
-    tuned = splice(*(h.restrict(elements) for h in s.orders), low)
-    rows = _realized_rows(list(tuned), len(elements) + 1)
-    return next(arena._relation_faults(t, rows, arena._relation_masks(t)), None)
+    """The first relation fault of the hosts ``builders.splice`` tunes to
+    the low block ``low`` from the main replay's two: the round of the first
+    element whose rows, restricted to older ids, differ from the replayed
+    poset's, below checked before above."""
+    p = s.poset
+    tuned = splice(*(h.restrict(p._elements) for h in s.orders), low)
+    rows = _realized_rows(list(tuned), len(p._below))
+    for e in p._elements:
+        for side, got, presented in zip(("below", "above"), rows, (p._below, p._above)):
+            if (got[e] ^ presented[e]) & (1 << e) - 1:
+                return f"round {t.rounds[e - 1].round}: relations {side} the new element differ"
+    return None
+
+
+def moved_blocks(s, k: int, late: bool) -> list[list[int]]:
+    """The low blocks of the played szemeredi strategy ``s``, chain index k's
+    with the first (or last) point of the next wider instance moved in, which
+    leaves every other chain index's low block as it was."""
+    blocks = s._bank.blocks(s.w - 1)
+    points = set(s.poset._elements).difference(*blocks)
+    wider = blocks[k] if k < len(blocks) else [x for x in s.orders[0].sequence if x in points]
+    x = wider[-1] if late else wider[0]
+    return [[*b, x] if i == k - 1 else [y for y in b if y != x] for i, b in enumerate(blocks)]
 
 
 @pytest.mark.parametrize("k, late", [(1, False), (2, True), (3, True)])
 def test_a_point_moved_into_one_low_block_is_named_by_its_round(monkeypatch, k, late):
-    """Chain index k's low block gains the first (or last) point of the
-    next wider instance, which leaves every other chain index's low block
-    as it was.  Its spliced hosts present other relations, so the check
-    names chain index k and the first round whose relations differ there,
-    as splicing its hosts says, and nothing else: the main replay is clean."""
+    """Chain index k's low block gains a point (``moved_blocks``).  Its
+    spliced hosts present other relations, so the check names chain index k
+    and the first round whose relations differ there, as splicing its hosts
+    says, and nothing else: the main replay is clean."""
     s = make_strategy("szemeredi", W)
     t, _ = run_game(s, FirstFit())
-    blocks = s._bank.blocks(W - 1)
-    points = set(range(1, len(t.rounds) + 1)).difference(*blocks)
-    wider = blocks[k] if k < len(blocks) else [x for x in s.orders[0].sequence if x in points]
-    x = wider[-1] if late else wider[0]
-    moved = [[*b, x] if i == k - 1 else [y for y in b if y != x] for i, b in enumerate(blocks)]
+    moved = moved_blocks(s, k, late)
     monkeypatch.setattr(adversaries._Bank, "blocks", lambda bank, w: [list(b) for b in moved])
     fault = first_fault_of_spliced_hosts(s, t, set().union(*moved[:k]))
     assert fault is not None
     assert verify_transcript(t) == [f"chain index {k} presents a different game: {fault}"]
+
+
+def _played(w: int, opponent):
+    s = make_strategy("szemeredi", w)
+    t, _ = run_game(s, FirstFit() if opponent == "first-fit" else RandomValid(opponent))
+    return s, t, list(tampered(t, 1))
+
+
+PLAYED = [_played(w, opponent) for w in range(3, 6) for opponent in ("first-fit", 0, 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PLAYED), st.data())
+def test_a_moved_low_block_on_a_tampered_transcript_is_checked_against_the_poset(game, data):
+    """A tampered transcript, verified with one chain index's low block
+    moved (``moved_blocks``).  Each chain index whose spliced hosts differ
+    from the replayed poset is named, at the first id whose rows differ,
+    whether or not the main replay reports that round too; every other
+    violation is what a replay per chain index reports."""
+    s, t, cases = game
+    k, late = data.draw(st.integers(1, t.w - 1)), data.draw(st.booleans())
+    name, bad = data.draw(st.sampled_from(cases))
+    moved = moved_blocks(s, k, late)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adversaries._Bank, "blocks", lambda bank, w: [list(b) for b in moved])
+        got = verify_transcript(bad)
+    expected = []
+    if len(bad.rounds) >= t.w * (t.w + 1) // 2:
+        replayed = make_strategy("szemeredi", t.w)
+        arena._replay(replayed, bad, arena._relation_masks(bad))
+        for j in range(1, t.w):
+            fault = first_fault_of_spliced_hosts(replayed, bad, set().union(*moved[:j]))
+            if fault is not None:
+                expected.append(f"chain index {j} presents a different game: {fault}")
+    assert [x for x in got if x.startswith("chain index")] == expected, name
+    assert [x for x in got if not x.startswith("chain index")] == [
+        x for x in verify_with_a_replay_per_chain_index(bad) if not x.startswith("chain index")], name
 
 
 def test_rounds_the_main_replay_never_reached_are_left_to_it(monkeypatch):
@@ -387,8 +441,8 @@ def levels_with_a_splice_per_chain_index(s, part: ChainPartition, reports) -> li
         rb = arena.RainbowChains(rep.chains, frozenset(rep.s1_points))
         v += [f"{tag}: {x}" for x in rb.verify(p, part)]
         mirror = arena.RainbowChains(rep.dual_chains, frozenset(rep.s2_points))
-        v += [f"{tag} mirror: {x}" for x in mirror.verify(p.restrict(rep.s2_points).dual(), part)]
-        if not p.is_completely_below(rep.s2_points, rep.s1_points):
+        v += [f"{tag} mirror: {x}" for x in mirror.verify(dual(p.restrict(rep.s2_points)), part)]
+        if not is_completely_below(p, rep.s2_points, rep.s1_points):
             v.append(f"{tag}: mirrored block is not completely below the forcing block")
         sep = rep.separator
         v += [f"{tag}: separator is not a chain: ({x}, {y})" for x, y in p.incomparable_pairs(sep)]
@@ -400,7 +454,7 @@ def levels_with_a_splice_per_chain_index(s, part: ChainPartition, reports) -> li
             v.append(f"{tag}: separator carries {n} colors, threshold {threshold:g}")
         sep_colors.append({part.color_of[x] for x in sep})
         deeper = [x for r2 in reports[i + 1:] for x in r2.s1_points + r2.s2_points]
-        if deeper and not p.is_completely_incomparable(sep, deeper):
+        if deeper and not is_completely_incomparable(p, sep, deeper):
             v.append(f"{tag}: separator is comparable to a deeper point")
 
         pairs = [splice(*rep.hosts, set().union(*rep.low_blocks[:k]))

@@ -21,8 +21,10 @@ chain indices are neither grown by a builder nor spliced, as their
 cross-pair and keeper checks read the two hosts' positions, and a clean
 level's chain indices are all accepted by their cross pairs.  A clean
 report tests each certified chain with one mask test, walking no pairs.
-A theorem2 report seeds its width matching from a chain cover along a
-visible order, which leaves at most a couple of augmenting searches.
+Only a hidden-host level's report copies hosts: a visible-order level's
+builds no ``LinearOrder``.  A theorem2 report seeds its width matching
+from a chain cover along a visible order, which leaves at most a couple
+of augmenting searches.
 Transcript rows stay masks from the move to the text and from the text to
 the verifier, and the visible orders are copied only for a partitioner
 that reads them.  A played transcript's round lines are read as written,
@@ -453,6 +455,27 @@ def test_a_clean_szemeredi_verify_builds_no_order_for_its_chain_indices(monkeypa
     assert verify_transcript(transcript) == []
     assert len(built) == 0
     assert checked == [None] * (w - 1)
+
+
+@pytest.mark.parametrize("name, w, d, per_level", [
+    ("theorem2", 10, 2, 0), ("theorem2", 6, 4, 0), ("theorem1", 5, None, 2),
+])
+def test_level_reports_build_hosts_only_for_hidden_levels(monkeypatch, name, w, d, per_level):
+    """A visible-order level reports no hosts, so ``level_reports`` builds no
+    ``LinearOrder`` for it; a theorem1 level copies its two hosts."""
+    s = make_strategy(name, w, d=d)
+    _, report = run_game(s, FirstFit())
+    assert report.ok
+    built = []
+    init = LinearOrder.__init__
+
+    def spy_init(self, sequence=()):
+        built.append(self)
+        init(self, sequence)
+
+    monkeypatch.setattr(LinearOrder, "__init__", spy_init)
+    reports = s.level_reports()
+    assert reports and len(built) == per_level * len(reports)
 
 
 @pytest.mark.parametrize("name", ["szemeredi", "theorem1"])

@@ -11,7 +11,7 @@ level, the forcing and mirrored blocks swapped, or those blocks swapped
 together with their chains.  The messages, in order, must be those of the
 checks as they were: for ``theorem1`` the oracle of
 ``tests/test_chain_index_check.py``, for ``theorem2`` a copy of the old
-visible-order checks, which read the mirror from ``p.restrict(s2).dual()``
+visible-order checks, which read the mirror from ``dual(p.restrict(s2))``
 and walk pairs.  A mirrored chain that leaves
 the mirrored block, as when only the blocks are swapped, gives violations
 in both, never an exception: ``RainbowChains.verify`` names a chain point
@@ -30,6 +30,7 @@ from olcp import FirstFit, RandomValid, make_strategy, run_game
 from olcp import arena
 from olcp.poset import ChainPartition
 
+from poset_oracles import dual, is_completely_below, is_completely_incomparable
 from test_chain_index_check import levels_with_a_splice_per_chain_index
 
 OPPONENTS = ["first-fit", 0, 1, 2]
@@ -39,7 +40,7 @@ KINDS = ["forcing point", "mirrored point", "deeper separator point", "blocks sw
 
 def levels_as_they_were(s, part: ChainPartition, reports) -> list[str]:
     """The visible-order level checks before they read rows: the mirror on
-    ``p.restrict(s2).dual()``, the blocks and the separator pair by pair.
+    ``dual(p.restrict(s2))``, the blocks and the separator pair by pair.
     The keeper checks, which read the visible orders, are the arena's."""
     v: list[str] = []
     p = s.poset
@@ -53,8 +54,8 @@ def levels_as_they_were(s, part: ChainPartition, reports) -> list[str]:
         rb = arena.RainbowChains(rep.chains, frozenset(rep.s1_points))
         v += [f"{tag}: {x}" for x in rb.verify(p, part)]
         mirror = arena.RainbowChains(rep.dual_chains, frozenset(rep.s2_points))
-        v += [f"{tag} mirror: {x}" for x in mirror.verify(p.restrict(rep.s2_points).dual(), part)]
-        if not p.is_completely_below(rep.s2_points, rep.s1_points):
+        v += [f"{tag} mirror: {x}" for x in mirror.verify(dual(p.restrict(rep.s2_points)), part)]
+        if not is_completely_below(p, rep.s2_points, rep.s1_points):
             v.append(f"{tag}: mirrored block is not completely below the forcing block")
         sep = rep.separator
         v += [f"{tag}: separator is not a chain: ({x}, {y})" for x, y in p.incomparable_pairs(sep)]
@@ -66,7 +67,7 @@ def levels_as_they_were(s, part: ChainPartition, reports) -> list[str]:
             v.append(f"{tag}: separator carries {n} colors, threshold {threshold:g}")
         sep_colors.append({part.color_of[x] for x in sep})
         deeper = [x for r2 in reports[i + 1:] for x in r2.s1_points + r2.s2_points]
-        if deeper and not p.is_completely_incomparable(sep, deeper):
+        if deeper and not is_completely_incomparable(p, sep, deeper):
             v.append(f"{tag}: separator is comparable to a deeper point")
         v += arena._check_order_separation(s, rep, tag, [])
     for i in range(len(sep_colors)):

@@ -38,7 +38,15 @@ from olcp import arena
 from olcp.builders import BOTTOM, TOP, Builder
 from olcp.poset import _realizer_width
 
-from poset_oracles import check_axioms, from_pairs, relation_pairs
+from poset_oracles import (
+    check_axioms,
+    dual,
+    from_pairs,
+    is_completely_below,
+    is_completely_incomparable,
+    less,
+    relation_pairs,
+)
 
 
 def brute_intersection_pairs(orders: list[LinearOrder]) -> set[tuple[int, int]]:
@@ -192,7 +200,7 @@ def test_width_of_a_large_two_dimensional_order():
     assert cover.distinct_colors() == expected
     for members in cover.classes().values():
         chain = sorted(members, key=a_pos.__getitem__)
-        assert all(p.less(x, y) for x, y in zip(chain, chain[1:]))
+        assert all(less(p, x, y) for x, y in zip(chain, chain[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +252,7 @@ def derived_posets(draw):
         return from_pairs(n, pairs), closure(n, pairs)
     p, rel = draw(grown_posets())
     if how == "dual":
-        return p.dual(), {(y, x) for x, y in rel}
+        return dual(p), {(y, x) for x, y in rel}
     if how == "restrict":
         keep = draw(st.sets(st.sampled_from(p.elements))) if len(p) else set()
         return p.restrict(keep), {(x, y) for x, y in rel if x in keep and y in keep}
@@ -263,7 +271,7 @@ def sparse_posets(draw):
     keep = draw(st.sets(st.sampled_from(p.elements))) if len(p) else set()
     p, rel = p.restrict(keep), {(x, y) for x, y in rel if x in keep and y in keep}
     if how == "dual":
-        return p.dual(), {(y, x) for x, y in rel}
+        return dual(p), {(y, x) for x, y in rel}
     return p, rel
 
 
@@ -276,7 +284,7 @@ def assert_queries_match(p: Poset, rel: set[tuple[int, int]]) -> None:
         assert p.below(x) == {u for u, v in rel if v == x}
         assert p.above(x) == {v for u, v in rel if u == x}
         for y in els:
-            assert p.less(x, y) == ((x, y) in rel)
+            assert less(p, x, y) == ((x, y) in rel)
             assert p.comparable(x, y) == (x == y or (x, y) in rel or (y, x) in rel)
             assert bool(p.comparable_mask(x) >> y & 1) == p.comparable(x, y)
         incomparable = p.incomparable_mask(x)
@@ -293,8 +301,8 @@ def test_element_queries_match_pair_definitions(case, data):
     if els:
         U = data.draw(st.lists(st.sampled_from(els), max_size=4))
         V = data.draw(st.lists(st.sampled_from(els), max_size=4))
-        assert p.is_completely_below(U, V) == all((u, v) in rel for u in U for v in V)
-        assert p.is_completely_incomparable(U, V) == all(
+        assert is_completely_below(p, U, V) == all((u, v) in rel for u in U for v in V)
+        assert is_completely_incomparable(p, U, V) == all(
             u != v and (u, v) not in rel and (v, u) not in rel for u in U for v in V)
 
 
@@ -322,11 +330,11 @@ def test_sparse_rows_answer_like_dense_ones(case):
 @given(sparse_posets())
 def test_equality_reads_elements_and_relations_not_row_lengths(case):
     p, rel = case
-    padded = p.dual().dual()
+    padded = dual(dual(p))
     padded._below += [0, 0, 0]
     padded._above += [0, 0, 0]
     assert padded == p and p == padded
-    assert (p.dual() == p) == (not rel)
+    assert (dual(p) == p) == (not rel)
     assert p.restrict(list(p)[1:]) != p or not len(p)
 
 
@@ -371,11 +379,11 @@ def test_legal_colors_and_legal_match_a_set_based_reference(case, data):
         outside = p.incomparable_mask(e)  # the walk, whatever legal_colors would pick
         assert part._legal_by_firsts(part._firsts & ~outside, outside) == legal
         assert view.fresh_color() == max(classes, default=0) + 1
-    dual = p.dual()  # the same comparabilities, every relation flipped
+    flipped = dual(p)  # the same comparabilities, every relation flipped
     for e in els:
         legal = PartitionerView(p, part, e).legal_colors()
-        assert PartitionerView(dual, part, e).legal_colors() == legal
-        outside = dual.incomparable_mask(e)
+        assert PartitionerView(flipped, part, e).legal_colors() == legal
+        outside = flipped.incomparable_mask(e)
         assert part._legal_by_firsts(part._firsts & ~outside, outside) == legal
 
 
@@ -599,7 +607,7 @@ def first_fit_chains(p: Poset, order: LinearOrder) -> int:
     """Chains of the first-fit cover along ``order``, a linear extension."""
     tops: list[int] = []
     for x in order:
-        i = next((i for i, top in enumerate(tops) if p.less(top, x)), len(tops))
+        i = next((i for i, top in enumerate(tops) if less(p, top, x)), len(tops))
         tops[i:i + 1] = [x]
     return len(tops)
 
