@@ -7,13 +7,14 @@ validates the color against the chain constraint and records the round.
 Transcripts are JSON-lines: a header object, then one object per round
 with sorted relation lists, so files diff cleanly and reruns are
 byte-comparable.  The rows of played and parsed games keep those lists as
-the masks that strategies present and the verifier compares.  Such a row
-is written from an id-text table (``_round_line``), any other by
-``json.dumps`` (``_round_json``); a line's fields are checked in line order.
-Most lists repeat one of the previous row's two lists or add one id above
-its top; such a list is written from that list's text (and the id's) and
-read back as its mask.  A line so written is read by matching the text
-around its two lists (``_canonical_row``), any other is decoded whole.
+the masks that strategies present and the verifier compares.  A
+``_RowWriter`` and a ``_RowReader`` take one row at a time, keeping an id
+table grown a row at a time and the previous row's two lists.  A row whose
+ids lie below its place is written from the table (``_round_line``), any
+other by ``json.dumps`` (``_round_json``).  Most lists repeat one of the
+previous row's or add one id above its top; such a list is written from
+that list's text and read back as its mask.  A line so written is read by
+matching the text around its lists (``_canonical_row``), any other whole.
 ``verify_transcript`` re-runs the named strategy against the recorded
 colors — internal orders are re-derived, never trusted — and layers every
 structural check on top: per-round relation equality, chain validity,
@@ -136,45 +137,17 @@ class Transcript:
     version: int = FORMAT_VERSION
 
     def serialize(self) -> str:
-        """The transcript as JSON lines, byte for byte what ``json.dumps``
-        writes.  The header goes through ``json.dumps``, as its strings need
-        escaping.  A row of five int fields, kept ``below``/``above`` masks and
-        ``ext`` anchors of None or ids, all ids in one table, is written by
-        ``_round_line``; every other row, a hand-built tuple row included, by
-        ``_round_json``.  A mask equal to one of the previous table-path row's
-        two masks reuses its text, and one that adds an id above the top of
-        one of them writes its text, a comma and the id's (``_list_text``);
-        any other is rendered from the table."""
+        """The transcript as JSON lines, byte for byte what ``json.dumps`` writes: each
+        row by ``_RowWriter``, the header, whose strings need escaping, by ``json.dumps``."""
         header = {key: getattr(self, key) for key in _HEADER_FIELDS}
-        lines = [json.dumps(header, separators=(",", ":"))]
-        n = len(self.rounds) + 1
-        texts = list(map(str, range(n)))  # id x's text at index x
-        # The previous table-path row's masks and their texts: most lists
-        # repeat one of them or add one id above its top.
-        last: dict[int, str] = {}
-        for r in self.rounds:
-            kept = r.__dict__  # the stored masks, not the tuples they read as
-            below, above, ext = kept["below"], kept["above"], r.ext
-            if (type(below) is type(above) is int and not (below | above) >> n
-                    and type(r.round) is type(r.element) is type(r.color) is int
-                    and type(r.level) is type(r.stage) is int
-                    and (ext is None or type(ext) is tuple and all(
-                        a is None or type(a) is int and 0 <= a < n for a in ext))):
-                below_text = _list_text(below, last, texts)
-                above_text = _list_text(above, last, texts)
-                last = {below: below_text, above: above_text}
-                lines.append(_round_line(r, below_text, above_text, texts))
-            else:
-                lines.append(_round_json(r))
-        lines.append("")  # the final newline, joined on rather than added to a copy
-        return "\n".join(lines)
+        # The final "" joins the last newline on, rather than adding it to a copy.
+        return "\n".join([json.dumps(header, separators=(",", ":")),
+                          *map(_RowWriter().line, self.rounds), ""])
 
     @classmethod
     def parse(cls, text: str) -> "Transcript":
-        """The transcript ``text`` holds, each row's id lists checked and kept
-        as masks; ``TranscriptError`` names the first line at fault.  A round
-        line as ``serialize`` writes it is read by ``_canonical_row``; any
-        other is decoded whole, and the next line's lists are decoded too."""
+        """The transcript ``text`` holds, its rows read by ``_RowReader``, their id
+        lists kept as masks; ``TranscriptError`` names the first line at fault."""
         lines = text.splitlines()
         if not lines:
             raise TranscriptError("empty transcript")
@@ -196,42 +169,84 @@ class Transcript:
         seed = header["seed"]
         if seed is not None and type(seed) is not int:
             raise TranscriptError("seed must be an integer or null", line=1)
-
-        rounds = []
-        last: dict[str, int] = {}  # the previous row's list bodies and their masks
-        ids = dict(zip(map(str, range(1, len(lines))), range(1, len(lines))))  # id text -> id
-        for n, raw in enumerate(lines[1:], start=2):
-            row, last = _canonical_row(raw, n, d, last, ids, len(lines)) or (None, {})
-            if row is None:  # decode the whole line, its fields checked in line order
-                obj = _parse_object(raw, n)
-                _expect_keys(obj, _ROUND_FIELDS, ("ext",), n)
-                rnd = _field_int(obj, "round", n, minimum=1)
-                if rnd != n - 1:
-                    raise TranscriptError(f"round {rnd} out of sequence", line=n)
-                element = _field_int(obj, "element", n, minimum=1)
-                below, above = (_id_list(obj, key, n, len(lines)) for key in ("below", "above"))
-                color = _field_int(obj, "color", n, minimum=1)
-                level = _field_int(obj, "level", n, minimum=1)
-                stage = _field_int(obj, "stage", n)
-                if stage not in (1, 2):
-                    raise TranscriptError(f"stage must be 1 or 2, got {stage}", line=n)
-                ext: tuple[int | None, ...] | None = None
-                if d is not None:
-                    if "ext" not in obj:
-                        raise TranscriptError("visible-order rounds need an ext record", line=n)
-                    ext = _parse_ext(obj["ext"], d, n)
-                elif "ext" in obj:
-                    raise TranscriptError("ext belongs only to visible-order games", line=n)
-                row = TranscriptRound(rnd, element, below, above, color, level, stage, ext)
-            rounds.append(row)
+        rounds = list(map(_RowReader(d).row, lines[1:], count(2)))
         return cls(strategy, w, d, partitioner, seed, rounds, version)
+
+
+class _RowWriter:
+    """Round lines, one row at a time.  A row of five int fields, kept
+    ``below``/``above`` masks and ``ext`` anchors of None or ids, all ids
+    below its place, is written by ``_round_line``; any other, a hand-built
+    tuple row included, by ``_round_json``.  ``_list_text`` writes a list
+    from ``last``, the previous table-path row's masks and their texts."""
+
+    def __init__(self) -> None:
+        self.texts = ["0"]  # id x's text at index x, up to the last row's place
+        self.last: dict[int, str] = {}
+
+    def line(self, r: TranscriptRound) -> str:
+        texts = self.texts
+        n = len(texts)  # the row's place: its ids and anchors lie below it
+        texts.append(str(n))
+        kept = r.__dict__  # the stored masks, not the tuples they read as
+        below, above, ext = kept["below"], kept["above"], r.ext
+        if (type(below) is type(above) is int and not (below | above) >> n
+                and type(r.round) is type(r.element) is type(r.color) is int
+                and type(r.level) is type(r.stage) is int
+                and (ext is None or type(ext) is tuple and all(
+                    a is None or type(a) is int and 0 <= a < n for a in ext))):
+            below_text = _list_text(below, self.last, texts)
+            above_text = _list_text(above, self.last, texts)
+            self.last = {below: below_text, above: above_text}
+            return _round_line(r, below_text, above_text, texts)
+        return _round_json(r)
+
+
+class _RowReader:
+    """Round rows, each read from the lines before it alone: ``ids`` maps
+    the text of each id below the next row's round to the id, and ``last``
+    holds the previous row's two list bodies and masks (``_kept_mask``)."""
+
+    def __init__(self, d: int | None) -> None:
+        self.d = d
+        self.ids: dict[str, int] = {}
+        self.last: tuple[tuple[str, int], ...] = ()
+
+    def row(self, raw: str, n: int) -> TranscriptRound:
+        """Line ``n``'s row, by ``_canonical_row`` or else decoded whole, its
+        fields checked in line order; then the next line's lists are decoded."""
+        row = _canonical_row(raw, n, self)
+        if row is None:
+            self.last = ()
+            obj = _parse_object(raw, n)
+            _expect_keys(obj, _ROUND_FIELDS, ("ext",), n)
+            rnd = _field_int(obj, "round", n, minimum=1)
+            if rnd != n - 1:
+                raise TranscriptError(f"round {rnd} out of sequence", line=n)
+            element = _field_int(obj, "element", n, minimum=1)
+            below, above = (_id_list(obj, key, n, rnd) for key in ("below", "above"))
+            color = _field_int(obj, "color", n, minimum=1)
+            level = _field_int(obj, "level", n, minimum=1)
+            stage = _field_int(obj, "stage", n)
+            if stage not in (1, 2):
+                raise TranscriptError(f"stage must be 1 or 2, got {stage}", line=n)
+            ext: tuple[int | None, ...] | None = None
+            if self.d is not None:
+                if "ext" not in obj:
+                    raise TranscriptError("visible-order rounds need an ext record", line=n)
+                ext = _parse_ext(obj["ext"], self.d, n)
+            elif "ext" in obj:
+                raise TranscriptError("ext belongs only to visible-order games", line=n)
+            row = TranscriptRound(rnd, element, below, above, color, level, stage, ext)
+        self.ids[str(n - 1)] = n - 1
+        return row
 
 
 _BOTTOM_TEXT = '"BOTTOM"'
 
 
 def _round_line(r: TranscriptRound, below: str, above: str, texts: list[str]) -> str:
-    """Row ``r`` as ``_round_json`` writes it, for the rows ``serialize``
+    """Row ``r`` as ``_round_json`` writes it, for the rows ``_RowWriter``
     hands it with the text of its ``below`` and ``above`` lists; its anchors
     read their ids' text as ``texts[a]``."""
     ext = ""
@@ -308,8 +323,8 @@ def _field_int(obj: dict, key: str, line: int, minimum: int | None = None) -> in
 
 
 def _id_list(obj: dict, key: str, line: int, size: int) -> int | tuple[int, ...]:
-    """A sorted, duplicate-free list of ids as its mask (bit x for id x); a
-    list naming an id of ``size`` or more stays a tuple, as its mask could be huge."""
+    """A sorted, duplicate-free list of ids as its mask (bit x for id x); one
+    naming an id of ``size``, its row's round, or more stays a tuple."""
     v = obj[key]
     if (not isinstance(v, list) or not set(map(type, v)) <= {int}
             or (ordered := sorted(v)) and ordered[0] < 1):
@@ -324,25 +339,21 @@ def _id_list(obj: dict, key: str, line: int, size: int) -> int | tuple[int, ...]
     raise TranscriptError(f"field {key!r} must be sorted and duplicate-free", line=line)
 
 
-def _kept_mask(body: str, last: dict[str, int], ids: dict[str, int]) -> int | None:
+def _kept_mask(body: str, last: tuple[tuple[str, int], ...], ids: dict[str, int]) -> int | None:
     """The mask of list body ``body`` if ``_canonical_row`` may take it
-    undecoded, else None.  A body in ``last`` (the previous row's two bodies
-    and their masks) takes its mask, and one id's text in ``ids`` takes that
-    id's bit; so does a body in ``last`` with a nonzero mask followed by a
-    comma and such an id above its top, added to that mask.  ``ids`` maps
-    the canonical text of each id below the line count, whose masks
-    ``_id_list`` builds."""
-    mask = last.get(body)
-    if mask is not None:
-        return mask
-    head, comma, tail = body.rpartition(",")
-    x = ids.get(tail)
-    if x is None:
-        return None
-    if not comma:
-        return 1 << x
-    mask = last.get(head)
-    return mask | 1 << x if mask and not mask >> x else None
+    undecoded, else None.  A body equal to one in ``last`` (the previous
+    row's two bodies and their masks) takes its mask; so does one of those
+    with a nonzero mask, followed by a comma and the text in ``ids`` of an
+    id above its top, with that id's bit added, and one id's text alone."""
+    for prev, mask in last:
+        if body == prev:
+            return mask
+        if mask and body.startswith(prev) and body.startswith(",", len(prev)):
+            x = ids.get(body[len(prev) + 1:])
+            if x is not None and not mask >> x:
+                return mask | 1 << x
+    x = ids.get(body)
+    return None if x is None else 1 << x
 
 
 # A round line as ``_round_line`` writes it but for its list bodies: ints of up to 16
@@ -354,25 +365,26 @@ _ROW_TAIL = re.compile(rf'\](?:,"ext":\[({_EXT_RECORD}(?:,{_EXT_RECORD})*)\])?'
                        r',"color":([1-9][0-9]{0,15}),"level":([1-9][0-9]{0,15}),"stage":([12])\}')
 
 
-def _canonical_row(raw: str, n: int, d: int | None, last: dict[str, int], ids: dict[str, int],
-                   size: int) -> tuple[TranscriptRound, dict[str, int]] | None:
-    """Line ``n``'s row and the next line's ``last`` if the line is as
-    ``_round_line`` writes a valid row, else None.  Each list body runs to
-    the first ``]`` and is taken by ``_kept_mask`` or decoded alone by ``_id_list``:
-    one that passes holds only ints, so decoding the whole line gives this row."""
+def _canonical_row(raw: str, n: int, reader: _RowReader) -> TranscriptRound | None:
+    """Line ``n``'s row if the line is as ``_round_line`` writes a valid
+    row, else None; its bodies and masks go to ``reader.last``.  Each list
+    body runs to the first ``]`` and is taken by ``_kept_mask`` or decoded
+    alone by ``_id_list``: one that passes holds only ints, so decoding the
+    whole line gives this row."""
     head = _ROW_HEAD.match(raw)
     j = raw.find("]", head.end()) if head else -1
     k = j + len(_ROW_MIDDLE)  # a "]" not found is -1, where the tail cannot start
     tail = _ROW_TAIL.fullmatch(raw, raw.find("]", k)) if raw.startswith(_ROW_MIDDLE, j) else None
+    d = reader.d
     if tail is None or int(head[1]) != n - 1 or (tail[1] is None) != (d is None):
         return None
     bodies = raw[head.end():j], raw[k:tail.start()]
     masks = []
     for key, body in zip(("below", "above"), bodies):
-        mask = _kept_mask(body, last, ids)
+        mask = _kept_mask(body, reader.last, reader.ids)
         if mask is None:
             try:
-                mask = _id_list({key: json.loads("[" + body + "]")}, key, n, size)
+                mask = _id_list({key: json.loads("[" + body + "]")}, key, n, n - 1)
             except (ValueError, RecursionError, TranscriptError):
                 return None
         masks.append(mask)
@@ -381,29 +393,24 @@ def _canonical_row(raw: str, n: int, d: int | None, last: dict[str, int], ids: d
     if d is not None and (len(pairs) != d or any(x != str(i) for i, (x, _) in enumerate(pairs))):
         return None
     ext = None if d is None else tuple(None if a == _BOTTOM_TEXT else int(a) for _, a in pairs)
-    row = TranscriptRound(n - 1, int(head[2]), *masks, int(color), int(level), int(stage), ext)
-    return row, dict(zip(bodies, masks)) if type(masks[0]) is type(masks[1]) is int else {}
+    reader.last = tuple(zip(bodies, masks)) if type(masks[0]) is type(masks[1]) is int else ()
+    return TranscriptRound(n - 1, int(head[2]), *masks, int(color), int(level), int(stage), ext)
 
 
 def _parse_ext(raw, d: int, line: int) -> tuple[int | None, ...]:
     if not isinstance(raw, list) or len(raw) != d:
         raise TranscriptError(f"ext must list {d} insertion records", line=line)
-    anchors: list[int | None] = [None] * d
-    seen: set[int] = set()
+    anchors: dict[int, int | None] = {}  # order index -> anchor, None for BOTTOM
     for item in raw:
         if not isinstance(item, list) or len(item) != 2:
             raise TranscriptError("each ext record is a [index, anchor] pair", line=line)
         idx, anchor = item
-        if type(idx) is not int or not 0 <= idx < d or idx in seen:
+        if type(idx) is not int or not 0 <= idx < d or idx in anchors:
             raise TranscriptError(f"ext record has a bad order index {idx!r}", line=line)
-        seen.add(idx)
-        if anchor == "BOTTOM":
-            anchors[idx] = None
-        elif type(anchor) is int and anchor >= 1:
-            anchors[idx] = anchor
-        else:
+        if anchor != "BOTTOM" and (type(anchor) is not int or anchor < 1):
             raise TranscriptError(f"ext anchor must be an id or \"BOTTOM\", got {anchor!r}", line=line)
-    return tuple(anchors)
+        anchors[idx] = None if anchor == "BOTTOM" else anchor
+    return tuple(map(anchors.__getitem__, range(d)))
 
 
 # ---------------------------------------------------------------------------
@@ -777,12 +784,11 @@ def _replay(strategy: Strategy, t: Transcript,
             v.append(f"round {row.round}: stage annotation {row.stage}, re-run says {move.stage}")
         if row.ext is not None and t.d is None:
             v.append(f"round {row.round}: ext belongs only to visible-order games")
-        try:
-            ok, pair = part.legal(strategy.poset, move.element, row.color)
-            part.assign(move.element, row.color)
-        except (TypeError, RelationError):  # unhashable, not comparable with 1, or below it
+        if type(row.color) is not int or row.color < 1:
             v.append(f"round {row.round}: color {row.color!r} is not a positive integer")
             break
+        ok, pair = part.legal(strategy.poset, move.element, row.color)
+        part.assign(move.element, row.color)
         if not ok:
             assert pair is not None
             v.append(

@@ -37,6 +37,7 @@ from olcp import adversaries, arena
 from olcp.arena import TranscriptRound
 
 from test_chain_index_check import keeper_checks_of_spliced_hosts
+from test_serialize_oracle import json_serialize
 
 
 def game(name: str, w: int, d=None, seed=None):
@@ -113,6 +114,29 @@ def test_played_rows_are_written_from_the_id_table(monkeypatch, name, w, d):
     assert calls == []
     reround(t, 4, below=(1, 2)).serialize()
     assert calls == [5]
+
+
+@pytest.mark.parametrize("name, w, d", [("theorem2", 4, 3), ("szemeredi", 8, None)])
+@pytest.mark.parametrize("extra", [5, 6, 10**4])
+def test_a_kept_mask_naming_an_id_at_or_past_its_place_is_written_by_json_dumps(
+        monkeypatch, name, w, d, extra):
+    """Round 5's row given a kept mask that names its own id 5, the next id
+    or one far past the game, or an anchor at its own id, leaves the id
+    table, which holds the ids below each row's place, to ``json.dumps``."""
+    calls = []
+    round_json = arena._round_json
+    monkeypatch.setattr(arena, "_round_json", lambda r: calls.append(r.round) or round_json(r))
+    t, report = game(name, w, d=d)
+    assert report.ok
+    kept = vars(t.rounds[4])  # the row's masks, which dataclasses.replace would make tuples
+    rows = [{"above": kept["above"] | 1 << extra}]
+    if d is not None:
+        rows.append({"ext": (extra, *kept["ext"][1:])})
+    for i, fields in enumerate(rows, start=1):
+        t.rounds[4] = TranscriptRound(**{**kept, **fields})
+        assert type(vars(t.rounds[4])["below"]) is type(vars(t.rounds[4])["above"]) is int
+        assert t.serialize() == json_serialize(t)
+        assert calls == [5] * i
 
 
 _PARSE_ERRORS = """
@@ -638,13 +662,16 @@ ENDS = "transcript ends before the game is over"
     (lambda row: {"ext": 5}, ["round 4: malformed insertion record 5; insertion-only growth broken"]),
     (lambda row: {"color": "1"}, ["round 4: color '1' is not a positive integer", ENDS]),
     (lambda row: {"color": 0}, ["round 4: color 0 is not a positive integer", ENDS]),
-    (lambda row: {"color": True}, ["round 4: color True is not a chain: (2, 4) incomparable"]),
+    (lambda row: {"color": True}, ["round 4: color True is not a positive integer", ENDS]),
+    (lambda row: {"color": 1.5}, ["round 4: color 1.5 is not a positive integer", ENDS]),
+    (lambda row: {"color": 2.0}, ["round 4: color 2.0 is not a positive integer", ENDS]),
 ])
 def test_hand_built_rows_the_replay_cannot_take_name_the_round(tamper, messages):
     """A row built in memory, where the parser checks nothing: an insertion
     record with more anchors than visible orders, or none at all, ends the
-    insertion watch; a color the partition cannot take stops the replay, as
-    a derail does.  A color it can take, True among them, is judged as ever."""
+    insertion watch; a color that is not an int of at least 1, as the
+    parser and ``run_game`` require, stops the replay at its round, as a
+    derail does, even one that equals an int, such as True or 2.0."""
     t, _ = game("theorem2", 3, 2)
     assert verify_transcript(reround(t, 3, **tamper(t.rounds[3]))) == messages
 
