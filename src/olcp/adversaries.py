@@ -42,9 +42,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .builders import BOTTOM, TOP, Builder, BuilderSpec, Region, splice
+from .builders import BOTTOM, TOP, Builder, BuilderSpec, Region
 from .errors import StrategyInvariantError
-from .poset import ChainPartition, LinearOrder, Poset, Realizer, _mask
+from .poset import ChainPartition, LinearOrder, Poset, Realizer, _mask, _tuned_hosts
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +170,8 @@ class RainbowChains:
 class LevelReport:
     """What one width level of a staged game did, for reporting and checks.
     A hidden-host level adds its block of the two hosts, tuned to chain
-    index ``width``, as ``hosts``, and its ``low_blocks``: ``splice`` tunes
-    ``hosts`` to chain index k by the union of the first k."""
+    index ``width``, as ``hosts``, and its ``low_blocks``: ``_tuned_hosts``
+    tunes ``hosts`` to chain index k by the union of the first k."""
 
     width: int
     t: int
@@ -400,7 +400,7 @@ class _GameLevel:
         self.separator_colors = 0
         self.t_range = t_range
         self.d = d
-        self.kept: list[LinearOrder] | None = None
+        self.kept: list[list[int]] | None = None
         self._bank = _Bank([Builder(*layout) for layout in zip(specs, regions, hosts)])
         self._dual_bank: _Bank | None = None
 
@@ -472,11 +472,11 @@ class _GameLevel:
         return [b.host.sequence[b._lo + 1:b._lo + 1 + n] for b in self._bank.builders]
 
     def _splice_to_t(self) -> None:
-        """Keep the level's block of the hidden hosts, then splice it in place to ``t``."""
-        self.kept = [LinearOrder(block) for block in self.host_blocks()]
-        tuned = splice(*self.kept, set().union(*self.low_blocks()[: self.t]))
-        for b, order in zip(self._bank.builders, tuned):
-            b.host.reorder(b._lo + 1, order.sequence)
+        """Keep the level's block of the hidden hosts, then tune it in place to ``t``."""
+        self.kept = self.host_blocks()
+        low = set().union(*self.low_blocks()[: self.t])
+        for b, block in zip(self._bank.builders, _tuned_hosts(*self.kept, low.__contains__)):
+            b.host.reorder(b._lo + 1, [*block])
 
     def low_blocks(self) -> list[list[int]]:
         """The points joining the low block at chain index k = 1..width: the

@@ -14,7 +14,8 @@ ids lie below its place is written from the table (``_round_line``), any
 other by ``json.dumps`` (``_round_json``).  Most lists repeat one of the
 previous row's or add one id above its top; such a list is written from
 that list's text and read back as its mask.  A line so written is read by
-matching the text around its lists (``_canonical_row``), any other whole.
+matching the text around its lists (``_canonical_row``), any other whole,
+which keeps the lists the reader last matched for the next line.
 ``verify_transcript`` re-runs the named strategy against the recorded
 colors — internal orders are re-derived, never trusted — and layers every
 structural check on top: per-round relation equality, chain validity,
@@ -23,7 +24,8 @@ insertion-only growth of visible orders, thresholds, and realizer
 extraction.  The other chain indices of a szemeredi game or a ``theorem1``
 level are checked without a builder, from positions in the two hosts tuned
 to the widest: each is accepted by its cross pairs, or else the hosts tuned
-to it (``_tuned_hosts``) are built and their rows compared with the poset's.
+to it are built and their rows compared with the poset's.  They come from
+``poset._tuned_hosts``, the formula a finished level re-tunes its block by.
 
 Live games and replays share the verification engine: one report builder,
 and one insertion-only checker (``_ExtensionWatch``) that rebuilds the
@@ -38,7 +40,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import accumulate, chain, combinations, compress, count, filterfalse, islice
+from itertools import accumulate, combinations, compress, count, islice
 from operator import and_, or_
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -71,6 +73,7 @@ from .poset import (
     _mask_ids,
     _realized_rows,
     _realizer_width,
+    _tuned_hosts,
     verify_chain_partition,
     verify_realizer,
 )
@@ -205,7 +208,8 @@ class _RowWriter:
 class _RowReader:
     """Round rows, each read from the lines before it alone: ``ids`` maps
     the text of each id below the next row's round to the id, and ``last``
-    holds the previous row's two list bodies and masks (``_kept_mask``)."""
+    holds the two list bodies and masks of the last row ``_canonical_row``
+    read (``_kept_mask``), a true reading of their text at any later round."""
 
     def __init__(self, d: int | None) -> None:
         self.d = d
@@ -214,10 +218,9 @@ class _RowReader:
 
     def row(self, raw: str, n: int) -> TranscriptRound:
         """Line ``n``'s row, by ``_canonical_row`` or else decoded whole, its
-        fields checked in line order; then the next line's lists are decoded."""
+        fields checked in line order."""
         row = _canonical_row(raw, n, self)
         if row is None:
-            self.last = ()
             obj = _parse_object(raw, n)
             _expect_keys(obj, _ROUND_FIELDS, ("ext",), n)
             rnd = _field_int(obj, "round", n, minimum=1)
@@ -341,8 +344,8 @@ def _id_list(obj: dict, key: str, line: int, size: int) -> int | tuple[int, ...]
 
 def _kept_mask(body: str, last: tuple[tuple[str, int], ...], ids: dict[str, int]) -> int | None:
     """The mask of list body ``body`` if ``_canonical_row`` may take it
-    undecoded, else None.  A body equal to one in ``last`` (the previous
-    row's two bodies and their masks) takes its mask; so does one of those
+    undecoded, else None.  A body equal to one in ``last`` (the last
+    canonical row's bodies and masks) takes its mask; so does one of those
     with a nonzero mask, followed by a comma and the text in ``ids`` of an
     id above its top, with that id's bit added, and one id's text alone."""
     for prev, mask in last:
@@ -835,16 +838,6 @@ def _chain_index_rows(scan: LinearOrder, stack: LinearOrder, rows: tuple[list[in
                             for x, i in zip(filter(is_low, stack_seq), compress(count(), map(is_low, seq)))))
         yield None if same else _realized_rows([*map(LinearOrder, _tuned_hosts(seq, stack_seq, is_low))],
                                                len(below))
-
-
-def _tuned_hosts(seq: list[int], stack_seq: list[int], is_low) -> tuple[Iterator[int], Iterator[int]]:
-    """The scan and stack hosts tuned to the low block ``is_low`` tests, lowest
-    point first, from ``seq`` and ``stack_seq``, the two tuned to the widest:
-    the scan host is ``seq``'s low points, then ``stack_seq``'s rest; the stack host
-    is ``seq`` with its low slots refilled in order by ``stack_seq``'s, while they last."""
-    refill = filter(is_low, stack_seq)
-    return (chain(filter(is_low, seq), filterfalse(is_low, stack_seq)),
-            (next(refill, x) if is_low(x) else x for x in seq))
 
 
 # ---------------------------------------------------------------------------

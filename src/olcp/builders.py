@@ -27,9 +27,9 @@ the scan rule at k and below; a stack root the reverse.  A stack-rule
 child region lies below its parent's first point, a scan-rule one just
 above its parent's terminal, so the points of widths up to k form one
 block: at the bottom of the scan host, and where the all-scan host has
-them in the stack host.  :func:`splice` reads each block's order from the
-all-scan or the all-stack host; a prefix of the colors gives a prefix of
-each game, so it holds mid-game too.
+them in the stack host.  :func:`olcp.poset._tuned_hosts` reads each block's
+order from the all-scan or the all-stack host; a prefix of the colors gives
+a prefix of each game, so it holds mid-game too.
 
 A root builder keeps its deeper instances in one list, widest first, and
 acts on the last of them directly, so a call takes one step at any depth.
@@ -292,18 +292,3 @@ class Builder:
         below = _mask(own[:s])
         region = Region(low, high, r.below | below, r.above | (self._own ^ below))
         return Builder(self.spec.child(), region, self.host)
-
-
-def splice(scan: LinearOrder, stack: LinearOrder, low: set[int]) -> tuple[LinearOrder, LinearOrder]:
-    """The scan and stack hosts tuned to chain index k, from ``scan`` and
-    ``stack``, the hosts tuned to k = w, and ``low``, the points of the
-    instances of width at most k (see the module docstring).  The scan host
-    is ``scan`` restricted to ``low``, then ``stack`` restricted to the
-    rest; the stack host is ``scan`` with the positions of ``low`` refilled,
-    in order, by ``stack`` restricted to ``low``.  A block at the bottom of
-    every host, such as a level's mirrored block, may join ``low``."""
-    scan_low = [x for x in scan.sequence if x in low]
-    stack_rest = [x for x in stack.sequence if x not in low]
-    refill = iter([x for x in stack.sequence if x in low])
-    return (LinearOrder(scan_low + stack_rest),
-            LinearOrder(next(refill) if x in low else x for x in scan.sequence))

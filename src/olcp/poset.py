@@ -23,7 +23,7 @@ realizer's orders (:func:`_realizer_width`): few augmenting searches remain.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import compress, count
+from itertools import chain, compress, count, filterfalse
 from typing import Iterable, Iterator
 
 from .errors import RelationError
@@ -472,17 +472,26 @@ def _realizer_width(p: Poset, orders: list[LinearOrder], realized: bool) -> int:
     return len(p) - len(p._max_matching(best))
 
 
-def _first_difference(below: list[int], above: list[int], rows_below: list[int | None],
-                      rows_above: list[int | None], ids: Iterable[int]) -> int | None:
+def _first_difference(below: list[int], above: list[int], rows_below: list[int],
+                      rows_above: list[int], ids: Iterable[int]) -> int | None:
     """The first of ``ids`` whose ``below``/``above`` rows differ from
     ``rows_below``/``rows_above``'s, both restricted to older ids, which
-    hold each relation once; a row of None differs from every row."""
+    hold each relation once."""
     for y in ids:
         older = (1 << y) - 1
-        b, a = rows_below[y], rows_above[y]
-        if b is None or a is None or (below[y] ^ b) & older or (above[y] ^ a) & older:
+        if (below[y] ^ rows_below[y]) & older or (above[y] ^ rows_above[y]) & older:
             return y
     return None
+
+
+def _tuned_hosts(seq: list[int], stack_seq: list[int], is_low) -> tuple[Iterator[int], Iterator[int]]:
+    """The scan and stack hosts tuned to the low block ``is_low`` tests, lowest
+    point first, from ``seq`` and ``stack_seq``, the two tuned to the widest:
+    the scan host is ``seq``'s low points, then ``stack_seq``'s rest; the stack host
+    is ``seq`` with its low slots refilled in order by ``stack_seq``'s, while they last."""
+    refill = filter(is_low, stack_seq)
+    return (chain(filter(is_low, seq), filterfalse(is_low, stack_seq)),
+            (next(refill, x) if is_low(x) else x for x in seq))
 
 
 def intersect(orders: Iterable[LinearOrder]) -> Poset:

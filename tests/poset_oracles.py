@@ -3,14 +3,16 @@
 Games grow posets one element at a time through ``Poset.add_element``;
 these helpers build whole fixtures from relation lists, answer the block
 and pair queries that no game asks, and read a poset back as explicit
-pairs, as oracles for the mask-backed code.
+pairs, as oracles for the mask-backed code.  ``splice`` tunes two hidden
+hosts to another chain index with list comprehensions, as an oracle for
+``poset._tuned_hosts``.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from olcp import Poset, RelationError
+from olcp import LinearOrder, Poset, RelationError
 
 
 def from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Poset:
@@ -80,3 +82,19 @@ def check_axioms(p: Poset) -> list[str]:
             if y not in p.above(x):
                 problems.append(f"below/above tables disagree on ({x}, {y})")
     return problems
+
+
+def splice(scan: LinearOrder, stack: LinearOrder, low: set[int]) -> tuple[LinearOrder, LinearOrder]:
+    """The scan and stack hosts tuned to chain index k, from ``scan`` and
+    ``stack``, the hosts tuned to k = w, and ``low``, the points of the
+    instances of width at most k (see the ``olcp.builders`` docstring).  The
+    scan host is ``scan`` restricted to ``low``, then ``stack`` restricted to
+    the rest; the stack host is ``scan`` with the positions of ``low``
+    refilled, in order, by ``stack`` restricted to ``low``.  A block at the
+    bottom of every host, such as a level's mirrored block, may join ``low``.
+    A refill that runs out raises RuntimeError."""
+    scan_low = [x for x in scan.sequence if x in low]
+    stack_rest = [x for x in stack.sequence if x not in low]
+    refill = iter([x for x in stack.sequence if x in low])
+    return (LinearOrder(scan_low + stack_rest),
+            LinearOrder(next(refill) if x in low else x for x in scan.sequence))

@@ -31,9 +31,9 @@ from olcp import (
 from olcp import adversaries
 from olcp.adversaries import _Bank
 from olcp.arena import _ExtensionWatch, build_report
-from olcp.builders import BOTTOM, TOP, Builder, BuilderSpec, Region, splice
+from olcp.builders import BOTTOM, TOP, Builder, BuilderSpec, Region
 
-from poset_oracles import antichain, chain, from_pairs, relation_pairs
+from poset_oracles import antichain, chain, from_pairs, relation_pairs, splice
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ chain index against their splice from the two tuned to k = w."""
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,10 @@ from olcp import (
     run_game,
 )
 from olcp.adversaries import HiddenRealizerStrategy, _GameLevel
-from olcp.builders import FAMILIES, Done, Stage1Ended, splice
+from olcp.builders import FAMILIES, Done, Stage1Ended
+from olcp.poset import _tuned_hosts
+
+from poset_oracles import splice
 
 
 def drive(builder: Builder, colors) -> list[int]:
@@ -463,3 +467,39 @@ def test_spliced_level_hosts_equal_builders_tuned_to_k(w, opponent):
         for k in range(1, rep.width + 1):
             low = set().union(*rep.low_blocks[:k])
             assert splice(*rep.hosts, low) == (every.hosts[k - 1], every.hosts[rep.width + k - 1])
+
+
+@st.composite
+def tuned_inputs(draw, one_set: bool) -> tuple[list[int], list[int], list[set[int]]]:
+    """Two orders, of one id set or, unless ``one_set``, of any ids with
+    repeats, and nested low sets, which may name ids outside the orders."""
+    ids = st.integers(1, 40)
+    if one_set:
+        scan = draw(st.lists(ids, unique=True, max_size=30))
+        stack = draw(st.permutations(scan))
+    else:
+        scan, stack = draw(st.lists(ids, max_size=30)), draw(st.lists(ids, max_size=30))
+    return scan, stack, [*accumulate(draw(st.lists(st.sets(ids), max_size=6)), set.union)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tuned_inputs(one_set=True))
+def test_tuned_hosts_give_the_splice_on_one_id_set(inputs):
+    """The formula the strategy and the verifier tune hidden hosts by gives
+    the oracle's two sequences for every low set."""
+    scan, stack, lows = inputs
+    for low in lows:
+        got = tuple(map(list, _tuned_hosts(scan, stack, low.__contains__)))
+        assert got == tuple(o.sequence for o in splice(LinearOrder(scan), LinearOrder(stack), low))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tuned_inputs(one_set=False))
+def test_tuned_hosts_take_orders_of_other_id_sets(inputs):
+    """Where the oracle's refill may run out, the tuned stack host keeps a
+    low slot's own id once the stack order's low ids are used up."""
+    scan, stack, lows = inputs
+    for low in lows:
+        tuned_scan, tuned_stack = map(list, _tuned_hosts(scan, stack, low.__contains__))
+        assert len(tuned_scan) == sum(x in low for x in scan) + sum(x not in low for x in stack)
+        assert len(tuned_stack) == len(scan)

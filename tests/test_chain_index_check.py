@@ -3,7 +3,7 @@
 ``verify_transcript`` checks chain indices 1..w-1 from the positions in
 the main replay's two hosts and the low blocks of its builder bank: a
 chain index whose cross pairs agree presents the main poset, and only the
-hosts of any other one are built, by the formula ``builders.splice``
+hosts of any other one are built, by the formula ``poset_oracles.splice``
 implements, and their relations compared with the replayed poset's rows
 once, at the end of the game.  The oracle here is the check it replaced:
 one full strategy replay per chain index, compared with the rows round by
@@ -37,11 +37,10 @@ from hypothesis import strategies as st
 from olcp import FirstFit, RandomValid, Transcript, make_strategy, run_game, verify_transcript
 from olcp import adversaries, arena
 from olcp.builders import BOTTOM, Builder
-from olcp.builders import splice
 from olcp.errors import StrategyInvariantError
 from olcp.poset import ChainPartition, LinearOrder, _first_difference, _realized_rows, intersect
 
-from poset_oracles import dual, is_completely_below, is_completely_incomparable
+from poset_oracles import dual, is_completely_below, is_completely_incomparable, splice
 
 
 def verify_with_a_replay_per_chain_index(t: Transcript) -> list[str]:
@@ -161,7 +160,7 @@ def test_injected_chain_index_faults_are_reported_as_a_replay_per_chain_index_di
 
 
 def first_fault_of_spliced_hosts(s, t: Transcript, low: set[int]) -> str | None:
-    """The first relation fault of the hosts ``builders.splice`` tunes to
+    """The first relation fault of the hosts ``poset_oracles.splice`` tunes to
     the low block ``low`` from the main replay's two: the round of the first
     element whose rows, restricted to older ids, differ from the replayed
     poset's, below checked before above."""
@@ -426,7 +425,7 @@ def test_arena_imports_nothing_from_builders():
 
 def levels_with_a_splice_per_chain_index(s, part: ChainPartition, reports) -> list[str]:
     """``arena._check_levels`` as it was: each level's hosts tuned to every
-    chain index k are spliced from its two (``builders.splice``) by the union
+    chain index k are spliced from its two (``poset_oracles.splice``) by the union
     of its first k low blocks, their rows realized and compared with the
     level's, and read for the keeper checks."""
     v: list[str] = []

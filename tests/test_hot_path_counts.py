@@ -17,9 +17,10 @@ element.  The rows arrive as the masks the builders record in their hosts,
 read from their windows, so no on-line round builds a mask from the ids
 of the poset.  A szemeredi transcript is replayed once, and a
 theorem1 level runs two roots and two dual roots: hosts tuned to other
-chain indices are neither grown by a builder nor spliced, as their
-cross-pair and keeper checks read the two hosts' positions, and a clean
-level's chain indices are all accepted by their cross pairs.  A clean
+chain indices are grown by no builder, as their cross-pair and keeper
+checks read the two hosts' positions, and a clean level's chain indices
+are all accepted by their cross pairs, so no tuned pair's rows are built;
+the strategy re-tunes a finished level's hosts once.  A clean
 report tests each certified chain with one mask test, walking no pairs.
 Only a hidden-host level's report copies hosts: a visible-order level's
 builds no ``LinearOrder``.  A theorem2 report seeds its width matching
@@ -33,10 +34,12 @@ none decoded whole.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from olcp import FirstFit, RandomValid, Transcript, make_strategy, run_game, verify_transcript
-from olcp import adversaries, arena, builders
+from olcp import adversaries, arena
 from olcp import poset as poset_module
 from olcp.adversaries import PresentedRealizerStrategy, _GameLevel
 from olcp.builders import FAMILIES, ORIENTATIONS, Builder
@@ -391,35 +394,30 @@ def test_a_clean_theorem1_play_realizes_rows_once_a_level(monkeypatch):
 
 @pytest.mark.parametrize("w", range(3, 7))
 def test_a_theorem1_level_check_splices_no_chain_index(monkeypatch, w):
-    """Playing and verifying a clean theorem1 game: the level checks read
-    each chain index's hosts from the level's two and splice none; only
-    ``extract_realizer`` splices, once per level.  Every module's binding
-    of ``splice`` is counted, with the caller, ``arena``'s too if it had one."""
-    calls = {"levels": 0, "realizer": 0, "other": 0}
-    checking = []
-    splice, check_levels = builders.splice, arena._check_levels
+    """Playing and verifying a clean theorem1 game: the strategy re-tunes
+    its hosts by the formula (``poset._tuned_hosts``) once per finished
+    level, in ``_GameLevel._splice_to_t``, and the level checks accept every
+    chain index by its cross pairs, so no tuned pair's rows are built."""
+    tuned, yielded = [], []
+    tuned_hosts, chain_index_rows = adversaries._tuned_hosts, arena._chain_index_rows
 
-    def counted(name):
-        def spy(scan, stack, low):
-            calls["levels" if checking else name] += 1
-            return splice(scan, stack, low)
-        return spy
+    def spy_tuned_hosts(*args):
+        tuned.append(True)
+        return tuned_hosts(*args)
 
-    def spy_check_levels(*args):
-        checking.append(True)
-        try:
-            return check_levels(*args)
-        finally:
-            checking.pop()
+    def spy_rows(*args):
+        for item in chain_index_rows(*args):
+            yielded.append(item)
+            yield item
 
-    for module, name in ((arena, "other"), (adversaries, "realizer"), (builders, "other")):
-        monkeypatch.setattr(module, "splice", counted(name), raising=False)
-    monkeypatch.setattr(arena, "_check_levels", spy_check_levels)
+    monkeypatch.setattr(adversaries, "_tuned_hosts", spy_tuned_hosts)
+    monkeypatch.setattr(arena, "_chain_index_rows", spy_rows)
     transcript, report = run_game(make_strategy("theorem1", w), FirstFit())
     assert report.ok
     assert verify_transcript(transcript) == []
     widths = [rep.width for rep in report.levels]
-    assert calls == {"levels": 0, "realizer": 2 * len(widths), "other": 0}
+    assert len(tuned) == 2 * len(widths)
+    assert yielded == [None] * (2 * sum(widths))
 
 
 def test_a_clean_szemeredi_verify_builds_no_order_for_its_chain_indices(monkeypatch):
@@ -534,3 +532,22 @@ def test_a_played_transcript_decodes_only_its_header_whole(monkeypatch, name, w,
                         lambda raw, line: decoded.append(line) or parse_object(raw, line))
     assert Transcript.parse(transcript.serialize()) == transcript
     assert decoded == [1]
+
+
+def test_a_line_decoded_whole_keeps_the_previous_lists_for_the_next(monkeypatch):
+    """A re-spaced round line is decoded whole, and the lists of the last
+    line read by its text stay a true reading of their text, so the next
+    line still reuses them: a theorem1 w=4 text with rounds 10, 20, ..., 60
+    re-spaced by ``json.dumps`` decodes 38 lists, 12 of them on the
+    re-spaced lines."""
+    transcript, report = run_game(make_strategy("theorem1", 4), FirstFit())
+    assert report.ok
+    lines = transcript.serialize().splitlines()
+    for i in range(10, len(lines), 10):
+        lines[i] = json.dumps(json.loads(lines[i]))
+    decoded = []
+    id_list = arena._id_list
+    monkeypatch.setattr(arena, "_id_list", lambda *args: decoded.append(args[2]) or id_list(*args))
+    assert Transcript.parse("\n".join(lines) + "\n") == transcript
+    assert len(decoded) == 38
+    assert sum(line % 10 == 1 for line in decoded) == 12
