@@ -28,9 +28,8 @@ to it are built and their rows compared with the poset's.  They come from
 ``poset._tuned_hosts``, the formula a finished level re-tunes its block by.
 
 Live games and replays share the verification engine: one report builder,
-and one insertion-only checker (``_ExtensionWatch``) that rebuilds the
-visible orders from the recorded insertion anchors, so ``play`` and
-``verify`` judge a game's ``ext`` records the same way.
+and one insertion-only checker (``_ExtensionWatch``), O(d) a round, so
+``play`` and ``verify`` judge a game's ``ext`` records the same way.
 """
 
 from __future__ import annotations
@@ -494,24 +493,23 @@ class _ExtensionWatch:
     """Insertion-only growth of a strategy's visible orders, checked the
     same way in live games and in transcript replays.
 
-    One plain-list replica per order grows from the recorded insertion
-    anchors alone (the move's ``ext`` in a live game, the row's ``ext`` in
-    a replay) and must equal the strategy's order after every round: then
-    each order grew by inserting just the new element, directly above its
-    recorded anchor, and everything already placed kept its relative
-    position.  The first break, a round without an insertion record
-    included, is reported and ends the watch.  Only orders the partitioner
-    sees (``strategy.d`` set) are watched: hidden hosts are spliced in
-    place, and their moves carry no ``ext``.
+    Each round every order must be one longer, never reordered, and hold
+    the new element at the index its insertion took, right above the anchor
+    its ``ext`` records (at the bottom for None): by the argument in
+    ``LinearOrder``, the old order grown by just that insertion.  The first
+    break, a round without an insertion record included, is reported and
+    ends the watch.  Only orders the partitioner sees (``strategy.d`` set)
+    are watched: hidden hosts are spliced in place and carry no ``ext``.
     """
 
     def __init__(self, strategy: Strategy):
-        self.orders = strategy.orders
-        self.replicas = None if strategy.d is None else [list(o.sequence) for o in self.orders]
+        self.orders = tuple(strategy.orders)
+        self.sizes = None if strategy.d is None else [len(o) for o in self.orders]
+        self.reorders = [o._reorders for o in self.orders]
 
     def check(self, rnd: int, e: int, ext: tuple[int | None, ...] | None,
               out: list[str]) -> None:
-        if self.replicas is None:
+        if self.sizes is None:
             return
         try:
             fault = self._grow(e, ext)
@@ -519,20 +517,24 @@ class _ExtensionWatch:
             fault = f"malformed insertion record {ext!r}"
         if fault is not None:
             out.append(f"round {rnd}: {fault}; insertion-only growth broken")
-            self.replicas = None
+            self.sizes = None
 
     def _grow(self, e: int, ext: tuple[int | None, ...] | None) -> str | None:
-        """Insert e into each replica at its recorded anchor; the fault, if any."""
+        """Check each order's growth by e above its recorded anchor; the fault, if any."""
         if ext is None:
             return "no insertion record for the visible orders"
-        for j, anchor in enumerate(ext):
-            replica = self.replicas[j]
-            try:
-                replica.insert(0 if anchor is None else replica.index(anchor) + 1, e)
-            except ValueError:
+        for j, anchor in enumerate(anchors := list(ext)):
+            try:  # an IndexError, more anchors than orders, is malformed
+                known = anchor in self.orders[j]
+            except TypeError:  # unhashable: searched as list.index would
+                known = anchor in self.orders[j].sequence
+            if anchor is not None and (anchor == e or not known):
                 return f"order {j} grew above unknown element {anchor}"
         for j, order in enumerate(self.orders):
-            if self.replicas[j] != order.sequence:
+            seq, at = order.sequence, order._at
+            self.sizes[j] += 1
+            if (len(seq) != self.sizes[j] or order._reorders != self.reorders[j] or j >= len(anchors)
+                    or seq[at] != e or (seq[at - 1] != anchors[j] if at else anchors[j] is not None)):
                 return f"recorded insertions rebuild a different order {j}"
         return None
 

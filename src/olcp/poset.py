@@ -299,25 +299,29 @@ class LinearOrder:
     """A growing sequence of element ids, lowest first.
 
     Grows by the one mutation the game needs: insert a fresh element
-    directly above an existing anchor (or at the very bottom).  Existing
-    relative order is never disturbed, which is exactly the on-line
-    extension property the adversaries rely on; a hidden host, which no
-    partitioner sees, may also have a finished block reordered in place
-    (:meth:`reorder`).  Insertions check membership in a set built on first
-    use (so read-only copies never pay for one) and find the anchor with
-    ``list.index``, unless the caller passes a position hint that the
+    directly above an existing anchor (or at the very bottom), at the index
+    kept as ``_at``.  A hidden host, which no partitioner sees, may also
+    have a finished block reordered in place (:meth:`reorder`, counted in
+    ``_reorders``).  Nothing else but ``__init__`` writes ``sequence``, so
+    an order one longer than before a round, with no reorder since, is the
+    old one with ``sequence[_at]`` inserted right above ``sequence[_at - 1]``
+    (at the bottom if ``_at`` is 0), ids being distinct; the extension watch
+    checks that in O(1).  Insertions check membership in a set built on
+    first use (so read-only copies never pay for one) and find the anchor
+    with ``list.index``, unless the caller passes a position hint that the
     sequence confirms: a stale hint costs one comparison and a search.
     Only whole-order checks build :meth:`positions`.  The order keeps no
     masks; builders read those from their windows (see :mod:`olcp.builders`).
     """
 
-    __slots__ = ("sequence", "_members", "_pos", "_stale")
+    __slots__ = ("sequence", "_members", "_pos", "_stale", "_at", "_reorders")
 
     def __init__(self, sequence: Iterable[int] = ()):
         self.sequence: list[int] = list(sequence)
         self._members: set[int] | None = None
         self._pos: dict[int, int] = {}
         self._stale = True
+        self._at = self._reorders = 0
 
     def insert_above(self, anchor: int | None, e: int, hint: int | None = None) -> None:
         """Insert ``e`` directly above ``anchor`` (``None`` = new bottom);
@@ -339,12 +343,14 @@ class LinearOrder:
         seq.insert(at, e)
         members.add(e)
         self._stale = True
+        self._at = at
 
     def reorder(self, at: int, block: list[int]) -> None:
         """Write ``block``, the elements from index ``at`` on in another
         order, over them."""
         self.sequence[at:at + len(block)] = block
         self._stale = True
+        self._reorders += 1
 
     def positions(self) -> dict[int, int]:
         if self._stale:
@@ -591,7 +597,9 @@ class ChainPartition:
         walk = self._firsts & ~outside
         if 4 * walk.bit_count() < len(self.masks):
             return self._legal_by_firsts(walk, outside)
-        return sorted(c for c, cls in self.masks.items() if not cls & outside)
+        legal = [c for c, cls in self.masks.items() if not cls & outside]
+        legal.sort()  # colors mostly open ascending: one run check
+        return legal
 
     def _legal_by_firsts(self, walk: int, outside: int) -> list[int]:
         """:meth:`legal_colors`, given ``outside``, the mask of the elements

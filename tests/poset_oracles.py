@@ -5,7 +5,9 @@ these helpers build whole fixtures from relation lists, answer the block
 and pair queries that no game asks, and read a poset back as explicit
 pairs, as oracles for the mask-backed code.  ``splice`` tunes two hidden
 hosts to another chain index with list comprehensions, as an oracle for
-``poset._tuned_hosts``.
+``poset._tuned_hosts``.  ``ReplicaWatch`` checks insertion-only growth by
+rebuilding each visible order from the recorded anchors, as an oracle for
+``arena._ExtensionWatch``.
 """
 
 from __future__ import annotations
@@ -98,3 +100,40 @@ def splice(scan: LinearOrder, stack: LinearOrder, low: set[int]) -> tuple[Linear
     refill = iter([x for x in stack.sequence if x in low])
     return (LinearOrder(scan_low + stack_rest),
             LinearOrder(next(refill) if x in low else x for x in scan.sequence))
+
+
+class ReplicaWatch:
+    """Insertion-only growth of a strategy's visible orders, checked against
+    plain-list replicas, in O(n·d) a round: each round every replica takes
+    the new element directly above its recorded anchor (``list.index``) and
+    must then equal the strategy's order.  ``check`` takes and reports what
+    ``arena._ExtensionWatch.check`` does, and stops at the first fault."""
+
+    def __init__(self, strategy):
+        self.orders = strategy.orders
+        self.replicas = None if strategy.d is None else [list(o.sequence) for o in self.orders]
+
+    def check(self, rnd: int, e: int, ext, out: list[str]) -> None:
+        if self.replicas is None:
+            return
+        try:
+            fault = self._grow(e, ext)
+        except (IndexError, TypeError):  # more anchors than orders, or no sequence of them
+            fault = f"malformed insertion record {ext!r}"
+        if fault is not None:
+            out.append(f"round {rnd}: {fault}; insertion-only growth broken")
+            self.replicas = None
+
+    def _grow(self, e: int, ext) -> str | None:
+        if ext is None:
+            return "no insertion record for the visible orders"
+        for j, anchor in enumerate(ext):
+            replica = self.replicas[j]
+            try:
+                replica.insert(0 if anchor is None else replica.index(anchor) + 1, e)
+            except ValueError:
+                return f"order {j} grew above unknown element {anchor}"
+        for j, order in enumerate(self.orders):
+            if self.replicas[j] != order.sequence:
+                return f"recorded insertions rebuild a different order {j}"
+        return None

@@ -424,7 +424,7 @@ def test_every_strategy_keeps_its_realizer_in_orders(name, w, d, k, opponent):
 
 
 def test_hidden_hosts_are_not_watched():
-    assert _ExtensionWatch(HiddenRealizerStrategy(3)).replicas is None
+    assert _ExtensionWatch(HiddenRealizerStrategy(3)).sizes is None
 
 
 @pytest.mark.parametrize("opponent", [None, 0, 1, 2])

@@ -28,7 +28,8 @@ from a chain cover along a visible order, which leaves at most a couple
 of augmenting searches.
 Transcript rows stay masks from the move to the text and from the text to
 the verifier, and the visible orders are copied only for a partitioner
-that reads them.  A played transcript's round lines are read as written,
+that reads them.  The extension watch keeps two ints per visible order,
+no copy of one.  A played transcript's round lines are read as written,
 none decoded whole.
 """
 
@@ -304,6 +305,49 @@ def test_visible_orders_are_copied_only_for_a_partitioner_that_reads_them(monkey
     transcript, report = run_game(strategy, Reading())
     assert report.ok
     assert copies == list(range(1, len(transcript.rounds) + 1))
+
+
+def _watches(monkeypatch) -> list:
+    """Every extension watch made from here on."""
+    made = []
+    init = arena._ExtensionWatch.__init__
+
+    def spy_init(self, strategy):
+        made.append(self)
+        init(self, strategy)
+
+    monkeypatch.setattr(arena._ExtensionWatch, "__init__", spy_init)
+    return made
+
+
+def test_the_extension_watch_keeps_two_ints_per_visible_order(monkeypatch):
+    """After a theorem2 w=6, d=3 game, played and verified, the watch holds
+    the strategy's own orders and, per order, its expected length and its
+    reorder count: O(d) ints, no list of ids."""
+    made = _watches(monkeypatch)
+    strategy = make_strategy("theorem2", 6, d=3)
+    transcript, report = run_game(strategy, FirstFit())
+    assert report.ok
+    assert verify_transcript(transcript) == []
+    rounds = len(transcript.rounds)
+    assert len(made) == 2
+    for watch in made:
+        assert set(vars(watch)) == {"orders", "sizes", "reorders"}
+        assert watch.sizes == [rounds] * 3 and watch.reorders == [0] * 3
+        assert all(type(x) is int for x in watch.sizes + watch.reorders)
+        assert all(type(o) is LinearOrder for o in watch.orders)
+    assert all(o is live for o, live in zip(made[0].orders, strategy.orders))
+
+
+def test_a_hidden_host_game_gets_a_watch_that_does_nothing(monkeypatch):
+    made = _watches(monkeypatch)
+    _, report = run_game(make_strategy("theorem1", 3), FirstFit())
+    assert report.ok
+    [watch] = made
+    assert watch.sizes is None
+    out: list[str] = []
+    watch.check(1, 1, None, out)
+    assert out == []
 
 
 @pytest.mark.parametrize("w", [2, 5])
