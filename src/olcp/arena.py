@@ -452,9 +452,10 @@ def run_game(strategy: Strategy, partitioner,
     """Play one full game and return its transcript and verified report.
 
     The report makes every check a replay makes, the width of the whole
-    presented poset included.  The visible orders are checked to realize
-    the poset once, at the end: insertion-only growth carries a wrong round
-    there.  The partition handed to the partitioner is rechecked whole.
+    presented poset included, but the szemeredi chain-index check, which
+    only :func:`verify_transcript` runs.  The visible orders are checked to
+    realize the poset once, at the end: insertion-only growth carries a
+    wrong round there.  The partition handed to the partitioner is rechecked whole.
     A row keeps the move's masks.
     """
     part = ChainPartition()

@@ -38,8 +38,8 @@ class PartitionerView:
         return self._realizer
 
     def legal_colors(self) -> list[int]:
-        """Existing colors the new element may join, ascending, found from
-        each class's first member (:meth:`ChainPartition.legal_colors`)."""
+        """Existing colors the new element may join, ascending, in a fresh
+        list updated from the last round's (:meth:`ChainPartition.legal_colors`)."""
         return self.partition.legal_colors(self.poset, self.element)
 
     def fresh_color(self) -> int:

@@ -13,11 +13,11 @@ presented; full rows come once, from the realizer a game's report checks
 Staged games reach 770-1300 points and about 256k relations, so neither
 the per-round legal colors nor the whole-poset checks (realizer,
 extension, partition, width) loop over pairs of elements in Python.
-Legal colors come from each class's first member: only a class whose first
-member is not incomparable to the new point is tested against the
-non-negative :meth:`Poset.incomparable_mask`.  :meth:`Poset.width` seeds
-its matching greedily, a game's report from a chain cover along one of its
-realizer's orders (:func:`_realizer_width`): few augmenting searches remain.
+Legal colors come from the last answer: only a class changed since, or
+with a member where the non-negative :meth:`Poset.incomparable_mask`
+changed, is tested again.  :meth:`Poset.width` seeds its matching
+greedily, a game's report from a chain cover along one of its realizer's
+orders (:func:`_realizer_width`): few augmenting searches remain.
 """
 
 from __future__ import annotations
@@ -193,8 +193,9 @@ class Poset:
 
     def restrict(self, keep: Iterable[int]) -> "Poset":
         """Induced sub-poset on ``keep`` (ids preserved)."""
+        keep = set(keep)
         km = _mask(keep) & self._all
-        elements = [e for e in self._elements if km >> e & 1]
+        elements = [e for e in self._elements if e in keep]
         size = max(elements, default=0) + 1
         rows_below, rows_above = self._rows()
         below, above = [0] * size, [0] * size
@@ -553,21 +554,25 @@ class ChainPartition:
     ``top`` is the largest color (0 if none), both read-only outside
     :meth:`assign`.
 
-    ``_firsts`` masks the first member assigned to each color, set when the
-    color is new.  A class that a new point may join has every member
-    comparable to it, its first member included, so :meth:`legal_colors`
-    need test only the classes whose first member is not incomparable to
-    the point.  The rule holds for any partition and poset, so there is
-    nothing to keep up to date.
+    :meth:`legal_colors` answers from its last call: ``_outside`` is the
+    mask it last tested (0 at the start), ``_legal`` the colors whose class
+    missed it, and ``_touched`` the colors :meth:`assign` has changed since.
+    A class that no ``assign`` touched, and that has no member among the
+    ids where the new mask differs from ``_outside``, meets the new mask
+    exactly where it met the old one, so its verdict stands.  That holds
+    for any poset, element and call order; a first call needs no special
+    case, since the previous mask is 0 and there are no classes yet.
     """
 
-    __slots__ = ("color_of", "masks", "top", "_firsts")
+    __slots__ = ("color_of", "masks", "top", "_outside", "_legal", "_touched")
 
     def __init__(self) -> None:
         self.color_of: dict[int, int] = {}
         self.masks: dict[int, int] = {}
         self.top = 0
-        self._firsts = 0
+        self._outside = 0
+        self._legal: set[int] = set()
+        self._touched: set[int] = set()
 
     def assign(self, e: int, color: int) -> None:
         if type(e) is not int or e < 1:
@@ -577,44 +582,34 @@ class ChainPartition:
         if color < 1:
             raise RelationError(f"colors are positive integers, got {color}")
         self.color_of[e] = color
-        cls = self.masks.get(color, 0)
-        if not cls:
-            self._firsts |= 1 << e
-        self.masks[color] = cls | 1 << e
+        self.masks[color] = self.masks.get(color, 0) | 1 << e
+        self._touched.add(color)
         self.top = max(self.top, color)
 
     def legal_colors(self, p: Poset, e: int) -> list[int]:
-        """Colors whose class ``e`` may join, ascending.
+        """Colors whose class ``e`` may join, ascending, as a fresh list.
 
         A class is legal when its mask misses ``p.incomparable_mask(e)``.
-        Only a class whose first member is not incomparable to ``e`` can be:
-        in a ``szemeredi`` game about a dozen of the hundreds of classes.
-        When those are not few next to all classes, as in staged games,
-        where most first members lie below the new point, one mask test per
-        class is cheaper than the walk and runs instead.
+        Only the touched classes and those with a member among the changed
+        ids, walked bit by bit, are tested again: about two a round.
         """
         outside = p.incomparable_mask(e)
-        walk = self._firsts & ~outside
-        if 4 * walk.bit_count() < len(self.masks):
-            return self._legal_by_firsts(walk, outside)
-        legal = [c for c, cls in self.masks.items() if not cls & outside]
-        legal.sort()  # colors mostly open ascending: one run check
-        return legal
-
-    def _legal_by_firsts(self, walk: int, outside: int) -> list[int]:
-        """:meth:`legal_colors`, given ``outside``, the mask of the elements
-        incomparable to ``e``, and ``walk``, the first members not in
-        ``outside``: tests the class of each, walked bit by bit."""
-        masks, color_of = self.masks, self.color_of
-        legal = []
-        while walk:
-            low = walk & -walk
-            c = color_of[low.bit_length() - 1]
-            if not masks[c] & outside:
-                legal.append(c)
-            walk ^= low
-        legal.sort()
-        return legal
+        changed, self._outside = outside ^ self._outside, outside
+        retest, self._touched = self._touched, set()
+        color_of = self.color_of
+        while changed:
+            low = changed & -changed
+            c = color_of.get(low.bit_length() - 1)
+            if c is not None:
+                retest.add(c)
+            changed ^= low
+        masks, legal = self.masks, self._legal
+        for c in retest:
+            if masks[c] & outside:
+                legal.discard(c)
+            else:
+                legal.add(c)
+        return sorted(legal)
 
     def classes(self) -> dict[int, set[int]]:
         out: dict[int, set[int]] = {}

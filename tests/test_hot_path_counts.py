@@ -1,8 +1,8 @@
 """Call counts on the on-line loop's hot path, counted rather than timed.
 
-The partitioner's legal colors come from the classes' first members: only a
-class whose first member is not incomparable to the new point has its mask
-tested, and ``ChainPartition.legal`` runs once a round (the arena's check
+The partitioner's legal colors come from the last round's answer: only a
+class changed since, or with a member whose incomparability to the new
+point changed, has its mask tested, and ``ChainPartition.legal`` runs once a round (the arena's check
 of the chosen color), not once per color.  Host orders grow by
 ``list.index`` and a membership set, so no insertion rebuilds a
 ``positions()`` dict.  A root builder acts on the last instance of its
@@ -127,6 +127,52 @@ def test_rainbow_game_tests_a_few_class_masks_a_round():
 
     transcript, report = run_game(make_strategy("szemeredi", 36), Counting())
     assert report.ok and report.colors == 666
+    assert tested[0] < classes[0] / 10
+
+
+@pytest.mark.parametrize("partitioner", [FirstFit, lambda: RandomValid(0)],
+                         ids=["first-fit", "random-0"])
+def test_staged_game_tests_a_few_class_masks_a_round(partitioner):
+    """A theorem1 game's new point lies below most classes, and the mask of
+    the points incomparable to it changes by a couple of ids a round: the
+    legal colors read under a tenth of the class masks, where one test per
+    class reads them all."""
+    reads, tested, classes = [0], [0], [0]
+
+    class Counted(dict):
+        def __getitem__(self, color):
+            reads[0] += 1
+            return super().__getitem__(color)
+
+        def get(self, color, default=None):
+            reads[0] += 1
+            return super().get(color, default)
+
+        def items(self):
+            for item in super().items():
+                reads[0] += 1
+                yield item
+
+        def values(self):
+            for _, cls in self.items():
+                yield cls
+
+    class Counting:
+        def __init__(self, inner):
+            self.inner, self.name = inner, inner.name
+
+        def choose(self, view):
+            part = view.partition
+            if type(part.masks) is not Counted:
+                part.masks = Counted(part.masks)
+            classes[0] += len(part.masks)
+            before = reads[0]
+            color = self.inner.choose(view)
+            tested[0] += reads[0] - before
+            return color
+
+    transcript, report = run_game(make_strategy("theorem1", 12), Counting(partitioner()))
+    assert report.ok
     assert tested[0] < classes[0] / 10
 
 

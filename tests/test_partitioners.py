@@ -95,10 +95,9 @@ def test_random_choices_are_always_legal():
         assert r.violations == []
 
 
-class _FirstsAgainstScan:
-    """Wraps a partitioner: every round, checks the walk of the classes'
-    first members, taken whatever ``legal_colors`` would pick, against one
-    mask test per class, and the view's answer against both."""
+class _AgainstScan:
+    """Wraps a partitioner: every round, checks the view's legal colors
+    against one mask test per class."""
 
     def __init__(self, inner):
         self.inner, self.name, self.rounds = inner, inner.name, 0
@@ -107,7 +106,6 @@ class _FirstsAgainstScan:
         p, part, e = view.poset, view.partition, view.element
         outside = p.incomparable_mask(e)
         scan = sorted(c for c, cls in part.masks.items() if not cls & outside)
-        assert part._legal_by_firsts(part._firsts & ~outside, outside) == scan, f"element {e}"
         assert view.legal_colors() == scan, f"element {e}"
         self.rounds += 1
         return self.inner.choose(view)
@@ -115,10 +113,10 @@ class _FirstsAgainstScan:
 
 @pytest.mark.parametrize("name, d", [("szemeredi", None), ("theorem1", None),
                                      ("theorem2", 2), ("theorem2", 3)])
-def test_first_member_walk_answers_like_the_scan_on_every_round(name, d):
+def test_legal_colors_answer_like_the_scan_on_every_round(name, d):
     for w in range(1, 9):
         for inner in (FirstFit(), RandomValid(0), RandomValid(1), RandomValid(2)):
-            checked = _FirstsAgainstScan(inner)
+            checked = _AgainstScan(inner)
             transcript, report = run_game(make_strategy(name, w, d=d), checked)
             assert report.ok and checked.rounds == len(transcript.rounds)
 

@@ -360,40 +360,32 @@ def test_legal_colors_and_legal_match_a_set_based_reference(case, data):
         return
     part = ChainPartition()
     classes: dict[int, set[int]] = {}  # grown in the same order as the partition's
-    firsts: dict[int, int] = {}  # each color's first member
     colored = data.draw(st.lists(st.sampled_from(els), unique=True))
     for x in colored:
         color = data.draw(st.integers(1, 6))  # any order, gaps included
         part.assign(x, color)
         classes.setdefault(color, set()).add(x)
-        firsts.setdefault(color, x)
     assert sorted(part.masks) == sorted(classes)
     assert part.top == max(classes, default=0)
-    assert part._firsts == sum(1 << x for x in firsts.values())
     for e in els:
         for color in range(1, 8):
             assert part.legal(p, e, color) == reference_legal(rel, classes, e, color)
         view = PartitionerView(p, part, e)
         legal = [c for c in sorted(classes) if reference_legal(rel, classes, e, c)[0]]
         assert view.legal_colors() == legal
-        outside = p.incomparable_mask(e)  # the walk, whatever legal_colors would pick
-        assert part._legal_by_firsts(part._firsts & ~outside, outside) == legal
         assert view.fresh_color() == max(classes, default=0) + 1
     flipped = dual(p)  # the same comparabilities, every relation flipped
     for e in els:
         legal = PartitionerView(p, part, e).legal_colors()
         assert PartitionerView(flipped, part, e).legal_colors() == legal
-        outside = flipped.incomparable_mask(e)
-        assert part._legal_by_firsts(part._firsts & ~outside, outside) == legal
 
 
 @settings(max_examples=200, deadline=None)
 @given(sparse_posets(), st.data())
 def test_legal_colors_read_classes_restricted_to_the_poset(case, data):
     """Members absent from the poset, in its gaps or past its largest id,
-    may be a class's first member: ``legal_colors`` and the walk still
-    answer like one mask test per class, which reads each class restricted
-    to the poset."""
+    may sit in any class: ``legal_colors`` still answers like one mask test
+    per class, which reads each class restricted to the poset."""
     p, rel = case
     els = p.elements
     if not els:
@@ -412,7 +404,32 @@ def test_legal_colors_read_classes_restricted_to_the_poset(case, data):
         outside = p.incomparable_mask(e)
         assert sorted(c for c, cls in part.masks.items() if not cls & outside) == legal
         assert part.legal_colors(p, e) == legal
-        assert part._legal_by_firsts(part._firsts & ~outside, outside) == legal
+
+
+@settings(max_examples=300, deadline=None)
+@given(derived_posets(), sparse_posets(), st.data())
+def test_legal_colors_answer_like_the_scan_in_any_call_order(case, other, data):
+    """Assigns and queries interleave in any order: the same element twice,
+    an older one, the dual poset and another poset, with class members
+    absent from the queried poset.  Each answer is the one-mask-per-class
+    scan, and appending to an answer leaves the next one alone."""
+    posets = [p for p in (case[0], dual(case[0]), other[0]) if len(p)]
+    if not posets:
+        return
+    part = ChainPartition()
+    ids = range(1, max(max(p.elements) for p in posets) + 4)
+    for _ in range(data.draw(st.integers(1, 40))):
+        if data.draw(st.booleans()):
+            free = [x for x in ids if x not in part.color_of]
+            if free:
+                part.assign(data.draw(st.sampled_from(free)), data.draw(st.integers(1, 6)))
+            continue
+        p = data.draw(st.sampled_from(posets))
+        e = data.draw(st.sampled_from(p.elements))
+        outside = p.incomparable_mask(e)
+        answer = part.legal_colors(p, e)
+        assert answer == sorted(c for c, cls in part.masks.items() if not cls & outside)
+        answer.append(part.top + 1)
 
 
 def test_assigning_descending_colors_takes_linear_time():
