@@ -701,7 +701,8 @@ def verify_transcript(t: Transcript) -> list[str]:
     stage one runs builders of widths w..1, each placing at least as many
     points as its width, so fewer rows than w(w+1)/2 cannot hold a complete
     game; such a transcript is rejected before any replay, whose setup
-    would cost O(w) or O(d) whatever the row count.
+    would cost O(w) or O(d) whatever the row count.  The replay
+    (``_replay``) reads each row once, in order, as it replays its round.
 
     A szemeredi transcript is replayed once, tuned to chain index w.  Every
     other chain index must present the replayed poset: one whose cross pairs
@@ -716,7 +717,7 @@ def verify_transcript(t: Transcript) -> list[str]:
     if len(t.rounds) < t.w * (t.w + 1) // 2:
         return ["transcript ends before the game is over"]
     strategy = make_strategy(t.strategy, t.w, d=t.d)
-    v, part = _replay(strategy, t, _relation_masks(t))
+    v, part = _replay(strategy, t)
     if isinstance(strategy, SzemerediStrategy):
         p = strategy.poset
         hosts = [h.restrict(p._elements) for h in strategy.orders]
@@ -738,37 +739,31 @@ def verify_transcript(t: Transcript) -> list[str]:
     return out
 
 
-def _relation_masks(t: Transcript) -> tuple[list[int | None], list[int | None]]:
-    """The rows' below and above sets as masks (bit x for id x), in two
-    lists indexed like a poset's rows by the element a replay presents in
-    each round, which is the round's place in the transcript.  A kept mask
-    is read as it is.  A set no such element can have -- not a tuple or list,
-    not all ints, as in ``_id_list``, not sorted and distinct, or outside
-    1..round-1 -- gets None."""
-    below: list[int | None] = [0]
-    above: list[int | None] = [0]
-    for e, row in enumerate(t.rounds, start=1):
-        for masks, ids in ((below, row.__dict__["below"]), (above, row.__dict__["above"])):
-            if type(ids) is int:
-                masks.append(None if ids >> e else ids)
-                continue
-            valid = isinstance(ids, (tuple, list)) and set(map(type, ids)) <= {int} and (
-                not ids or ids[0] >= 1 and ids[-1] < e and list(ids) == sorted(set(ids)))
-            masks.append(_digits_mask(ids, e) if valid else None)
-    return below, above
+def _row_mask(ids, e: int) -> int | None:
+    """A row's below or above set as a mask (bit x for id x), read for the
+    element ``e`` a replay presents in the row's round, which is the round's
+    place in the transcript.  A kept mask is read as it is.  A set no such
+    element can have -- not a tuple or list, not all ints, as in ``_id_list``,
+    not sorted and distinct, or outside 1..e-1 -- gets None."""
+    if type(ids) is int:
+        return None if ids >> e else ids
+    valid = isinstance(ids, (tuple, list)) and set(map(type, ids)) <= {int} and (
+        not ids or ids[0] >= 1 and ids[-1] < e and list(ids) == sorted(set(ids)))
+    return _digits_mask(ids, e) if valid else None
 
 
-def _replay(strategy: Strategy, t: Transcript,
-            masks: tuple[list[int | None], list[int | None]]) -> tuple[list[str], ChainPartition]:
+def _replay(strategy: Strategy, t: Transcript) -> tuple[list[str], ChainPartition]:
     """Feed the recorded colors to ``strategy`` and compare every move with
-    its row.  ``masks`` holds the rows' relation sets as masks
-    (``_relation_masks``); each is compared with the new element's rows in
-    the strategy's poset, right after its insertion."""
+    its row.  Each row is read once, in order, in the round that replays it:
+    its relation sets (``_row_mask``) are compared with the new element's
+    rows in the strategy's poset, right after its insertion.  The relations
+    of a row after the game is over, or after the colors derail the
+    strategy, are never read."""
     v: list[str] = []
     part = ChainPartition()
     watch = _ExtensionWatch(strategy)
     below, above = strategy.poset._below, strategy.poset._above
-    for row, below_mask, above_mask in zip(t.rounds, masks[0][1:], masks[1][1:]):
+    for place, row in enumerate(t.rounds, start=1):
         if strategy.done():
             v.append(f"round {row.round}: the game was already over")
             break
@@ -780,9 +775,9 @@ def _replay(strategy: Strategy, t: Transcript,
         e = move.element
         if e != row.element:
             v.append(f"round {row.round}: element {e} presented, transcript says {row.element}")
-        if below[e] != below_mask:
+        if below[e] != _row_mask(row.__dict__["below"], place):
             v.append(f"round {row.round}: relations below the new element differ")
-        if above[e] != above_mask:
+        if above[e] != _row_mask(row.__dict__["above"], place):
             v.append(f"round {row.round}: relations above the new element differ")
         if move.level != row.level:
             v.append(f"round {row.round}: level annotation {row.level}, re-run says {move.level}")
@@ -852,7 +847,7 @@ def sweep(configs: Iterable[dict], violation_dir: str | Path = ".") -> list[dict
 
     A config is a dict with keys strategy, partitioner, w, and optionally
     d, seed.  Any verification failure persists the offending transcript
-    and aborts.
+    and aborts, naming the path when the transcript cannot be written.
     """
     rows = []
     for cfg in configs:
@@ -868,9 +863,13 @@ def sweep(configs: Iterable[dict], violation_dir: str | Path = ".") -> list[dict
             if seed is not None:
                 stem += f"-seed{seed}"
             path = Path(violation_dir) / (stem + ".jsonl")
-            path.write_text(transcript.serialize())
             detail = report.violations[0] if report.violations else "forced-color bound not met"
-            raise OlcpError(f"game {stem} failed verification ({detail}); transcript persisted to {path}")
+            failed = f"game {stem} failed verification ({detail})"
+            try:
+                path.write_text(transcript.serialize())
+            except OSError as exc:
+                raise OlcpError(f"{failed}; cannot write its transcript to {path}: {exc.strerror}") from exc
+            raise OlcpError(f"{failed}; transcript persisted to {path}")
         rows.append(dict(strategy=name, partitioner=pname, w=w, d=d, seed=seed,
                          points=report.points, colors=report.colors, bound=report.bound,
                          bound_met=report.bound_met, runtime=elapsed))

@@ -7,14 +7,16 @@ pairs, as oracles for the mask-backed code.  ``splice`` tunes two hidden
 hosts to another chain index with list comprehensions, as an oracle for
 ``poset._tuned_hosts``.  ``ReplicaWatch`` checks insertion-only growth by
 rebuilding each visible order from the recorded anchors, as an oracle for
-``arena._ExtensionWatch``.
+``arena._ExtensionWatch``.  ``relation_masks`` reads a whole transcript's
+relation sets in one pass, as an oracle for ``arena._row_mask``.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from olcp import LinearOrder, Poset, RelationError
+from olcp import LinearOrder, Poset, RelationError, Transcript
+from olcp.poset import _digits_mask
 
 
 def from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Poset:
@@ -137,3 +139,23 @@ class ReplicaWatch:
             if self.replicas[j] != order.sequence:
                 return f"recorded insertions rebuild a different order {j}"
         return None
+
+
+def relation_masks(t: Transcript) -> tuple[list[int | None], list[int | None]]:
+    """The rows' below and above sets as masks (bit x for id x), in two
+    lists indexed like a poset's rows by the element a replay presents in
+    each round, which is the round's place in the transcript.  A kept mask
+    is read as it is.  A set no such element can have -- not a tuple or list,
+    not all ints, as in ``_id_list``, not sorted and distinct, or outside
+    1..round-1 -- gets None."""
+    below: list[int | None] = [0]
+    above: list[int | None] = [0]
+    for e, row in enumerate(t.rounds, start=1):
+        for masks, ids in ((below, row.__dict__["below"]), (above, row.__dict__["above"])):
+            if type(ids) is int:
+                masks.append(None if ids >> e else ids)
+                continue
+            valid = isinstance(ids, (tuple, list)) and set(map(type, ids)) <= {int} and (
+                not ids or ids[0] >= 1 and ids[-1] < e and list(ids) == sorted(set(ids)))
+            masks.append(_digits_mask(ids, e) if valid else None)
+    return below, above

@@ -36,8 +36,9 @@ from olcp import (
 from olcp import adversaries, arena
 from olcp.arena import TranscriptRound
 
+from poset_oracles import relation_masks
 from test_chain_index_check import keeper_checks_of_spliced_hosts
-from test_serialize_oracle import json_serialize
+from test_serialize_oracle import INT_ROWS, OTHER_ROWS, UNPARSED_INT_ROWS, json_serialize
 
 
 def game(name: str, w: int, d=None, seed=None):
@@ -679,9 +680,36 @@ def test_hand_built_rows_the_replay_cannot_take_name_the_round(tamper, messages)
 def _replayed(name: str, w: int):
     t, _ = game(name, w)
     s = make_strategy(name, w)
-    v, part = arena._replay(s, t, arena._relation_masks(t))
+    v, part = arena._replay(s, t)
     assert v == []
     return s, part
+
+
+ROW_MASK_GAMES = [game("szemeredi", 4)[0], game("theorem1", 3)[0], game("theorem2", 3, 3)[0]]
+ROW_MASK_TAMPERS = {
+    **INT_ROWS, **UNPARSED_INT_ROWS, **OTHER_ROWS,
+    "kept mask with its own id": lambda r: {"below": r.__dict__["below"] | 1 << r.round},
+    "kept mask past its place": lambda r: {"above": 1 << r.round + 3},
+    "own ids as a list": lambda r: {"above": list(r.above)},
+    "string": lambda r: {"below": "1,2"},
+    "None": lambda r: {"above": None},
+    "True": lambda r: {"below": True},
+    "1.5": lambda r: {"above": 1.5},
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(range(len(ROW_MASK_GAMES))), st.sampled_from(sorted(ROW_MASK_TAMPERS)), st.data())
+def test_row_masks_are_the_whole_transcript_pass(which, tamper, data):
+    """With one row changed in memory, every row's ``_row_mask`` at its
+    place is the entry that one pass over the whole transcript gives."""
+    t = ROW_MASK_GAMES[which]
+    i = data.draw(st.integers(0, len(t.rounds) - 1))
+    assert t.rounds[i].round == i + 1
+    bad = reround(t, i, **ROW_MASK_TAMPERS[tamper](t.rounds[i]))
+    below, above = relation_masks(bad)
+    assert [arena._row_mask(row.__dict__["below"], e) for e, row in enumerate(bad.rounds, start=1)] == below[1:]
+    assert [arena._row_mask(row.__dict__["above"], e) for e, row in enumerate(bad.rounds, start=1)] == above[1:]
 
 
 @pytest.mark.parametrize("doctor", [
@@ -836,3 +864,25 @@ def test_sweep_aborts_and_persists_on_violation(tmp_path, monkeypatch):
     assert len(saved) == 1
     assert str(saved[0]) in str(err.value)
     Transcript.parse(saved[0].read_text())  # the persisted transcript is readable
+
+
+def test_sweep_names_the_game_when_its_transcript_cannot_be_saved(tmp_path, monkeypatch):
+    real_run_game = arena.run_game
+
+    def sabotaged(strategy, partitioner, seed=None):
+        t, r = real_run_game(strategy, partitioner, seed=seed)
+        r.violations.append("synthetic failure for the abort path")
+        return t, r
+
+    monkeypatch.setattr(arena, "run_game", sabotaged)
+    with pytest.raises(OlcpError) as err:
+        sweep(
+            [{"strategy": "szemeredi", "partitioner": "first-fit", "w": 2}],
+            violation_dir=tmp_path / "missing",
+        )
+    path = tmp_path / "missing" / "violation-szemeredi-w2-first-fit.jsonl"
+    assert str(err.value) == (
+        "game violation-szemeredi-w2-first-fit failed verification "
+        f"(synthetic failure for the abort path); cannot write its transcript to {path}: "
+        "No such file or directory")
+    assert not (tmp_path / "missing").exists()

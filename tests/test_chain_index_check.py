@@ -49,12 +49,11 @@ def verify_with_a_replay_per_chain_index(t: Transcript) -> list[str]:
     main replay did not report."""
     if len(t.rounds) < t.w * (t.w + 1) // 2:
         return ["transcript ends before the game is over"]
-    rows = arena._relation_masks(t)
     strategy = make_strategy(t.strategy, t.w)
-    v, part = arena._replay(strategy, t, rows)
+    v, part = arena._replay(strategy, t)
     main = set(v)
     for k in range(1, t.w):
-        vk, _ = arena._replay(make_strategy(t.strategy, t.w, k=k), t, rows)
+        vk, _ = arena._replay(make_strategy(t.strategy, t.w, k=k), t)
         s = next((s for s in vk if s not in main), None)
         if s is not None:
             v.append(f"chain index {k} presents a different game: {s}")
@@ -227,7 +226,7 @@ def test_a_moved_low_block_on_a_tampered_transcript_is_checked_against_the_poset
     expected = []
     if len(bad.rounds) >= t.w * (t.w + 1) // 2:
         replayed = make_strategy("szemeredi", t.w)
-        arena._replay(replayed, bad, arena._relation_masks(bad))
+        arena._replay(replayed, bad)
         for j in range(1, t.w):
             fault = first_fault_of_spliced_hosts(replayed, bad, set().union(*moved[:j]))
             if fault is not None:

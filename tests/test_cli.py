@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from olcp import HiddenRealizerStrategy, LinearOrder, Transcript
+from olcp import HiddenRealizerStrategy, LinearOrder, Transcript, arena
 from olcp.cli import main
 
 
@@ -280,6 +280,26 @@ def test_table_checks_dims_only_where_theorem2_plays(tmp_path, capsys):
         "--dims", "1", "--out", str(tmp_path / "x.csv"),
     )
     assert code == 0
+
+
+def test_table_reports_a_failing_game_it_cannot_save_in_one_line(tmp_path, capsys, monkeypatch):
+    real_run_game = arena.run_game
+
+    def sabotaged(strategy, partitioner, seed=None):
+        t, r = real_run_game(strategy, partitioner, seed=seed)
+        r.violations.append("synthetic failure")
+        return t, r
+
+    monkeypatch.setattr(arena, "run_game", sabotaged)
+    code, out, err = run(
+        capsys, "table", "--strategies", "szemeredi", "--width-max", "1",
+        "--out", str(tmp_path / "missing" / "t.csv"),
+    )
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("error: game violation-szemeredi-w1-first-fit failed verification "
+                          "(synthetic failure); cannot write its transcript to ")
+    assert err.endswith(": No such file or directory\n")
 
 
 def test_no_subcommand_exits_2(capsys):

@@ -15,7 +15,8 @@ alone: one ``place`` and one ``observe`` a round.  An insertion appends the
 new element's rows and no on-line round changes the row of an older
 element.  The rows arrive as the masks the builders record in their hosts,
 read from their windows, so no on-line round builds a mask from the ids
-of the poset.  A szemeredi transcript is replayed once, and a
+of the poset.  A szemeredi transcript is replayed once, which reads each
+row's relation sets once, in the row's round, and a
 theorem1 level runs two roots and two dual roots: hosts tuned to other
 chain indices are grown by no builder, as their cross-pair and keeper
 checks read the two hosts' positions, and a clean level's chain indices
@@ -43,6 +44,7 @@ from olcp import FirstFit, RandomValid, Transcript, make_strategy, run_game, ver
 from olcp import adversaries, arena
 from olcp import poset as poset_module
 from olcp.adversaries import PresentedRealizerStrategy, _GameLevel
+from olcp.arena import TranscriptRound
 from olcp.builders import FAMILIES, ORIENTATIONS, Builder
 from olcp.poset import ChainPartition, LinearOrder, Poset
 
@@ -404,13 +406,52 @@ def test_szemeredi_transcript_is_replayed_once(monkeypatch, w):
     replay = arena._replay
     replays = []
 
-    def spy_replay(strategy, t, rows):
+    def spy_replay(strategy, t):
         replays.append(strategy.k)
-        return replay(strategy, t, rows)
+        return replay(strategy, t)
 
     monkeypatch.setattr(arena, "_replay", spy_replay)
     assert verify_transcript(transcript) == []
     assert replays == [w]
+
+
+def _spy_row_mask(monkeypatch) -> list[int]:
+    """The place of every row ``arena._row_mask`` reads from here on."""
+    row_mask = arena._row_mask
+    places: list[int] = []
+
+    def spy_row_mask(ids, e):
+        places.append(e)
+        return row_mask(ids, e)
+
+    monkeypatch.setattr(arena, "_row_mask", spy_row_mask)
+    return places
+
+
+@pytest.mark.parametrize("name, w, d", [("szemeredi", 6, None), ("theorem2", 4, 3)])
+def test_the_replay_reads_each_row_once_in_order(monkeypatch, name, w, d):
+    """Each row's two relation sets are read in its own round, and a row
+    after the game is over is not read at all."""
+    transcript, _ = run_game(make_strategy(name, w, d=d), FirstFit())
+    n = len(transcript.rounds)
+    places = _spy_row_mask(monkeypatch)
+    assert verify_transcript(transcript) == []
+    assert places == [e for e in range(1, n + 1) for _ in "ba"]
+
+    last = transcript.rounds[-1]
+    extra = Transcript(transcript.strategy, w, d, transcript.partitioner, transcript.seed,
+                       [*transcript.rounds, TranscriptRound(n + 1, n + 1, 0, 0, 1, last.level,
+                                                            last.stage, last.ext)])
+    places.clear()
+    assert f"round {n + 1}: the game was already over" in verify_transcript(extra)
+    assert len(places) == 2 * n
+
+
+def test_a_transcript_too_short_for_a_game_is_read_for_no_row(monkeypatch):
+    places = _spy_row_mask(monkeypatch)
+    header_only = Transcript("szemeredi", 6, None, "first-fit", None)
+    assert verify_transcript(header_only) == ["transcript ends before the game is over"]
+    assert places == []
 
 
 def _spy_builders(monkeypatch) -> list[Builder]:

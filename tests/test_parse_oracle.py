@@ -2,7 +2,7 @@
 pipeline they replaced.
 
 ``parse`` checks each row's id lists and keeps them as masks, and
-``_relation_masks`` reads those masks.  ``old_id_list`` and
+``_row_mask`` reads each row's masks.  ``old_id_list`` and
 ``old_relation_masks`` below are the pipeline that came before, kept as the
 reference: ``parse`` made id tuples, and ``_relation_masks`` checked the
 tuples again and built the masks from them.  On any id list, both must
@@ -40,6 +40,12 @@ def old_relation_masks(t: Transcript) -> tuple[list[int | None], list[int | None
     return below, above
 
 
+def row_masks(t: Transcript) -> tuple[list[int | None], list[int | None]]:
+    """Each row's ``_row_mask`` masks, in ``old_relation_masks``' shape."""
+    return tuple([0] + [arena._row_mask(row.__dict__[side], e) for e, row in enumerate(t.rounds, start=1)]
+                 for side in ("below", "above"))
+
+
 def outcome(text: str, reference: bool):
     """The error text, or the parsed rows and their masks."""
     try:
@@ -48,7 +54,7 @@ def outcome(text: str, reference: bool):
                 t = Transcript.parse(text)
             return t.rounds, old_relation_masks(t)
         t = Transcript.parse(text)
-        return t.rounds, arena._relation_masks(t)
+        return t.rounds, row_masks(t)
     except TranscriptError as exc:
         return str(exc)
 
@@ -87,4 +93,4 @@ def test_parse_and_masks_agree_with_the_id_tuple_pipeline(line, side, v):
 def test_played_rows_give_the_reference_masks():
     text = GAME.serialize()
     assert outcome(text, reference=False) == outcome(text, reference=True)
-    assert arena._relation_masks(GAME) == old_relation_masks(GAME)
+    assert row_masks(GAME) == old_relation_masks(GAME)

@@ -126,7 +126,7 @@ def test_a_replayed_partition_answers_like_the_scan_part_way_and_in_full():
     one mask test per class after 100 of its 144 assigns and after all."""
     t, report = run_game(make_strategy("szemeredi", 12), FirstFit())
     strategy = make_strategy("szemeredi", 12)
-    violations, replayed = arena._replay(strategy, t, arena._relation_masks(t))
+    violations, replayed = arena._replay(strategy, t)
     assert report.ok and violations == []
     assert len(replayed.color_of) == 144
 
